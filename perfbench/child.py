@@ -102,7 +102,7 @@ class Runner:
                 workloads.compare(checks, "reference.seeded", seeded, self.ref_seeded)
             wl.oracle_check(out, checks)
         else:
-            checks.check(f"{wl.name}.pass_repeats_first_pass", (fixed, seeded) == self.first)
+            workloads.compare(checks, f"{wl.name}.repeat", [fixed, seeded], list(self.first))
 
     # the loops --------------------------------------------------------------
 
