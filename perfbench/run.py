@@ -1,6 +1,6 @@
 """Benchmark of mulab: one seeded workload per invocation.
 
-    python3 perfbench/run.py --workload mu_scan --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload mu_scan --seed 1 --seconds 50 --trace 0
 
 Run from the root of a checkout.  Each workload runs in fresh single-threaded
 child processes (BLAS/OpenMP pinned to one thread), one after another:
@@ -27,7 +27,7 @@ from pathlib import Path
 
 from tracing import PER_LAYER_UNITS
 
-WORKLOADS = ("mu_scan", "irrational_blocks", "exact_oracle")
+WORKLOADS = ("mu_scan", "irrational_exact")
 SETUP_REPEATS = 5
 DEADLINE_S = 170  # the whole run, set-up children included
 OUT_DIR = ".perfbench_out"

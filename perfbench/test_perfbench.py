@@ -12,6 +12,7 @@ sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 import pytest  # noqa: E402
 
 import mulab  # noqa: E402
+import run  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 from mulab import phases, symbolic_blocks  # noqa: E402
@@ -131,6 +132,7 @@ def test_reference_file_covers_both_seeds_and_true_mertens_values():
 def test_benchmark_json_matches_the_code():
     spec = json.loads((HERE.parent / "BENCHMARK.json").read_text())
     assert [w["name"] for w in spec["workloads"]] == list(workloads.WORKLOADS)
+    assert list(run.WORKLOADS) == list(workloads.WORKLOADS)
     assert {m["name"]: m["unit"] for m in spec["per_layer"]} == tracing.PER_LAYER_UNITS
 
 
@@ -149,7 +151,12 @@ class TinyExact(workloads.ExactOracle):
             "equivalence": 20, "extend": 5}
 
 
-@pytest.mark.parametrize("cls", [TinyMuScan, TinyIrrational, TinyExact])
+class TinyCombined(workloads.Combined):
+    name = "tiny_combined"
+    parts = (TinyIrrational, TinyExact)
+
+
+@pytest.mark.parametrize("cls", [TinyMuScan, TinyIrrational, TinyExact, TinyCombined])
 def test_tiny_workloads_pass_their_checks(cls, tmp_path):
     wl = cls(7, tmp_path)
     try:
