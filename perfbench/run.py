@@ -1,14 +1,15 @@
 """Benchmark of mulab: one seeded workload per invocation.
 
-    python3 perfbench/run.py --workload mu_scan --seed 1 --seconds 50 --trace 0
+    python3 perfbench/run.py --workload mu_scan --seed 1 --seconds 55 --trace 0
 
 Run from the root of a checkout.  Each workload runs in fresh single-threaded
-child processes (BLAS/OpenMP pinned to one thread), one after another:
-SETUP_REPEATS processes that stop at the first timed call, for the set-up
-time, then one that repeats the timed part for --seconds and checks every
-output.  The last line of standard output is one JSON object with `correct`,
-`attempted` (output checks), `failed` (failed checks plus passes that
-raised) and `metrics`: the end-to-end metrics with --trace 0, the per-layer
+child processes (BLAS/OpenMP pinned to one thread), one after another: one
+that repeats the timed part for --seconds and checks every output, with
+SETUP_REPEATS processes that stop at the first timed call before it and as
+many after it, so that the median set-up time spans the whole run.  The
+last line of standard output is one JSON object with `correct`, `attempted`
+(output checks), `failed` (failed checks plus passes that raised) and
+`metrics`: the end-to-end metrics with --trace 0, the per-layer
 metrics of a traced run with --trace 1.  The full record, with host facts
 and input properties, is printed above it and written under .perfbench_out/.
 """
@@ -28,8 +29,9 @@ from pathlib import Path
 from tracing import PER_LAYER_UNITS
 
 WORKLOADS = ("mu_scan", "irrational_exact")
-SETUP_REPEATS = 5
-DEADLINE_S = 170  # the whole run, set-up children included
+SETUP_REPEATS = 4
+SETUP_TIMEOUT_S = 60
+PASS_LIMIT_S = 60  # well above the longest pass of either workload
 OUT_DIR = ".perfbench_out"
 
 
@@ -109,7 +111,6 @@ def main() -> int:
     ap.add_argument("--trace", type=int, choices=(0, 1), required=True)
     args = ap.parse_args()
 
-    started = time.monotonic()
     root = Path.cwd()
     if not (root / "src" / "mulab" / "__init__.py").is_file():
         print(f"perfbench: no mulab sources under {root / 'src'}; run from the "
@@ -119,14 +120,18 @@ def main() -> int:
     host = host_facts(root)
 
     try:
-        setups = [run_child(root, args, ["--setup-only"], 60)["setup_s"]
+        setups = [run_child(root, args, ["--setup-only"], SETUP_TIMEOUT_S)["setup_s"]
                   for _ in range(SETUP_REPEATS)]
-        remaining = DEADLINE_S - (time.monotonic() - started)
-        child = run_child(root, args, [], remaining)
+        # the passes stop within --seconds, but a traced run makes one
+        # untraced, one traced and one allocation pass however short it is
+        child = run_child(root, args, [],
+                          SETUP_TIMEOUT_S + args.seconds + 3 * PASS_LIMIT_S)
+        setups.append(child["setup_s"])
+        setups += [run_child(root, args, ["--setup-only"], SETUP_TIMEOUT_S)["setup_s"]
+                   for _ in range(SETUP_REPEATS)]
     except (RuntimeError, subprocess.TimeoutExpired, ValueError, IndexError) as exc:
         print(f"perfbench: {args.workload} failed: {exc}", file=sys.stderr)
         return 1
-    setups.append(child["setup_s"])
 
     if args.trace:
         if child["layer_metrics"] is None:

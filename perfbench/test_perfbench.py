@@ -40,7 +40,6 @@ def test_wrappers_restore_the_originals():
             changed = [k for k in before if wrapped[k] is not before[k]]
             assert ("mulab.sieves", "sieve_mobius") in changed
             assert ("mulab", "sieve_mobius") in changed
-            assert ("mulab.phase_sums", "sieve_phi") in changed
             assert ("mulab.phases", "Phase", "frac_units") in changed
             assert ("mulab.phases", "BracketPhase", "frac_units") in changed
             assert ("mulab.phases", "PolyPhase", "frac_chunk") in changed
@@ -49,7 +48,7 @@ def test_wrappers_restore_the_originals():
             raise RuntimeError("leave the block early")
     after = _bindings()
     assert all(after[k] is before[k] for k in before)
-    assert [sp.name for sp in tracer.spans[:2]] == ["sieves.sieve_mobius", "sieves.primes_up_to"]
+    assert tracer.spans[0].name == "sieves.sieve_mobius"
     assert tracer.spans[0].items == 100
 
 

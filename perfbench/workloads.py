@@ -12,9 +12,9 @@ int64 path).  `irrational_exact` is the mirror image, pure Python-object
 work: the `irrational_blocks` part (per-n fixed-point numerators and block
 counting, sieving nearly absent) followed by the `exact_oracle` part
 (arrangement piece counts and the exact calculus, numpy idle).  The two
-parts were separate workloads at first; they share one so that each run
-can measure for 50 s within the benchmark's time budget, because this
-host's speed drifts on a scale of tens of seconds.
+parts share one workload so that each run can measure for 55 s within the
+benchmark's time budget, because the speed of the 2-core VM it was tuned on
+drifts on a scale of tens of seconds.
 
 ROADMAP open items and what each should move (the benchmark predicts no
 change elsewhere):
@@ -39,7 +39,7 @@ change elsewhere):
 Observed spread before this benchmark existed: one seeded arrangement batch
 took 17.0 s and 19.75 s in two single passes (16%), and `irrational_blocks`
 steps moved by up to 20% from pass to pass.  Hence fixed strata for the
-arrangement batch, several passes per run and medians.
+arrangement batch, 55 s runs and medians.
 """
 
 from __future__ import annotations
@@ -571,25 +571,42 @@ def in_general_position(normals, offsets, central: bool) -> bool:
 
 
 def central_generic_pieces(m: int, k: int) -> int:
-    """Faces of m central hyperplanes in R^k with every k normals independent:
-    the origin plus, for each j-subset (j < k), the regions of the generic
-    central arrangement the other m - j planes cut in its (k - j)-flat."""
+    """Faces of m >= k central hyperplanes in R^k with every k normals
+    independent: the origin plus, for each j-subset (j < k), the regions of
+    the generic central arrangement the other m - j planes cut in its
+    (k - j)-flat."""
     def regions(n: int, d: int) -> int:
         return 2 * sum(math.comb(n - 1, i) for i in range(d)) if n else 1
     return 1 + sum(math.comb(m, j) * regions(m - j, k - j) for j in range(k))
 
 
+def drawn_strata() -> tuple:
+    """Fixed (kind, k, m, count) strata holding the expected counts, rounded,
+    of a draw of k uniform on {2, 3, 4} and m uniform on k..8: 40 cases per k,
+    spread evenly over its m cells (the larger share to the larger m), 120 in
+    all.  Every cell holds one central case (all offsets 0) and one cylinder
+    (one coordinate absent from every normal), except cells of five, which
+    hold one: 34 degenerate cases.  The 12 generic k = 4, m = 7-8 cases are
+    the Fourier-Motzkin tail.  Single passes over three seeds took 19.4-20.7 s,
+    with p50 30-34 ms and p90 0.37-0.48 s, on a 2-core Xeon VM."""
+    strata = []
+    for k in (2, 3, 4):
+        cells = range(k, 9)
+        base, extra = divmod(40, len(cells))
+        for m in cells:
+            count = base + (m > 8 - extra)
+            kinds = ["central", "cylinder"]
+            if count == 5:
+                kinds = ["central" if m % 2 else "cylinder"]
+            strata.append(("generic", k, m, count - len(kinds)))
+            strata.extend((kind, k, m, 1) for kind in kinds)
+    return tuple(strata)
+
+
 class ExactOracle(Workload):
     name = "exact_oracle"
-    # (kind, k, m, count): fixed strata keep the batch cost from swinging with
-    # the seed; the generic k = 4, m = 7-8 cases are the Fourier-Motzkin tail.
-    STRATA = (
-        ("generic", 2, 4, 14), ("generic", 2, 5, 12), ("generic", 2, 6, 12), ("generic", 2, 8, 2),
-        ("generic", 3, 5, 8), ("generic", 3, 6, 6), ("generic", 3, 7, 3), ("generic", 3, 8, 1),
-        ("generic", 4, 5, 6), ("generic", 4, 6, 5), ("generic", 4, 7, 4), ("generic", 4, 8, 1),
-        ("central", 2, 6, 8), ("central", 3, 6, 6), ("central", 4, 6, 2),
-        ("cylinder", 3, 6, 6), ("cylinder", 4, 6, 4),
-    )
+    # fixed strata keep the batch cost from swinging with the seed
+    STRATA = drawn_strata()
     CALC = {"diff": 1500, "sigma": 1000, "lagrange": 1000, "reconstruct": 1000,
             "equivalence": 10000, "extend": 1000}
 
