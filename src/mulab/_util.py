@@ -3,17 +3,23 @@
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via temp file + rename so readers never see partial output."""
+def atomic_write(path: str | Path, data: str | bytes) -> None:
+    """Write via temp file + rename so readers never see partial output.
+
+    Text is written as UTF-8 with no newline translation.  The file gets
+    the mode a plain open() would give it (0666 less the umask).
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

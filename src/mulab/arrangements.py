@@ -2,13 +2,19 @@
 
 A piece is a nonempty intersection P_1 cap ... cap P_m with each P_j one of
 {F_j > c_j}, {F_j < c_j}, {F_j = c_j}; equivalently a feasible sign vector
-over {+1, -1, 0}.  Feasibility of the mixed strict/equality systems is
-decided by exact integer Fourier-Motzkin elimination (equalities are pivoted
-away first), so there are no epsilon questions at desk scale.  Every
-feasible piece also gets an exact rational witness point.  Feasibility
-tests are pure and the piece count is an order-independent sum, so the
-sign-vector space can be partitioned across workers; the implementation
-here is sequential.
+over {+1, -1, 0}, or a face of the arrangement.
+
+`count_pieces` is witness-free: it builds the intersection lattice (the
+nonempty intersections of the planes, each kept as an integer echelon form)
+and sums |mu(X, Y)| over pairs of flats X <= Y, which is Zaslavsky's face
+count ("Facing up to arrangements", 1975).  It needs exact ranks only, no
+feasibility solves.
+
+`enumerate_pieces` is the only path that yields sign vectors and witness
+points.  It decides each mixed strict/equality system by exact integer
+Fourier-Motzkin elimination (equalities are pivoted away first), so there
+are no epsilon questions at desk scale, and it serves as the differential
+oracle for the count.
 """
 
 from __future__ import annotations
@@ -213,6 +219,28 @@ def _solve_sign_system(
 # enumeration
 
 
+def _checked_dim(
+    arr: Sequence[Hyperplane],
+    max_hyperplanes: int = MAX_HYPERPLANES,
+    max_dim: int = MAX_DIM,
+) -> int:
+    """Dimension of a valid arrangement within the budget."""
+    m = len(arr)
+    if m < 1:
+        raise ValueError("need at least one hyperplane")
+    dim = arr[0].dim
+    if any(h.dim != dim for h in arr):
+        raise ValueError("mixed dimensions in arrangement")
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
+    if m > max_hyperplanes or dim > max_dim:
+        raise ResourceBudgetError(
+            f"arrangement m={m}, k={dim} beyond enumeration budget "
+            f"(m <= {max_hyperplanes}, k <= {max_dim})"
+        )
+    return dim
+
+
 @dataclass
 class PieceEnumeration:
     sign_vectors: list[SignVector]  # ternary-counter order: +, -, 0 per digit
@@ -233,19 +261,7 @@ def enumerate_pieces(
     Extends one hyperplane at a time: an existing witness certifies its own
     side for free, the other two signs get a fresh feasibility solve.
     """
-    m = len(arr)
-    if m < 1:
-        raise ValueError("need at least one hyperplane")
-    dim = arr[0].dim
-    if any(h.dim != dim for h in arr):
-        raise ValueError("mixed dimensions in arrangement")
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    if m > max_hyperplanes or dim > max_dim:
-        raise ResourceBudgetError(
-            f"arrangement m={m}, k={dim} beyond enumeration budget "
-            f"(m <= {max_hyperplanes}, k <= {max_dim})"
-        )
+    dim = _checked_dim(arr, max_hyperplanes, max_dim)
     planes = _int_rows(arr)
     states: list[tuple[SignVector, tuple[Fraction, ...]]] = [
         ((), tuple(Fraction(0) for _ in range(dim)))
@@ -267,9 +283,109 @@ def enumerate_pieces(
     return PieceEnumeration([s for s, _ in states], [w for _, w in states])
 
 
+# ---------------------------------------------------------------------------
+# witness-free count over the intersection lattice
+#
+# A row (a_1, ..., a_k, c) stands for the plane a.x = c.  A flat is kept as
+# the integer reduced echelon form of its planes' rows: primitive rows with
+# positive pivots, ordered by pivot, zero in every other row's pivot column.
+# That form is unique, so its tuple of rows is the flat's key.
+
+
+def _primitive(row: tuple[int, ...]) -> tuple[int, ...]:
+    g = math.gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else row
+
+
+def _distinct_planes(arr: Sequence[Hyperplane]) -> list[tuple[int, ...]]:
+    """Primitive rows with the first nonzero normal entry positive, so a
+    plane rescaled by any nonzero factor appears once."""
+    out = {}
+    for a, c in _int_rows(arr):
+        row = _primitive((*a, c))
+        if next(x for x in a if x) < 0:
+            row = tuple(-x for x in row)
+        out[row] = None
+    return list(out)
+
+
+def _meet(pivots, rows, plane, dim):
+    """(pivots, rows) of flat cap plane for a plane not containing the flat,
+    or None when the plane is parallel to it."""
+    r = plane
+    for p, row in zip(pivots, rows):  # clear r in the flat's pivot columns
+        f = r[p]
+        if f:
+            e = row[p]
+            r = tuple(e * x - f * y for x, y in zip(r, row))
+    q = next((i for i in range(dim) if r[i]), None)
+    if q is None:
+        return None
+    r = _primitive(r if r[q] > 0 else tuple(-x for x in r))
+    e = r[q]
+    out = []
+    for p, row in zip(pivots, rows):
+        f = row[q]
+        if f:
+            row = _primitive(tuple(e * x - f * y for x, y in zip(row, r)))
+        out.append((p, row))
+    out.append((q, r))
+    out.sort()
+    return tuple(p for p, _ in out), tuple(row for _, row in out)
+
+
 def count_pieces(arr: Sequence[Hyperplane], **kwargs) -> int:
-    """Number of nonempty pieces cut by the arrangement."""
-    return enumerate_pieces(arr, **kwargs).count
+    """Number of nonempty pieces cut by the arrangement.
+
+    Flats are built breadth-first by rank: each is the meet of a flat one
+    rank lower with a plane, and the planes that give the same meet are
+    exactly the ones added to that flat's closure.  The count is the sum
+    over flats X <= Y (Y contained in X) of |mu(X, Y)|, with mu from the
+    recursion mu(Z, Y) = -sum_{Z < W <= Y} mu(W, Y).
+    """
+    dim = _checked_dim(arr, **kwargs)
+    planes = _distinct_planes(arr)
+    flats = [((), ())]          # (pivots, rows); indices grow with rank
+    closure = [0]               # bitmask of the planes containing the flat
+    below = [{0}]               # flats containing this one, itself included
+    index = {(): 0}
+    level = [0]
+    while level:
+        nxt = []
+        for x in level:
+            pivots, rows = flats[x]
+            if len(rows) == dim:  # a point: every other plane misses it
+                continue
+            done = closure[x]
+            for j, plane in enumerate(planes):
+                if done >> j & 1:
+                    continue
+                meet = _meet(pivots, rows, plane, dim)
+                if meet is None:
+                    continue
+                y = index.get(meet[1])
+                if y is None:
+                    y = index[meet[1]] = len(flats)
+                    flats.append(meet)
+                    closure.append(closure[x])
+                    below.append({y})
+                    nxt.append(y)
+                closure[y] |= 1 << j
+                below[y] |= below[x]
+                done |= closure[y]
+        level = nxt
+
+    total = 0
+    for y, lower in enumerate(below):
+        acc = dict.fromkeys(lower, 0)
+        acc[y] = 1
+        for w in sorted(lower, reverse=True):  # every W > Z comes before Z
+            mu = acc[w]
+            total += abs(mu)
+            for z in below[w]:
+                if z != w:
+                    acc[z] -= mu
+    return total
 
 
 def piece_bound(m: int, k: int) -> int:

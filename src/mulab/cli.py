@@ -10,10 +10,12 @@ explicit flags override.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from pathlib import Path
 
+from ._util import atomic_write
 from .errors import (
     CacheFormatError,
     InvariantError,
@@ -60,36 +62,43 @@ EXIT_PRECISION = 4
 EXIT_INTERNAL = 5
 
 
-def _load_config(path: str, allowed: set[str]) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _load_config(path: str, parser: argparse.ArgumentParser) -> dict[str, object]:
+    """Values of a `key = value` file, typed and checked like the flags."""
+    actions = {
+        a.dest: a for a in parser._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ParseError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
+        key, _, text = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in allowed:
+        if key not in actions:
             raise ParseError(
                 f"{path}:{lineno}: unknown key {key!r}; allowed: "
-                + ", ".join(sorted(allowed))
+                + ", ".join(sorted(actions))
             )
-        values[key] = value.strip()
+        action = actions[key]
+        text = text.strip()
+        try:
+            value = action.type(text) if action.type else text
+        except ValueError:
+            raise ParseError(
+                f"{path}:{lineno}: bad value {text!r} for {key!r}"
+            ) from None
+        if action.choices is not None and value not in action.choices:
+            raise ParseError(
+                f"{path}:{lineno}: {key!r} must be one of "
+                + ", ".join(map(str, action.choices))
+            )
+        if isinstance(action, argparse._AppendAction):
+            value = [value]
+        values[key] = value
     return values
-
-
-def _apply_config(args: argparse.Namespace, parser_keys: set[str]) -> None:
-    if not getattr(args, "config", None):
-        return
-    values = _load_config(args.config, parser_keys)
-    for key, text in values.items():
-        if getattr(args, key, None) in (None, False):
-            current = getattr(args, key, None)
-            if isinstance(current, bool):
-                setattr(args, key, text.lower() in ("1", "true", "yes"))
-            else:
-                setattr(args, key, text)
 
 
 def _resolve_weights(spec: str, needed: int):
@@ -143,8 +152,12 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
         import numpy as np
 
         phi = sieve_phi(args.n)
-        np.save(args.phi_out, phi.values)
-        print(f"  phi values -> {args.phi_out}")
+        buf = io.BytesIO()
+        np.save(buf, phi.values)
+        # np.save's naming: add .npy unless the name already ends in it
+        out = args.phi_out if args.phi_out.endswith(".npy") else args.phi_out + ".npy"
+        atomic_write(out, buf.getvalue())
+        print(f"  phi values -> {out}")
     return EXIT_OK
 
 
@@ -386,24 +399,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        keys = {
-            a.dest for a in parser._subparsers._group_actions[0]
-            .choices[args.command]._actions
-            if a.dest not in ("help", "config")
-        }
-        _apply_config(args, keys)
+        if args.config:
+            # config values become the subcommand's defaults, so explicit
+            # flags parsed afterwards still win
+            sub = parser._subparsers._group_actions[0].choices[args.command]
+            sub.set_defaults(**_load_config(args.config, sub))
+            args = parser.parse_args(argv)
         for dest in args._required[args.command]:
             if getattr(args, dest, None) is None:
                 raise ParseError(
                     f"--{dest.replace('_', '-')} is required "
                     f"(flag or config file)"
                 )
-        for key in ("n", "q", "jmax", "length", "checkpoints", "threshold",
-                    "tail_start", "segment_size", "budget", "s", "h",
-                    "shift", "seed", "m", "k", "trials", "p", "x"):
-            v = getattr(args, key, None)
-            if isinstance(v, str):
-                setattr(args, key, int(v))
         return args.run(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import atomic_write_text
+from ._util import atomic_write
 from .errors import ParseError
 from . import exact_calculus as xc
 from .arrangements import (
@@ -64,7 +64,7 @@ DEFAULT_SEED = 1729
 
 
 def write_json(path: Path, doc: dict) -> None:
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _rand_fraction(rng: random.Random, num: int = 99, den: int = 12) -> Fraction:

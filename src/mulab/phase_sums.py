@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import atomic_write_text
+from ._util import atomic_write
 from .errors import ResourceBudgetError
 from .fixedpoint import SCALE, FixedReal
 from .phases import Phase
@@ -142,7 +142,7 @@ class SumReport:
         for r in self.rows:
             w.writerow([r.n, f"{r.real:.15e}", f"{r.imag:.15e}",
                         f"{r.modulus:.15e}"])
-        atomic_write_text(Path(path), buf.getvalue())
+        atomic_write(path, buf.getvalue())
 
     def write_json(self, path: str | Path) -> None:
         doc = {
@@ -158,7 +158,7 @@ class SumReport:
             ],
             **self.meta,
         }
-        atomic_write_text(Path(path), json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def checkpoint_grid(n_max: int, count: int) -> list[int]:

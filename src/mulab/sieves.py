@@ -18,9 +18,7 @@ Cache file layout (bit-exact across platforms):
 from __future__ import annotations
 
 import math
-import os
 import struct
-import tempfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._util import atomic_write
 from .errors import (
     CacheChecksumError,
     CacheMagicError,
@@ -328,16 +327,7 @@ def save_cache(table: MobiusTable, path: str | Path) -> None:
         + payload
         + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
     )
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, blob)
 
 
 def load_cache(path: str | Path) -> MobiusTable:

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import atomic_write_text
+from ._util import atomic_write
 from .errors import PrecisionError, WindowTooShortError
 from .exact_calculus import frac_part
 from .fixedpoint import FRAC_BITS, SCALE, FixedReal, sqrt_const
@@ -69,7 +69,7 @@ def save_symbols(seq: SymbolSeq, data_path: str | Path) -> Path:
     data_path = Path(data_path)
     if seq.alphabet_size > 256:
         raise ValueError("raw byte export needs alphabet_size <= 256")
-    data_path.write_bytes(seq.symbols.astype(np.uint8).tobytes())
+    atomic_write(data_path, seq.symbols.astype(np.uint8).tobytes())
     header = {
         "schema_version": 1,
         "alphabet_size": seq.alphabet_size,
@@ -77,7 +77,7 @@ def save_symbols(seq: SymbolSeq, data_path: str | Path) -> Path:
         "data": data_path.name,
     }
     hdr = data_path.with_suffix(data_path.suffix + ".json")
-    hdr.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
+    atomic_write(hdr, json.dumps(header, indent=2, sort_keys=True) + "\n")
     return hdr
 
 
@@ -225,7 +225,7 @@ def write_entropy_csv(rows: Sequence[EntropyRow], path: str | Path) -> None:
             [r.J, r.count_all, r.count_regular, r.count_effective,
              r.count_reg_effective, f"{r.entropy_estimate:.10f}"]
         )
-    atomic_write_text(Path(path), buf.getvalue())
+    atomic_write(path, buf.getvalue())
 
 
 def block_count_inequality_check(seq: SymbolSeq, J: int, l: int) -> bool:

@@ -1,12 +1,14 @@
 """Piece enumeration: fixed examples with known counts, witness-certified
-random arrangements, the counting bound and its recursion, and exact
-classification."""
+random arrangements, the counting bound and its recursion, exact
+classification, and the lattice count against the enumeration."""
 
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mulab.errors import ResourceBudgetError
 from mulab.arrangements import (
@@ -213,3 +215,85 @@ class TestSerialization:
         }))
         arr = load_arrangement_json(path)
         assert count_pieces(arr) == 9
+
+
+# ---------------------------------------------------------------------------
+# the witness-free lattice count against the Fourier-Motzkin enumeration
+
+
+def degenerate_arrangement(rng, m, k, kind):
+    """m planes in R^k with small coefficients, shaped by `kind`:
+    'duplicate' repeats planes exactly, 'negated' repeats them scaled by a
+    negative factor, 'parallel' adds rescaled copies with shifted offsets,
+    'central' puts every plane through the origin, 'cylinder' leaves one
+    coordinate out."""
+    skip = rng.randrange(k) if kind == "cylinder" and k > 1 else None
+    normals, offsets = [], []
+    while len(normals) < m:
+        if normals and kind in ("duplicate", "negated", "parallel") \
+                and rng.random() < 0.5:
+            i = rng.randrange(len(normals))
+            scale = F(rng.choice((-3, -1, F(-1, 2)))) if kind == "negated" \
+                else F(rng.choice((1, 2, F(1, 3))))
+            normals.append(tuple(scale * a for a in normals[i]))
+            offsets.append(scale * offsets[i] + (rng.randrange(1, 4)
+                                                 if kind == "parallel" else 0))
+            continue
+        normal = tuple(0 if j == skip else rng.randrange(-2, 3)
+                       for j in range(k))
+        if any(normal):
+            normals.append(normal)
+            offsets.append(0 if kind == "central"
+                           else F(rng.randrange(-3, 4), rng.randrange(1, 3)))
+    return [hyperplane(n, c) for n, c in zip(normals, offsets)]
+
+
+KINDS = ("duplicate", "negated", "parallel", "central", "cylinder")
+
+
+class TestLatticeCount:
+    @pytest.mark.parametrize("k", (1, 2, 3, 4))
+    def test_matches_enumeration_on_degenerate_families(self, k):
+        rng = random.Random(97 + k)
+        for m in range(1, 9):
+            for kind in KINDS:
+                arr = degenerate_arrangement(rng, m, k, kind)
+                assert count_pieces(arr) == enumerate_pieces(arr).count, \
+                    (m, k, kind)
+
+    def test_plane_repeated_with_negative_scale_counts_once(self):
+        arr = [hyperplane((1, -2), F(1, 3)), hyperplane((-3, 6), -1)]
+        assert count_pieces(arr) == count_pieces(arr[:1]) == 3
+
+    def test_general_position_at_the_budget(self):
+        # Fourier-Motzkin enumeration takes minutes at this size; the
+        # lattice count takes a fraction of a second, and the bound leaves
+        # room for slow hosts
+        rng = random.Random(5)
+        arr = [hyperplane([rng.randrange(-999, 1000) for _ in range(4)],
+                          rng.randrange(-999, 1000)) for _ in range(12)]
+        start = time.perf_counter()
+        assert count_pieces(arr) == piece_bound(12, 4) == 9969
+        assert time.perf_counter() - start < 10.0
+
+    def test_input_errors_kept(self):
+        with pytest.raises(ValueError):
+            count_pieces([])
+        with pytest.raises(ValueError):
+            count_pieces([hyperplane((1,), 0), hyperplane((1, 0), 0)])
+        with pytest.raises(ResourceBudgetError):
+            count_pieces([hyperplane((1,) * 5, 0)])
+        with pytest.raises(ResourceBudgetError):
+            count_pieces([hyperplane((1, 0), 0)] * 3, max_hyperplanes=2)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_enumeration_on_random_arrangements(self, data):
+        k = data.draw(st.integers(1, 4), label="k")
+        m = data.draw(st.integers(1, 6 if k == 4 else 8), label="m")
+        kind = data.draw(st.sampled_from(KINDS + ("random",)), label="kind")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        rng = random.Random(seed)
+        arr = (rand_arrangement(rng, m, k, span=3) if kind == "random"
+               else degenerate_arrangement(rng, m, k, kind))
+        assert count_pieces(arr) == enumerate_pieces(arr).count

@@ -32,6 +32,16 @@ class TestSieveCommand:
     def test_zero_n_is_usage_error(self, tmp_path):
         assert run(["sieve", "--n", "0", "--out", str(tmp_path / "x")]) == 2
 
+    def test_phi_out_written_as_npy(self, tmp_path):
+        import numpy as np
+
+        from mulab.sieves import sieve_phi
+
+        assert run(["sieve", "--n", "500", "--out", str(tmp_path / "mu.bin"),
+                    "--phi-out", str(tmp_path / "phi")]) == 0
+        assert np.array_equal(np.load(tmp_path / "phi.npy"),
+                              sieve_phi(500).values)
+
     def test_lambda_table(self, tmp_path):
         out = tmp_path / "lam.bin"
         assert run(["sieve", "--n", "1000", "--fn", "lambda",
@@ -173,3 +183,42 @@ class TestConfigFile:
         assert run(["dirichlet", "--theta", "1/2", "--q", "2",
                     "--config", str(cfg)]) == 0
         assert "t=2" in capsys.readouterr().out
+
+    def test_config_sets_flags_with_defaults(self, tmp_path):
+        cfg = tmp_path / "sum.cfg"
+        cfg.write_text("checkpoints = 3\n")
+        csv_path = tmp_path / "trace.csv"
+        argv = ["sum", "--weights", "mu:1000", "--phase", "poly:0",
+                "--n", "1000", "--config", str(cfg), "--out-csv", str(csv_path)]
+        assert run(argv) == 0
+        assert len(csv_path.read_text().splitlines()) == 1 + 3
+        assert run(argv + ["--checkpoints", "5"]) == 0  # the flag still wins
+        assert len(csv_path.read_text().splitlines()) == 1 + 5
+
+    def test_config_zero_value_applies(self, tmp_path, capsys):
+        cfg = tmp_path / "shift.cfg"
+        cfg.write_text("shift = 0\n")
+        assert run(["correlate", "--mode", "shift", "--phase", "poly:0,1/2",
+                    "--n", "64", "--config", str(cfg)]) == 0
+        assert "shift=0 " in capsys.readouterr().out
+
+    def test_config_set_override(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("set = n=1500\n")
+        assert run(["experiment", "round-trips", "--config", str(cfg),
+                    "--out-dir", str(tmp_path / "bundle")]) == 0
+        manifest = json.loads((tmp_path / "bundle" / "manifest.json").read_text())
+        assert manifest["parameters"]["n"] == 1500
+
+    def test_config_bad_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("fn = bogus\n")
+        assert run(["sieve", "--n", "100", "--out", str(tmp_path / "x.bin"),
+                    "--config", str(cfg)]) == 2
+        assert "fn" in capsys.readouterr().err
+
+    def test_positional_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("preset = example33\n")
+        assert run(["experiment", "round-trips", "--config", str(cfg)]) == 2
+        assert "unknown key 'preset'" in capsys.readouterr().err

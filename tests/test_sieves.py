@@ -206,6 +206,24 @@ class TestPersistence:
         save_cache(table, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_written_bytes_and_mode(self, tmp_path):
+        import os
+        import struct
+        import zlib
+
+        table = sieve_mobius(1000)
+        path = tmp_path / "mu.bin"
+        save_cache(table, path)
+        payload = table.packed.tobytes()
+        assert path.read_bytes() == (
+            b"MUSV\x01" + struct.pack("<Q", 1000) + payload
+            + struct.pack("<I", zlib.crc32(payload))
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["mu.bin"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
     def test_truncated_file_is_checksum_error(self, tmp_path):
         table = sieve_mobius(10 ** 4)
         path = tmp_path / "mu.bin"
