@@ -34,8 +34,13 @@ SignVector = tuple[int, ...]
 # digit order of sign vectors in enumeration output (ternary-counter order)
 _DIGITS = {1: 0, -1: 1, 0: 2}
 
+# enumerate_pieces budget, from the cost of Fourier-Motzkin elimination
 MAX_HYPERPLANES = 12
 MAX_DIM = 4
+# count_pieces budget: the largest piece_bound(m, k) it takes on.  Its cost
+# tracks that bound, 6-17 us per unit on a 2-core Xeon VM (general position
+# m=24, k=4: 1.7 s; m=16, k=5: 1.2 s; 1e5 points on a line: 3.5 s).
+MAX_COUNT_BOUND = 200_000
 
 
 @dataclass(frozen=True)
@@ -219,25 +224,15 @@ def _solve_sign_system(
 # enumeration
 
 
-def _checked_dim(
-    arr: Sequence[Hyperplane],
-    max_hyperplanes: int = MAX_HYPERPLANES,
-    max_dim: int = MAX_DIM,
-) -> int:
-    """Dimension of a valid arrangement within the budget."""
-    m = len(arr)
-    if m < 1:
+def _checked_dim(arr: Sequence[Hyperplane]) -> int:
+    """Dimension of a valid arrangement."""
+    if len(arr) < 1:
         raise ValueError("need at least one hyperplane")
     dim = arr[0].dim
     if any(h.dim != dim for h in arr):
         raise ValueError("mixed dimensions in arrangement")
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    if m > max_hyperplanes or dim > max_dim:
-        raise ResourceBudgetError(
-            f"arrangement m={m}, k={dim} beyond enumeration budget "
-            f"(m <= {max_hyperplanes}, k <= {max_dim})"
-        )
     return dim
 
 
@@ -261,7 +256,13 @@ def enumerate_pieces(
     Extends one hyperplane at a time: an existing witness certifies its own
     side for free, the other two signs get a fresh feasibility solve.
     """
-    dim = _checked_dim(arr, max_hyperplanes, max_dim)
+    dim = _checked_dim(arr)
+    m = len(arr)
+    if m > max_hyperplanes or dim > max_dim:
+        raise ResourceBudgetError(
+            f"arrangement m={m}, k={dim} beyond enumeration budget "
+            f"(m <= {max_hyperplanes}, k <= {max_dim})"
+        )
     planes = _int_rows(arr)
     states: list[tuple[SignVector, tuple[Fraction, ...]]] = [
         ((), tuple(Fraction(0) for _ in range(dim)))
@@ -334,16 +335,24 @@ def _meet(pivots, rows, plane, dim):
     return tuple(p for p, _ in out), tuple(row for _, row in out)
 
 
-def count_pieces(arr: Sequence[Hyperplane], **kwargs) -> int:
+def count_pieces(arr: Sequence[Hyperplane]) -> int:
     """Number of nonempty pieces cut by the arrangement.
 
     Flats are built breadth-first by rank: each is the meet of a flat one
     rank lower with a plane, and the planes that give the same meet are
     exactly the ones added to that flat's closure.  The count is the sum
     over flats X <= Y (Y contained in X) of |mu(X, Y)|, with mu from the
-    recursion mu(Z, Y) = -sum_{Z < W <= Y} mu(W, Y).
+    recursion mu(Z, Y) = -sum_{Z < W <= Y} mu(W, Y).  Arrangements with
+    piece_bound(m, k) > MAX_COUNT_BOUND raise ResourceBudgetError.
     """
-    dim = _checked_dim(arr, **kwargs)
+    dim = _checked_dim(arr)
+    m = len(arr)
+    bound = piece_bound(m, min(dim, m))  # terms past j = m vanish
+    if bound > MAX_COUNT_BOUND:
+        raise ResourceBudgetError(
+            f"arrangement m={m}, k={dim} may have {bound} pieces, beyond the "
+            f"count budget of {MAX_COUNT_BOUND}"
+        )
     planes = _distinct_planes(arr)
     flats = [((), ())]          # (pivots, rows); indices grow with rank
     closure = [0]               # bitmask of the planes containing the flat

@@ -48,7 +48,8 @@ class WeightTable:
         self.values = np.asarray(self.values, dtype=np.int8)
         if self.values.ndim != 1 or self.values.size < 2:
             raise ValueError("weight table needs entries for n >= 1")
-        self.values[0] = 0
+        if self.values[0]:
+            self.values[0] = 0
 
     @property
     def n_max(self) -> int:
@@ -56,7 +57,8 @@ class WeightTable:
 
 
 def weights_from_table(table: MobiusTable) -> WeightTable:
-    return WeightTable(table.weight_array().copy(), table.label)
+    """The table's own cached, read-only weight array, not a copy."""
+    return WeightTable(table.weight_array(), table.label)
 
 
 def unit_weights(n_max: int) -> WeightTable:

@@ -6,9 +6,16 @@ code 00 -> 0, 01 -> +1, 10 -> -1; code 11 is reserved-invalid so corrupted
 payloads are detectable.  Entry n sits at bit offset 2*(n-1), little-endian
 within each byte.  Index 0 is unaddressable: the sums here run from n = 1.
 
+mu, lambda and phi come from one segmented kernel for a multiplicative f.
+In each segment it strips every prime power p^e <= n_max from a remainder
+and multiplies the running value at the multiples of p^e by the integer
+ratio f(p^e) / f(p^(e-1)): -1 then 0 for mu, -1 for lambda, p - 1 then p
+for phi.  A zero ratio ends that prime's powers.  The remainder is then 1
+or one prime q > sqrt(n_max), whose f(q) is the last factor.
+
 Tables are immutable after construction and safe to share across
 concurrent readers; construction itself is single-writer, segment by
-segment.
+segment.  A table's weight array is decoded once, cached and read-only.
 
 Cache file layout (bit-exact across platforms):
     magic "MUSV" | version 0x01 | u64 LE n_max | payload ceil(n_max/4) bytes
@@ -40,7 +47,10 @@ VERSION = 1
 
 _DECODE = np.array([0, 1, -1, 0], dtype=np.int8)  # code 3 filtered separately
 _DEFAULT_SEGMENT = 1 << 20
-_DEFAULT_BUDGET_BYTES = 1 << 29  # 512 MiB of packed payload
+_DEFAULT_BUDGET_BYTES = 1 << 29  # 512 MiB: the table plus one segment
+# working bytes per entry of a sieve segment, at worst (phi): rem, values and
+# f(rem) as int64, and the leftover mask
+_SEGMENT_BYTES_PER_N = 3 * 8 + 1
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -115,24 +125,75 @@ class MobiusTable:
     def value(self, n: int) -> int:
         return int(self.values(n, n + 1)[0])
 
+    def _segments(self, lo: int, hi: int):
+        """(start, values) over [lo, hi), one _DEFAULT_SEGMENT at a time."""
+        for a in range(lo, hi, _DEFAULT_SEGMENT):
+            yield a, self.values(a, min(a + _DEFAULT_SEGMENT, hi))
+
     def weight_array(self) -> np.ndarray:
-        """int8 array w with w[n] = value(n) for 1 <= n <= n_max; w[0] = 0."""
+        """Read-only int8 array w with w[n] = value(n) for 1 <= n <= n_max;
+        w[0] = 0.  Decoded once, then cached and shared."""
         if self._weights is None:
             w = np.zeros(self.n_max + 1, dtype=np.int8)
-            w[1:] = self.values(1, self.n_max + 1)
+            for lo, vals in self._segments(1, self.n_max + 1):
+                w[lo : lo + vals.size] = vals
+            w.flags.writeable = False
             self._weights = w
         return self._weights
 
 
-def _check_budget(n_max: int, memory_budget: int | None) -> None:
+def _check_budget(label, table_bytes, n_max, segment_size, memory_budget=None) -> None:
+    """Refuse a sieve whose table plus one segment's arrays exceed the budget."""
     budget = _DEFAULT_BUDGET_BYTES if memory_budget is None else memory_budget
-    need = (n_max + 3) // 4
+    segment_bytes = _SEGMENT_BYTES_PER_N * min(segment_size, n_max)
+    need = table_bytes + segment_bytes
     if need > budget:
         raise ResourceBudgetError(
-            f"packed table for n_max={n_max} needs {need} bytes, over the "
-            f"{budget}-byte budget; construction is already segmented, so "
-            f"raise memory_budget or lower n_max"
+            f"{label} sieve for n_max={n_max} needs {need} bytes ({table_bytes} "
+            f"for the table, {segment_bytes} for one segment), over the "
+            f"{budget}-byte budget; lower n_max or raise the budget"
         )
+
+
+def _multiplicative_segments(n_max: int, segment_size: int, ratio, dtype):
+    """Yield (lo, f on [lo, lo + len)) over [1, n_max] for the multiplicative f
+    with ratio(p, e) = f(p^e) / f(p^(e-1)), so ratio(q, 1) = f(q) (see the
+    module docstring).  The values are a view of one buffer that the next
+    segment overwrites."""
+    base = primes_up_to(math.isqrt(n_max)).tolist()
+    buf = np.empty(min(segment_size, n_max), dtype=dtype)
+    for lo in range(1, n_max + 1, segment_size):
+        hi = min(lo + segment_size, n_max + 1)
+        vals = buf[: hi - lo]
+        vals.fill(1)
+        rem = np.arange(lo, hi, dtype=np.int64)
+        for p in base:
+            pe, e = p, 1
+            while pe <= n_max:
+                r = ratio(p, e)
+                first = -lo % pe  # offset of the first multiple of p^e
+                vals[first::pe] *= r
+                if r == 0:
+                    break
+                rem[first::pe] //= p
+                pe, e = pe * p, e + 1
+        np.multiply(vals, ratio(rem, 1), out=vals, where=rem > 1)
+        del rem
+        yield lo, vals
+
+
+def _segmented_pack(n_max, segment_size, memory_budget, ratio, label) -> MobiusTable:
+    """Packed table of a {-1, 0, +1}-valued multiplicative f."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    segment_size = max(4, (segment_size // 4) * 4)  # whole bytes of codes
+    _check_budget(label, (n_max + 3) // 4, n_max, segment_size, memory_budget)
+    out = np.empty((n_max + 3) // 4, dtype=np.uint8)
+    for lo, vals in _multiplicative_segments(n_max, segment_size, ratio, np.int8):
+        codes = (vals % 3).astype(np.uint8)  # 0->0, 1->1, -1->2
+        b0 = (lo - 1) // 4
+        out[b0 : b0 + (codes.size + 3) // 4] = _pack_codes(codes)
+    return MobiusTable(n_max, out, label)
 
 
 def sieve_mobius(
@@ -141,27 +202,8 @@ def sieve_mobius(
     memory_budget: int | None = None,
 ) -> MobiusTable:
     """Exact mu on [1, n_max]: 0 on non-squarefree n, else (-1)^(#prime factors)."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    _check_budget(n_max, memory_budget)
-
-    def segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-        size = hi - lo
-        mu = np.ones(size, dtype=np.int8)
-        rem = np.arange(lo, hi, dtype=np.int64)
-        for p in base:
-            p = int(p)
-            start = ((lo + p - 1) // p) * p
-            mu[start - lo :: p] *= -1
-            rem[start - lo :: p] //= p
-            p2 = p * p
-            if p2 <= n_max:
-                start2 = ((lo + p2 - 1) // p2) * p2
-                mu[start2 - lo :: p2] = 0
-        mu[rem > 1] *= -1
-        return mu
-
-    return MobiusTable(n_max, _segmented_pack(n_max, segment_size, segment), "mu")
+    mu_ratio = lambda p, e: -1 if e == 1 else 0
+    return _segmented_pack(n_max, segment_size, memory_budget, mu_ratio, "mu")
 
 
 def sieve_liouville(
@@ -170,42 +212,8 @@ def sieve_liouville(
     memory_budget: int | None = None,
 ) -> MobiusTable:
     """Exact lambda on [1, n_max]: completely multiplicative, lambda(p) = -1."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    _check_budget(n_max, memory_budget)
-
-    def segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-        size = hi - lo
-        lam = np.ones(size, dtype=np.int8)
-        rem = np.arange(lo, hi, dtype=np.int64)
-        for p in base:
-            p = int(p)
-            pe = p
-            while pe <= n_max:
-                start = ((lo + pe - 1) // pe) * pe
-                sl = slice(start - lo, size, pe)
-                lam[sl] *= -1
-                rem[sl] //= p
-                if pe > n_max // p:
-                    break
-                pe *= p
-        lam[rem > 1] *= -1
-        return lam
-
-    return MobiusTable(n_max, _segmented_pack(n_max, segment_size, segment), "lambda")
-
-
-def _segmented_pack(n_max: int, segment_size: int, segment_fn) -> np.ndarray:
-    base = primes_up_to(math.isqrt(n_max))
-    segment_size = max(4, (segment_size // 4) * 4)
-    out = np.empty((n_max + 3) // 4, dtype=np.uint8)
-    for lo in range(1, n_max + 1, segment_size):
-        hi = min(lo + segment_size, n_max + 1)
-        vals = segment_fn(lo, hi, base)
-        codes = (vals % 3).astype(np.uint8)  # 0->0, 1->1, -1->2
-        b0 = (lo - 1) // 4
-        out[b0 : b0 + (codes.size + 3) // 4] = _pack_codes(codes)
-    return out
+    lambda_ratio = lambda p, e: -1
+    return _segmented_pack(n_max, segment_size, memory_budget, lambda_ratio, "lambda")
 
 
 @dataclass
@@ -220,57 +228,33 @@ class PhiTable:
 
 
 def sieve_phi(n_max: int, segment_size: int = _DEFAULT_SEGMENT) -> PhiTable:
-    """Euler phi on [1, n_max] by a segmented factor sieve."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    base = primes_up_to(math.isqrt(n_max))
+    """Euler phi on [1, n_max]: multiplicative, phi(p^e) = p^(e-1) (p - 1)."""
+    if n_max < 1 or segment_size < 1:
+        raise ValueError("n_max and segment_size must be >= 1")
+    _check_budget("phi", 8 * (n_max + 1), n_max, segment_size)
     out = np.zeros(n_max + 1, dtype=np.int64)
-    for lo in range(1, n_max + 1, segment_size):
-        hi = min(lo + segment_size, n_max + 1)
-        size = hi - lo
-        phi = np.arange(lo, hi, dtype=np.int64)
-        rem = np.arange(lo, hi, dtype=np.int64)
-        for p in base:
-            p = int(p)
-            start = ((lo + p - 1) // p) * p
-            sl = slice(start - lo, size, p)
-            phi[sl] = phi[sl] // p * (p - 1)
-            pe = p
-            while pe <= n_max:
-                st = ((lo + pe - 1) // pe) * pe
-                rem[st - lo :: pe] //= p
-                if pe > n_max // p:
-                    break
-                pe *= p
-        big = rem > 1
-        phi[big] = phi[big] // rem[big] * (rem[big] - 1)
-        out[lo:hi] = phi
+    phi_ratio = lambda p, e: p - 1 if e == 1 else p
+    for lo, vals in _multiplicative_segments(n_max, segment_size, phi_ratio, np.int64):
+        out[lo : lo + vals.size] = vals
     return PhiTable(n_max, out)
 
 
 def mertens(table: MobiusTable, n: int) -> int:
     """M(n) = sum_{m <= n} mu(m), exact."""
-    if not 1 <= n <= table.n_max:
-        raise ValueError(f"n={n} outside [1, {table.n_max}]")
-    total = 0
-    for lo in range(1, n + 1, _DEFAULT_SEGMENT):
-        hi = min(lo + _DEFAULT_SEGMENT, n + 1)
-        total += int(table.values(lo, hi).astype(np.int64).sum())
-    return total
+    return mertens_trace(table, [n])[0][1]
 
 
 def mertens_trace(table: MobiusTable, ns: Sequence[int]) -> list[tuple[int, int]]:
     """Cumulative M(n) sampled at the (sorted) checkpoints ns."""
     ns = sorted(set(int(n) for n in ns))
     if not ns or ns[0] < 1 or ns[-1] > table.n_max:
-        raise ValueError("checkpoints outside table range")
+        raise ValueError(f"checkpoints outside [1, {table.n_max}]")
     out = []
     total = 0
     prev = 1
     for n in ns:
-        for lo in range(prev, n + 1, _DEFAULT_SEGMENT):
-            hi = min(lo + _DEFAULT_SEGMENT, n + 1)
-            total += int(table.values(lo, hi).astype(np.int64).sum())
+        for _, vals in table._segments(prev, n + 1):
+            total += int(vals.sum(dtype=np.int64))
         prev = n + 1
         out.append((n, total))
     return out

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from mulab.errors import ResourceBudgetError
 from mulab.arrangements import (
+    MAX_COUNT_BOUND,
     Hyperplane,
     classify_point,
     coarse_piece_bound,
@@ -125,7 +126,10 @@ class TestEnumeration:
             assert count_pieces(arr) == piece_bound(m, k)
 
     def test_budget_error(self):
-        arr = [hyperplane((1,), i) for i in range(13)]
+        # piece_bound(25, 4) = 222051 is just past MAX_COUNT_BOUND (m = 24
+        # gives 187361); normals on the moment curve, in general position
+        assert piece_bound(24, 4) <= MAX_COUNT_BOUND < piece_bound(25, 4)
+        arr = [hyperplane((1, i, i * i, i ** 3), i ** 4) for i in range(25)]
         with pytest.raises(ResourceBudgetError):
             count_pieces(arr)
 
@@ -276,15 +280,20 @@ class TestLatticeCount:
         assert count_pieces(arr) == piece_bound(12, 4) == 9969
         assert time.perf_counter() - start < 10.0
 
-    def test_input_errors_kept(self):
+    def test_input_errors_kept(self, monkeypatch):
         with pytest.raises(ValueError):
             count_pieces([])
         with pytest.raises(ValueError):
             count_pieces([hyperplane((1,), 0), hyperplane((1, 0), 0)])
+        # k = 5 is past the enumeration budget only
+        assert count_pieces([hyperplane((1,) * 5, 0)]) == 3
         with pytest.raises(ResourceBudgetError):
-            count_pieces([hyperplane((1,) * 5, 0)])
-        with pytest.raises(ResourceBudgetError):
-            count_pieces([hyperplane((1, 0), 0)] * 3, max_hyperplanes=2)
+            enumerate_pieces([hyperplane((1,) * 5, 0)])
+        import mulab.arrangements
+
+        monkeypatch.setattr(mulab.arrangements, "MAX_COUNT_BOUND", 18)
+        with pytest.raises(ResourceBudgetError):  # piece_bound(3, 2) = 19
+            count_pieces([hyperplane((1, 0), 0)] * 3)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.data())

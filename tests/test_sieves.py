@@ -110,6 +110,13 @@ class TestMertens:
     def test_m_of_ten(self, mu_table):
         assert mertens(mu_table, 10) == -1
 
+    def test_outside_the_table_is_value_error(self):
+        table = sieve_mobius(100)
+        assert mertens(table, 100) == 1
+        for n in (0, 101):
+            with pytest.raises(ValueError):
+                mertens(table, n)
+
     def test_trace_matches_cumsum_oracle(self, mu_table):
         vals = mu_table.values(1, 5001).astype(np.int64)
         csum = np.cumsum(vals)
@@ -267,10 +274,73 @@ class TestPersistence:
         assert np.array_equal(loaded.values(1, 5001), lam.values(1, 5001))
 
 
+class TestSegments:
+    # prime squares and cubes (4, 8, 9, 25, 27, 49, ...) straddle the edges
+    # of the small segments
+    N = 5003
+
+    @pytest.mark.parametrize("sieve", [sieve_mobius, sieve_liouville, sieve_phi])
+    def test_tables_do_not_depend_on_segment_size(self, sieve):
+        def raw(table):
+            arr = table.packed if isinstance(table, MobiusTable) else table.values
+            return arr.tobytes()
+
+        ref = raw(sieve(self.N))
+        for size in (4, 5, 7, 64):
+            assert raw(sieve(self.N, segment_size=size)) == ref
+
+    def test_small_segments_match_the_oracles(self):
+        mu = sieve_mobius(self.N, segment_size=7)
+        lam = sieve_liouville(self.N, segment_size=7)
+        phi = sieve_phi(self.N, segment_size=7)
+        for n in range(1, self.N + 1):
+            assert mu.value(n) == mu_oracle(n)
+            assert lam.value(n) == lambda_oracle(n)
+            assert phi.value(n) == phi_oracle(n)
+
+
+class TestWeights:
+    def test_weights_share_the_table_array(self):
+        from mulab.phase_sums import weights_from_table
+
+        table = sieve_mobius(1000)
+        w = weights_from_table(table)
+        assert w.values is table.weight_array()
+        with pytest.raises(ValueError):
+            w.values[1] = 0
+        assert table.value(1) == 1 and w.values[0] == 0
+
+    def test_decoding_across_segments(self, monkeypatch):
+        import mulab.sieves
+
+        table = sieve_mobius(1000)
+        vals = table.values(1, 1001)
+        monkeypatch.setattr(mulab.sieves, "_DEFAULT_SEGMENT", 7)
+        w = table.weight_array()
+        assert w[0] == 0 and np.array_equal(w[1:], vals)
+        csum = np.cumsum(vals, dtype=np.int64)
+        pts = [1, 7, 8, 500, 1000]
+        assert mertens_trace(table, pts) == [(n, int(csum[n - 1])) for n in pts]
+
+
 class TestBudget:
     def test_budget_error_mentions_remedy(self):
         with pytest.raises(ResourceBudgetError, match="budget"):
             sieve_mobius(10 ** 9, memory_budget=1000)
+
+    def test_budget_counts_the_working_segment(self):
+        # the 250-byte packed table fits in 1000 bytes, its segment does not
+        sieve_mobius(1000, memory_budget=10 ** 5)
+        with pytest.raises(ResourceBudgetError, match="for one segment"):
+            sieve_mobius(1000, memory_budget=1000)
+
+    def test_phi_over_default_budget_fails_fast(self):
+        import time
+
+        start = time.perf_counter()
+        with pytest.raises(ResourceBudgetError, match="phi sieve"):
+            sieve_phi(10 ** 9)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPackedInvariants:
