@@ -246,11 +246,7 @@ class PieceEnumeration:
         return len(self.sign_vectors)
 
 
-def enumerate_pieces(
-    arr: Sequence[Hyperplane],
-    max_hyperplanes: int = MAX_HYPERPLANES,
-    max_dim: int = MAX_DIM,
-) -> PieceEnumeration:
+def enumerate_pieces(arr: Sequence[Hyperplane]) -> PieceEnumeration:
     """All feasible sign vectors with exact witness points.
 
     Extends one hyperplane at a time: an existing witness certifies its own
@@ -258,10 +254,10 @@ def enumerate_pieces(
     """
     dim = _checked_dim(arr)
     m = len(arr)
-    if m > max_hyperplanes or dim > max_dim:
+    if m > MAX_HYPERPLANES or dim > MAX_DIM:
         raise ResourceBudgetError(
             f"arrangement m={m}, k={dim} beyond enumeration budget "
-            f"(m <= {max_hyperplanes}, k <= {max_dim})"
+            f"(m <= {MAX_HYPERPLANES}, k <= {MAX_DIM})"
         )
     planes = _int_rows(arr)
     states: list[tuple[SignVector, tuple[Fraction, ...]]] = [

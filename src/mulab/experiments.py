@@ -71,17 +71,18 @@ def _rand_fraction(rng: random.Random, num: int = 99, den: int = 12) -> Fraction
     return Fraction(rng.randrange(-num, num + 1), rng.randrange(1, den + 1))
 
 
-def _mu_weights(params: dict, n_max: int):
+def _mu_table(params: dict, n_max: int):
+    """The mu table of `params["mu_cache"]` if given, checked to cover n_max;
+    else a fresh sieve to n_max."""
     cache = params.get("mu_cache")
-    if cache:
-        table = load_cache(cache)
-        if table.n_max < n_max:
-            raise ValueError(
-                f"cache {cache} covers n <= {table.n_max}, need {n_max}"
-            )
-    else:
-        table = sieve_mobius(n_max)
-    return weights_from_table(table)
+    if not cache:
+        return sieve_mobius(n_max)
+    table = load_cache(cache)
+    if table.n_max < n_max:
+        raise ValueError(
+            f"cache {cache} covers n <= {table.n_max}, need {n_max}"
+        )
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +348,7 @@ def run_pnt_trend(params: dict, out_dir: Path | None = None) -> dict:
     """Mertens decades plus decay of two mu-weighted phase averages."""
     n_max = params["n"]
     decades = [10 ** d for d in range(3, 15) if 10 ** d <= n_max]
-    table = (load_cache(params["mu_cache"]) if params.get("mu_cache")
-             else sieve_mobius(n_max))
+    table = _mu_table(params, n_max)
     weights = weights_from_table(table)
     trace = mertens_trace(table, decades)
     ratios = [abs(m) / n for n, m in trace]
@@ -410,7 +410,7 @@ def run_ap_trend(params: dict, out_dir: Path | None = None) -> dict:
     hs = params["hs"]
     if isinstance(hs, int):
         hs = (hs,)
-    weights = _mu_weights(params, n_max + max(hs) * s)
+    weights = weights_from_table(_mu_table(params, n_max + max(hs) * s))
     phase = PolyPhase([0])
     reports = [ap_correlation(weights, phase, s, h, n_max) for h in hs]
     values = [r.value for r in reports]
@@ -434,7 +434,7 @@ def run_short_interval(params: dict, out_dir: Path | None = None) -> dict:
     hs = params["hs"]
     if isinstance(hs, int):
         hs = (hs,)
-    weights = _mu_weights(params, 2 * X + max(hs))
+    weights = weights_from_table(_mu_table(params, 2 * X + max(hs)))
     family = [
         PolyPhase([Fraction(a0, grid), Fraction(a1, grid)])
         for a0 in range(grid)
@@ -530,7 +530,7 @@ def run_linear_drift(params: dict, out_dir: Path | None = None) -> dict:
         return c_fixed.mul_int(n) + FixedReal.sqrt_int(n)
 
     phase = TablePhase(oracle=oracle, err_ulp=1, label=f"drift:{c}n+sqrt(n)")
-    weights = _mu_weights(params, n_max)
+    weights = weights_from_table(_mu_table(params, n_max))
     report = weighted_average(weights, phase, n_max, [n_max // 100, n_max])
     mods = [m for _, m in report.moduli()]
     if out_dir is not None:
@@ -545,7 +545,7 @@ def run_quadratic_rational(params: dict, out_dir: Path | None = None) -> dict:
     n_max = params["n"]
     a, q = params["a"], params["q"]
     phase = PolyPhase([0, sqrt_const(2), Fraction(a, 2 * q)])
-    weights = _mu_weights(params, n_max)
+    weights = weights_from_table(_mu_table(params, n_max))
     report = weighted_average(weights, phase, n_max, [n_max // 100, n_max])
     mods = [m for _, m in report.moduli()]
     if out_dir is not None:
@@ -566,7 +566,7 @@ def run_block_vs_interval(params: dict, out_dir: Path | None = None) -> dict:
     while bps[-1] < 2 * X:
         bps.append(bps[-1] + gap)
         gap += 1
-    weights = _mu_weights(params, max(bps[-1], 2 * X + h))
+    weights = weights_from_table(_mu_table(params, max(bps[-1], 2 * X + h)))
     pieces = [family[rng.randrange(len(family))] for _ in bps]
     concat = ConcatPhase(bps, pieces)
     block_avg, _ = blockwise_abs_average(weights, concat, bps)

@@ -24,10 +24,8 @@ import numpy as np
 from ._util import atomic_write
 from .errors import ResourceBudgetError
 from .fixedpoint import SCALE, FixedReal
-from .phases import Phase
+from .phases import CHUNK, Phase
 from .sieves import MobiusTable, PhiTable, sieve_phi
-
-_CHUNK = 1 << 16
 
 #: documented accumulation tolerance for |average| identities
 SUM_TOLERANCE = 1e-12
@@ -200,8 +198,8 @@ def weighted_average(
     prev = 1
     w = weights.values
     for cp in cps:
-        for start in range(prev, cp + 1, _CHUNK):
-            cnt = min(_CHUNK, cp + 1 - start)
+        for start in range(prev, cp + 1, CHUNK):
+            cnt = min(CHUNK, cp + 1 - start)
             fr = phase.frac_chunk(start, cnt)
             ang = (2.0 * math.pi) * fr
             ws = w[start : start + cnt].astype(np.float64)
@@ -299,8 +297,8 @@ def ap_correlation(
         raise ValueError(f"need weights up to {top}, have {weights.n_max}")
     phase.check_range(top)
     z = np.zeros(top + 1, dtype=np.complex128)
-    for start in range(1, top + 1, _CHUNK):
-        cnt = min(_CHUNK, top + 1 - start)
+    for start in range(1, top + 1, CHUNK):
+        cnt = min(CHUNK, top + 1 - start)
         fr = phase.frac_chunk(start, cnt)
         ws = weights.values[start : start + cnt].astype(np.float64)
         z[start : start + cnt] = ws * np.exp(2j * np.pi * fr)
@@ -329,8 +327,8 @@ def phase_table(phase: Phase, n_max: int) -> np.ndarray:
     """e(f(n)) for n = 0..n_max-1 as a complex table."""
     phase.check_range(n_max - 1)
     out = np.empty(n_max, dtype=np.complex128)
-    for start in range(0, n_max, _CHUNK):
-        cnt = min(_CHUNK, n_max - start)
+    for start in range(0, n_max, CHUNK):
+        cnt = min(CHUNK, n_max - start)
         out[start : start + cnt] = np.exp(2j * np.pi * phase.frac_chunk(start, cnt))
     return out
 

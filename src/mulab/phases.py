@@ -12,6 +12,19 @@ sqrt2 enter only as `FixedReal`).  Four shapes are supported:
 
 plus a lazily-evaluated concatenation whose pieces are the degree-<k
 interpolations of a source function anchored at schedule breakpoints.
+
+Batch contract.  `frac_units(start, count)` returns `(unit, numerators)`,
+an iterator over Python ints with {f(n)} = num/unit exactly on the
+representation for n = start .. start+count-1; it is each shape's one
+batch numerator kernel, and consumers iterate over the numerators once.
+Polynomials run Horner's rule on integer-scaled coefficients (int64 while
+unit * n stays below 2^62, Python ints in an object array above) and
+bracket products one floor formula over an object array; both iterate
+over the finished list.  The other shapes go through `frac(n)` one n at a
+time and yield as they go.  `frac_chunk` is the float64 value of num/unit,
+from the same kernel.  The per-n `frac` and `value` stay as the scalar
+reference.  Consumers walk n in batches of `CHUNK`, which bounds the size
+of each batch's object arrays.
 """
 
 from __future__ import annotations
@@ -34,6 +47,10 @@ Real = Fraction | FixedReal
 
 #: default certified-precision requirement for {f(n)}
 RANGE_BUDGET = 2.0 ** -30
+
+#: n per batch for every consumer of frac_units/frac_chunk; it bounds the
+#: batch's object arrays, which for a whole 1e6-term prefix take ~300 MiB
+CHUNK = 1 << 16
 
 
 def real_to_float(v: Real) -> float:
@@ -94,7 +111,9 @@ class Phase:
     # iteration helpers -----------------------------------------------------
 
     def frac_units(self, start: int, count: int) -> tuple[int, Iterator[int]]:
-        """(unit, iterator of numerators): {f(n)} = num/unit on the representation."""
+        """(unit, numerators): {f(n)} = num/unit on the representation for
+        n = start .. start+count-1.  This per-n version goes through frac(n),
+        rounds other units to 2^-96 and yields as it goes."""
         def gen() -> Iterator[int]:
             for n in range(start, start + count):
                 num, u = frac_rep(self.frac(n))
@@ -141,11 +160,18 @@ class PolyPhase(Phase):
             cs.pop()
         self.coeffs: tuple[Real, ...] = tuple(cs) if cs else (Fraction(0),)
         self.rational = all(isinstance(c, Fraction) for c in self.coeffs)
-        if not self.rational:
+        if self.rational:
+            self._unit = math.lcm(*(c.denominator for c in self.coeffs))
+            scaled = [int(c * self._unit) for c in self.coeffs]
+        else:
             self._fixed = tuple(
                 c if isinstance(c, FixedReal) else FixedReal.from_fraction(c)
                 for c in self.coeffs
             )
+            self._unit = SCALE
+            scaled = [c.mantissa for c in self._fixed]
+        # {f(n)} = (sum scaled_i n^i mod unit) / unit on the representation
+        self._scaled = [c % self._unit for c in scaled]
 
     @property
     def degree(self) -> int:
@@ -175,55 +201,41 @@ class PolyPhase(Phase):
         return sum(c.err_ulp * abs(n) ** i for i, c in enumerate(self._fixed))
 
     def frac_units(self, start: int, count: int) -> tuple[int, Iterator[int]]:
-        if self.rational:
-            d = math.lcm(*(c.denominator for c in self.coeffs))
-            scaled = [int(c * d) for c in self.coeffs]
-            return d, _poly_mod_iter(scaled, d, start, count)
-        scaled = [c.mantissa for c in self._fixed]
-        return SCALE, _poly_mod_iter(scaled, SCALE, start, count)
+        return self._unit, iter(self._numerators(start, count).tolist())
 
     def frac_chunk(self, start: int, count: int) -> np.ndarray:
+        nums = self._numerators(start, count)
         if self.rational:
-            d = math.lcm(*(c.denominator for c in self.coeffs))
-            scaled = [int(c * d) % d for c in self.coeffs]
-            top = start + count
-            # Horner mod d in int64 when nothing can overflow
-            if d * (top + 1) < 1 << 62:
-                ns = np.arange(start, top, dtype=np.int64)
-                acc = np.zeros(count, dtype=np.int64)
-                for c in reversed(scaled):
-                    acc = (acc * ns + c) % d
-                return acc / float(d)
-        return super().frac_chunk(start, count)
+            return np.asarray(nums / self._unit, dtype=np.float64)
+        return nums.astype(np.float64) * 2.0 ** -FRAC_BITS  # exact: unit 2^96
+
+    def _numerators(self, start: int, count: int) -> np.ndarray:
+        """Horner's rule on the scaled coefficients, reduced mod the unit: in
+        int64, reduced every step, while no product can reach 2^62; else in
+        Python ints (an object array), reduced once at the end.  Reducing
+        mod 2^96 is a mask, which costs less than half of `%` here."""
+        unit, cs = self._unit, self._scaled
+        if unit * max(-start, start + count) < 1 << 62:
+            ns = np.arange(start, start + count, dtype=np.int64)
+            acc = np.full(count, cs[-1], dtype=np.int64)
+            for c in reversed(cs[:-1]):
+                acc = (acc * ns + c) % unit
+            return acc
+        # in place, so that each step frees the old ints as it goes
+        ns = np.arange(start, start + count, dtype=object)
+        acc = np.full(count, cs[-1], dtype=object)
+        for c in reversed(cs[:-1]):
+            acc *= ns
+            acc += c
+        if self.rational:
+            acc %= unit
+        else:
+            acc &= SCALE - 1
+        return acc
 
 
 def _is_zero(c: Real) -> bool:
     return c.mantissa == 0 if isinstance(c, FixedReal) else c == 0
-
-
-def _poly_mod_iter(scaled: list[int], unit: int, start: int, count: int) -> Iterator[int]:
-    """Forward-difference stepping of a polynomial with integer coefficients,
-    reduced mod `unit`.  Exact: only integer additions are performed."""
-    deg = len(scaled) - 1
-
-    def value_at(n: int) -> int:
-        acc = 0
-        for c in reversed(scaled):
-            acc = acc * n + c
-        return acc
-
-    def gen() -> Iterator[int]:
-        window = [value_at(start + i) for i in range(deg + 1)]
-        table = []
-        cur = window
-        for _ in range(deg + 1):
-            table.append(cur[0] % unit)
-            cur = [cur[i + 1] - cur[i] for i in range(len(cur) - 1)]
-        for _ in range(count):
-            yield table[0]
-            for j in range(deg):
-                table[j] = (table[j] + table[j + 1]) % unit
-    return gen()
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +267,22 @@ class BracketPhase(Phase):
         return self._value(n).err_ulp
 
     def frac_units(self, start: int, count: int) -> tuple[int, Iterator[int]]:
-        am, bm = self.alpha.mantissa, self.beta.mantissa
+        return SCALE, iter(self._numerators(start, count).tolist())
 
-        def gen() -> Iterator[int]:
-            a = (am * start) % SCALE
-            b = bm * start
-            for _ in range(count):
-                yield ((b * a) >> FRAC_BITS) % SCALE
-                a = (a + am) % SCALE
-                b += bm
-        return SCALE, gen()
+    def frac_chunk(self, start: int, count: int) -> np.ndarray:
+        return self._numerators(start, count).astype(np.float64) * 2.0 ** -FRAC_BITS
+
+    def _numerators(self, start: int, count: int) -> np.ndarray:
+        """floor(beta n * {alpha n}) mod 2^96 on the mantissas, in place as
+        in PolyPhase._numerators."""
+        ns = np.arange(start, start + count, dtype=object)
+        nums = self.beta.mantissa * ns
+        ns *= self.alpha.mantissa
+        ns &= SCALE - 1
+        nums *= ns
+        nums >>= FRAC_BITS
+        nums &= SCALE - 1
+        return nums
 
 
 # ---------------------------------------------------------------------------

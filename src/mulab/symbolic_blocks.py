@@ -32,9 +32,8 @@ import numpy as np
 
 from ._util import atomic_write
 from .errors import PrecisionError, WindowTooShortError
-from .exact_calculus import frac_part
 from .fixedpoint import FRAC_BITS, SCALE, FixedReal, sqrt_const
-from .phases import Phase
+from .phases import CHUNK, Phase, PolyPhase, frac_rep
 
 Block = tuple[int, ...]
 
@@ -260,13 +259,9 @@ def quantize_gn(y_values: Sequence, N: int) -> SymbolSeq:
         raise ValueError("N must be >= 1")
     syms = []
     for y in y_values:
-        if isinstance(y, FixedReal):
-            t = (N * y.frac_mantissa()) >> FRAC_BITS
-        elif isinstance(y, Fraction):
-            f = frac_part(y)
-            t = (N * f.numerator) // f.denominator
-        elif isinstance(y, int):
-            t = 0
+        if isinstance(y, (FixedReal, Fraction, int)):
+            num, unit = frac_rep(y)
+            t = N * num // unit
         else:
             t = int(N * (y - math.floor(y)))
         syms.append(min(t, N - 1))
@@ -308,30 +303,35 @@ def indicator_set(
                 f"n={P - 1} cannot support {tie_bits}-bit comparisons; "
                 f"about {need} fractional bits would be required"
             )
-    u1, it1 = p1.frac_units(0, P)
-    u2, it2 = p2.frac_units(0, P)
-    syms = np.zeros(P, dtype=np.uint8)
+    syms = np.empty(P, dtype=np.uint8)
     ties: list[int] = []
-    if u1 == u2:
-        tie_gap = u1 >> tie_bits
-        for n, (a, b) in enumerate(zip(it1, it2)):
-            d = a - b
-            if d < 0:
-                syms[n] = 1
-            if -tie_gap < d < tie_gap:
-                ties.append(n)
-    else:
-        tie_gap = u1 * u2 >> tie_bits
-        for n, (a, b) in enumerate(zip(it1, it2)):
-            d = a * u2 - b * u1
-            if d < 0:
-                syms[n] = 1
-            if -tie_gap < d < tie_gap:
-                ties.append(n)
+    tie_count = 0
+    for start in range(0, P, CHUNK):
+        cnt = min(CHUNK, P - start)
+        u1, d = _numerator_array(p1, start, cnt)
+        u2, b = _numerator_array(p2, start, cnt)
+        # {p1} - {p2} = d / unit exactly; |d| / unit < 2^-tie_bits holds
+        # exactly when |d| < gap = ceil(unit / 2^tie_bits), as d is an integer
+        unit = math.lcm(u1, u2)
+        gap = -(-unit >> tie_bits)
+        d *= unit // u1
+        b *= unit // u2
+        d -= b
+        syms[start : start + cnt] = d < 0
+        tied = np.flatnonzero((d > -gap) & (d < gap))
+        tie_count += tied.size
+        ties.extend((tied[: 64 - len(ties)] + start).tolist())
     report = IndicatorReport(
-        P, len(ties), ties[:64], tie_bits, p1.describe(), p2.describe()
+        P, tie_count, ties, tie_bits, p1.describe(), p2.describe()
     )
     return SymbolSeq(syms, 2), report
+
+
+def _numerator_array(phase: Phase, start: int, count: int) -> tuple[int, np.ndarray]:
+    """frac_units as an object array, which no list outlives: the in-place
+    products above then free each numerator as they replace it."""
+    unit, nums = phase.frac_units(start, count)
+    return unit, np.fromiter(nums, dtype=object, count=count)
 
 
 def indicator_block_bound(J: int, k: int) -> int:
@@ -344,6 +344,10 @@ def indicator_block_bound(J: int, k: int) -> int:
 
 # ---------------------------------------------------------------------------
 # the bracket-product second difference, label by label
+
+
+# case label by (c2 > c1, c1 > c0) for c_i = {sqrt2 (n+i)}, away from ties
+_CASE = np.array([[2, 4], [3, 1]], dtype=np.uint8)
 
 
 @dataclass
@@ -374,55 +378,36 @@ def bracket_second_difference_labels(P: int) -> tuple[SymbolSeq, Example33Report
         raise ValueError("need P >= 3")
     s2, s3 = sqrt_const(2), sqrt_const(3)
     two_s3 = s3.mul_int(2)
-    a1 = two_s3 * (s2 - FixedReal.from_fraction(1))  # 2 sqrt3 (sqrt2 - 1)
-    a2 = two_s3 * (s2 - FixedReal.from_fraction(2))  # 2 sqrt3 (sqrt2 - 2)
-
-    def f_val(n: int, frac_m: int) -> FixedReal:
-        return s3.mul_int(n) * FixedReal(frac_m, s2.err_ulp * n)
-
-    labels = np.zeros(P, dtype=np.uint8)
-    counts = [0, 0, 0, 0]
-    ties = 0
-    ok = True
-    worst = -1
-    worst_n = 0
-    fm = [(s2.mantissa * n) % SCALE for n in range(3)]
-    fv = [f_val(n, fm[n]) for n in range(3)]
-    step = s2.mantissa
-    for n in range(P):
-        c0, c1, c2 = fm[0], fm[1], fm[2]
-        if c0 == c1 or c1 == c2:
-            ties += 1
-            ok = False
-            label = 0
-        elif c2 > c1 and c1 > c0:
-            label = 1
-        elif c2 < c1 and c1 < c0:
-            label = 2
-        elif c2 > c1 and c1 < c0:
-            label = 3
-        else:
-            label = 4
-        labels[n] = label
-        if label:
-            counts[label - 1] += 1
-            d2 = fv[2] - fv[1] - fv[1] + fv[0]
-            if label == 1:
-                formula = a1
-            elif label == 2:
-                formula = a2
-            elif label == 3:
-                formula = a1 + s3.mul_int(n)
-            else:
-                formula = a2 - s3.mul_int(n)
-            resid = abs(d2.mantissa - formula.mantissa)
-            if resid > worst:
-                worst, worst_n = resid, n
-        if n + 3 < P + 2:
-            nxt = (fm[2] + step) % SCALE
-            fm = [fm[1], fm[2], nxt]
-            fv = [fv[1], fv[2], f_val(n + 3, nxt)]
+    a1 = (two_s3 * (s2 - FixedReal.from_fraction(1))).mantissa  # 2 sqrt3 (sqrt2 - 1)
+    a2 = (two_s3 * (s2 - FixedReal.from_fraction(2))).mantissa  # 2 sqrt3 (sqrt2 - 2)
+    frac_s2 = PolyPhase([0, s2])
+    m3 = s3.mantissa
+    labels = np.empty(P, dtype=np.uint8)
+    worst, worst_n = -1, 0
+    for start in range(0, P, CHUNK):
+        cnt = min(CHUNK, P - start)
+        _, nums = frac_s2.frac_units(start, cnt + 2)
+        fm = np.fromiter(nums, dtype=object, count=cnt + 2)  # {sqrt2 n} * 2^96
+        c0, c1, c2 = fm[:-2], fm[1:-1], fm[2:]
+        up1, up2 = c1 > c0, c2 > c1
+        lab = _CASE[up2.astype(np.intp), up1.astype(np.intp)]
+        lab[(c0 == c1) | (c1 == c2)] = 0
+        labels[start : start + cnt] = lab
+        # f(n) = sqrt3 n {sqrt2 n}, rounded to 2^-96 as FixedReal.__mul__ does
+        ns = np.arange(start, start + cnt + 2, dtype=object)
+        fv = (m3 * ns * fm + (SCALE >> 1)) >> FRAC_BITS
+        d2 = fv[2:] - 2 * fv[1:-1] + fv[:-2]
+        slope = m3 * ns[:-2]
+        formula = np.select([lab == 1, lab == 2, lab == 3],
+                            [a1, a2, a1 + slope], a2 - slope)
+        resid = np.where(lab > 0, np.abs(d2 - formula), -1)
+        k = int(np.argmax(resid))
+        if resid[k] > worst:
+            worst, worst_n = resid[k], start + k
+    counts = np.bincount(labels, minlength=5)
+    ties = int(counts[0])
     report = Example33Report(
-        P, tuple(counts), worst / SCALE, worst_n, ties, ok
+        P, tuple(int(c) for c in counts[1:]), worst / SCALE, worst_n, ties,
+        ties == 0,
     )
     return SymbolSeq(labels, 5), report

@@ -2,6 +2,7 @@
 random arrangements, the counting bound and its recursion, exact
 classification, and the lattice count against the enumeration."""
 
+import inspect
 import json
 import random
 import time
@@ -132,6 +133,13 @@ class TestEnumeration:
         arr = [hyperplane((1, i, i * i, i ** 3), i ** 4) for i in range(25)]
         with pytest.raises(ResourceBudgetError):
             count_pieces(arr)
+
+    def test_enumeration_budget_is_fixed(self):
+        assert list(inspect.signature(enumerate_pieces).parameters) == ["arr"]
+        arr = [hyperplane((1,), i) for i in range(13)]
+        with pytest.raises(ResourceBudgetError,
+                           match=r"m=13, k=1 beyond enumeration budget \(m <= 12, k <= 4\)"):
+            enumerate_pieces(arr)
 
 
 class TestBound:

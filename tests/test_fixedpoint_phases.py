@@ -6,7 +6,9 @@ import random
 from fractions import Fraction as F
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mulab.errors import ParseError, PrecisionError
 from mulab.fixedpoint import FRAC_BITS, SCALE, FixedReal, iroot, sqrt_const
@@ -19,6 +21,7 @@ from mulab.phases import (
     build_concatenation,
     concat_residual,
     eval_phase,
+    frac_rep,
     parse_phase,
     power_phase,
 )
@@ -277,3 +280,64 @@ class TestBuildConcatenation:
             samples.extend(range(lo, lo + 600))
         rep = concat_residual(src, concat, samples)
         assert rep.max_dist <= 0.1
+
+
+# ---------------------------------------------------------------------------
+# the batch numerator kernels against the per-n scalar path
+
+rationals = st.builds(F, st.integers(-1000, 1000), st.integers(1, 60))
+irrationals = st.builds(
+    lambda m, q, neg: (-sqrt_const(m) if neg else sqrt_const(m)).mul_int(q),
+    st.sampled_from((2, 3, 5, 7)), st.integers(1, 9), st.booleans(),
+)
+coefficient_lists = st.lists(st.one_of(rationals, irrationals), min_size=1, max_size=4)
+
+
+@st.composite
+def poly_windows(draw):
+    """A polynomial phase and an n-window: small n, n near 2^32, or n at,
+    below or far above the kernel's int64/Python-int switch 2^62 // unit
+    (up to 16 times it, where int64 products would overflow)."""
+    p = PolyPhase(draw(coefficient_lists))
+    count = draw(st.integers(1, 40))
+    unit, _ = p.frac_units(0, 1)
+    switch = (1 << 62) // unit
+    start = draw(st.one_of(
+        st.integers(0, 1000),
+        st.integers((1 << 32) - 50, (1 << 32) + 50),
+        st.integers(max(switch - 60, 0), switch + 60),
+        st.integers(2 * switch, 16 * switch + (1 << 41)),
+    ))
+    return p, start, count
+
+
+class TestNumeratorKernels:
+    @given(poly_windows())
+    def test_poly_numerators_match_scalar_frac(self, case):
+        p, start, count = case
+        unit, nums = p.frac_units(start, count)
+        assert iter(nums) is nums  # an iterator: callers may resume it
+        nums = list(nums)
+        assert len(nums) == count
+        assert p.rational or unit == SCALE
+        for n, num in zip(range(start, start + count), nums):
+            assert type(num) is int and 0 <= num < unit
+            assert F(num, unit) == F(*frac_rep(p.frac(n)))
+
+    @given(poly_windows())
+    def test_poly_frac_chunk_is_num_over_unit(self, case):
+        p, start, count = case
+        unit, nums = p.frac_units(start, count)
+        chunk = p.frac_chunk(start, count)
+        assert chunk.dtype == np.float64
+        assert chunk.tolist() == [v / unit for v in nums]
+
+    @given(irrationals, irrationals, st.integers(0, 1 << 33), st.integers(1, 40))
+    def test_bracket_kernel_matches_floor_formula(self, beta, alpha, start, count):
+        b = BracketPhase(beta, alpha)
+        unit, nums = b.frac_units(start, count)
+        assert unit == SCALE and iter(nums) is nums
+        want = [((beta.mantissa * n * (alpha.mantissa * n % SCALE)) >> FRAC_BITS) % SCALE
+                for n in range(start, start + count)]
+        assert list(nums) == want
+        assert b.frac_chunk(start, count).tolist() == [v / SCALE for v in want]

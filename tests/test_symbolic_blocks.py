@@ -5,14 +5,17 @@ and the bracket-phase second-difference labels."""
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from mulab import symbolic_blocks
 from mulab.errors import PrecisionError, WindowTooShortError
-from mulab.fixedpoint import FixedReal, sqrt_const
-from mulab.phases import PolyPhase, TablePhase
+from mulab.fixedpoint import SCALE, FixedReal, sqrt_const
+from mulab.phases import PolyPhase, TablePhase, frac_rep
 from mulab.symbolic_blocks import (
     SymbolSeq,
     block_count_inequality_check,
@@ -206,6 +209,17 @@ class TestIndicator:
         with pytest.raises(PrecisionError, match="bits"):
             indicator_set(coarse, PolyPhase([F(1, 2)]), 10)
 
+    def test_identical_phases_tie_everywhere_whatever_the_unit(self):
+        # a rational unit below 2^64 used to floor the tie window to 0
+        third = PolyPhase([F(1, 3)])
+        _, rep = indicator_set(third, PolyPhase([F(1, 3)]), 10)
+        assert rep.tie_count == 10 and rep.tie_positions == list(range(10))
+        s2 = PolyPhase([0, sqrt_const(2)])
+        assert indicator_set(s2, PolyPhase([0, sqrt_const(2)]), 10)[1].tie_count == 10
+        # 1/3 against its 96-bit rounding: 1/(3 * 2^96) apart, a tie
+        _, rep = indicator_set(third, PolyPhase([FixedReal.from_fraction(F(1, 3))]), 10)
+        assert rep.tie_count == 10
+
     def test_block_growth_stays_polynomial(self):
         p1 = PolyPhase([0, sqrt_const(2)])
         p2 = PolyPhase([0, sqrt_const(3)])
@@ -262,3 +276,100 @@ class TestSymbolsIO:
         (tmp_path / "seq.bin").write_bytes(bytes(5))
         with pytest.raises(ValueError):
             load_symbols(hdr)
+
+
+# ---------------------------------------------------------------------------
+# the batch paths against per-n references, across chunk boundaries
+
+small_rationals = st.builds(F, st.integers(-50, 50), st.integers(1, 30))
+sqrt_multiples = st.builds(lambda m, q: sqrt_const(m).mul_int(q),
+                           st.sampled_from((2, 3, 5)), st.integers(-3, 3))
+
+
+@st.composite
+def phase_pairs(draw):
+    """Two polynomial phases with equal or mixed units; the second is often
+    the first again, or the first with its coefficients rounded to 2^-96,
+    so that exact and near ties occur."""
+    cs = draw(st.lists(st.one_of(small_rationals, sqrt_multiples), min_size=1, max_size=3))
+    kind = draw(st.sampled_from(("same", "rounded", "other")))
+    if kind == "same":
+        other = cs
+    elif kind == "rounded":
+        other = [c if isinstance(c, FixedReal) else FixedReal.from_fraction(c) for c in cs]
+    else:
+        other = draw(st.lists(st.one_of(small_rationals, sqrt_multiples),
+                              min_size=1, max_size=3))
+    return PolyPhase(cs), PolyPhase(other)
+
+
+class TestBatchDifferential:
+    @given(phase_pairs(), st.integers(1, 60), st.sampled_from((8, 32, 64)),
+           st.integers(1, 9))
+    def test_indicator_matches_fraction_reference(self, pair, P, tie_bits, chunk):
+        p1, p2 = pair
+        with mock.patch.object(symbolic_blocks, "CHUNK", chunk):
+            seq, rep = indicator_set(p1, p2, P, tie_bits)
+        want, ties = [], []
+        for n in range(P):
+            a, b = F(*frac_rep(p1.frac(n))), F(*frac_rep(p2.frac(n)))
+            want.append(int(a < b))
+            if abs(a - b) < F(1, 1 << tie_bits):
+                ties.append(n)
+        assert seq.symbols.tolist() == want
+        assert rep.tie_count == len(ties) and rep.tie_positions == ties[:64]
+
+    def test_indicator_keeps_the_first_64_ties(self):
+        p = PolyPhase([F(1, 7)])
+        with mock.patch.object(symbolic_blocks, "CHUNK", 5):
+            _, rep = indicator_set(p, p, 100)
+        assert rep.tie_count == 100 and rep.tie_positions == list(range(64))
+
+    @given(st.integers(3, 80), st.integers(1, 9))
+    def test_bracket_labels_match_per_n_reference(self, P, chunk):
+        with mock.patch.object(symbolic_blocks, "CHUNK", chunk):
+            labels, rep = bracket_second_difference_labels(P)
+        want_labels, want_rep = _bracket_labels_reference(P)
+        assert labels.symbols.tolist() == want_labels
+        assert rep == want_rep
+
+
+def _bracket_labels_reference(P):
+    """Labels and report by FixedReal arithmetic, one n at a time."""
+    s2, s3 = sqrt_const(2), sqrt_const(3)
+    a1 = s3.mul_int(2) * (s2 - FixedReal.from_fraction(1))
+    a2 = s3.mul_int(2) * (s2 - FixedReal.from_fraction(2))
+    fm = [(s2.mantissa * n) % SCALE for n in range(P + 2)]
+    fv = [s3.mul_int(n) * FixedReal(fm[n], s2.err_ulp * n) for n in range(P + 2)]
+    labels, counts, ties = [], [0, 0, 0, 0], 0
+    worst, worst_n = -1, 0
+    for n in range(P):
+        c0, c1, c2 = fm[n : n + 3]
+        if c0 == c1 or c1 == c2:
+            labels.append(0)
+            ties += 1
+            continue
+        if c2 > c1:
+            label, formula = (1, a1) if c1 > c0 else (3, a1 + s3.mul_int(n))
+        else:
+            label, formula = (4, a2 - s3.mul_int(n)) if c1 > c0 else (2, a2)
+        labels.append(label)
+        counts[label - 1] += 1
+        d2 = fv[n + 2] - fv[n + 1] - fv[n + 1] + fv[n]
+        resid = abs(d2.mantissa - formula.mantissa)
+        if resid > worst:
+            worst, worst_n = resid, n
+    rep = symbolic_blocks.Example33Report(
+        P, tuple(counts), worst / SCALE, worst_n, ties, ties == 0)
+    return labels, rep
+
+
+class TestQuantizeExactInputs:
+    @given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 1 << 20), st.integers(1, 300))
+    def test_fixed_real_fraction_and_int_agree(self, num, den, N):
+        y = F(num, den)
+        fixed = FixedReal(num << 48)  # num / 2^48, dyadic
+        got = quantize_gn([y, fixed, num], N).symbols.tolist()
+        want = [min(math.floor(N * (v - math.floor(v))), N - 1)
+                for v in (y, fixed.to_fraction())]
+        assert got == want + [0]
