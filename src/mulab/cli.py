@@ -241,6 +241,8 @@ def _cmd_dirichlet(args: argparse.Namespace) -> int:
 def _cmd_correlate(args: argparse.Namespace) -> int:
     phase = parse_phase(args.phase)
     if args.mode == "ap":
+        if args.weights is None:
+            raise ParseError("--mode ap needs --weights")
         weights = _resolve_weights(args.weights, args.n + args.h * args.s)
         rep = ap_correlation(weights, phase, args.s, args.h, args.n)
         print(f"progression correlation s={args.s} h={args.h} N={args.n}:")

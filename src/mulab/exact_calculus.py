@@ -214,9 +214,8 @@ def frac_diff_equivalence(xs: Sequence[RationalLike], k: int) -> tuple[bool, boo
     J = len(vals)
     if not J > k >= 0:
         raise ValueError(f"need len(xs) > k >= 0, got J={J}, k={k}")
-    fr = [frac_part(x) for x in vals]
-    d = lcm(*(f.denominator for f in fr))
-    a = [f.numerator * (d // f.denominator) for f in fr]  # {x_i} scaled by d
+    d = lcm(*(x.denominator for x in vals))
+    a = [(x.numerator * (d // x.denominator)) % d for x in vals]  # {x_i} scaled by d
     weights = [(-1) ** (k - l) * comb(k, l) for l in range(k + 1)]
     cond1 = all(
         sum(w * a[n + l] for l, w in enumerate(weights)) % d == 0

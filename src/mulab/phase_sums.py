@@ -1,11 +1,18 @@
 """Weighted exponential-sum averages and correlation functionals.
 
-The running average (1/N) sum_{n<=N} w(n) e(f(n)) is accumulated with
-compensated (Neumaier) summation across numpy chunk sums; the documented
-relative tolerance is 1e-12 for N up to 1e8.  Weights are exact integers in
-{-1, 0, +1} (mu, lambda, constant 1, residue-class masks).  Weight tables
-and phases are immutable; ranges can be partitioned into disjoint chunks
-whose partial sums recombine within the same tolerance.
+Every functional reads one term stream, `_terms`, which builds
+w(n) e(f(n)) for a range of n from the phase's `frac_chunk`, `CHUNK` n at a
+time.  The running average (1/N) sum_{n<=N} w(n) e(f(n)) keeps one pairwise
+numpy sum per `CHUNK` of terms and adds them with `math.fsum` at each
+checkpoint; the documented relative tolerance is 1e-12 for N up to 1e8.
+The progression correlation and the short-interval sup take their window
+sums from `_window_sums`: prefix sums along each residue class, then one
+difference.  They walk their outer index in blocks of `CHUNK`, each block
+recomputing its h*s overlapping terms, so the prefix sums restart in every
+block, rounding error does not grow with N and working memory is
+O(`CHUNK` + h*s).  Windows of integer terms (poly:0) are exact.  Weights
+are exact integers in {-1, 0, +1} (mu, lambda, constant 1, residue-class
+masks).  Weight tables and phases are immutable.
 """
 
 from __future__ import annotations
@@ -79,27 +86,28 @@ def residue_masked(base: WeightTable, q: int, a: int) -> WeightTable:
 
 
 # ---------------------------------------------------------------------------
-# compensated accumulation
+# the term stream and its windows
 
 
-class _Neumaier:
-    __slots__ = ("s", "c")
+def _terms(phase: Phase, lo: int, hi: int, w: np.ndarray | None) -> np.ndarray:
+    """w(n) e(f(n)) for n in [lo, hi), built `CHUNK` by `CHUNK`; w is the
+    weight array indexed by n, or None for e(f(n)) alone."""
+    out = np.empty(hi - lo, dtype=np.complex128)
+    for start in range(lo, hi, CHUNK):
+        z = out[start - lo : start - lo + CHUNK]
+        np.multiply(2j * np.pi, phase.frac_chunk(start, z.size), out=z)
+        np.exp(z, out=z)
+        if w is not None:
+            z *= w[start : start + z.size]
+    return out
 
-    def __init__(self) -> None:
-        self.s = 0.0
-        self.c = 0.0
 
-    def add(self, x: float) -> None:
-        t = self.s + x
-        if abs(self.s) >= abs(x):
-            self.c += (self.s - t) + x
-        else:
-            self.c += (x - t) + self.s
-        self.s = t
-
-    @property
-    def value(self) -> float:
-        return self.s + self.c
+def _window_sums(z: np.ndarray, h: int, s: int) -> np.ndarray:
+    """sum_{l=1..h} z[i + l s] for i in [0, len(z) - h s): prefix sums along
+    each residue class mod s, in place in z, then one difference."""
+    for r in range(s):
+        np.cumsum(z[r::s], out=z[r::s])
+    return z[h * s :] - z[: -h * s]
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +201,18 @@ def weighted_average(
     if not cps or cps[-1] > n_max or cps[0] < 1:
         raise ValueError("checkpoints must lie in [1, n_max]")
     phase.check_range(n_max)
-    acc_re, acc_im = _Neumaier(), _Neumaier()
+    re_sums: list[float] = []  # one pairwise sum per CHUNK of terms
+    im_sums: list[float] = []
     rows: list[Checkpoint] = []
     prev = 1
-    w = weights.values
     for cp in cps:
         for start in range(prev, cp + 1, CHUNK):
-            cnt = min(CHUNK, cp + 1 - start)
-            fr = phase.frac_chunk(start, cnt)
-            ang = (2.0 * math.pi) * fr
-            ws = w[start : start + cnt].astype(np.float64)
-            acc_re.add(float(np.sum(ws * np.cos(ang))))
-            acc_im.add(float(np.sum(ws * np.sin(ang))))
+            z = _terms(phase, start, min(start + CHUNK, cp + 1), weights.values)
+            re_sums.append(float(np.sum(z.real)))
+            im_sums.append(float(np.sum(z.imag)))
         prev = cp + 1
-        rows.append(Checkpoint(cp, acc_re.value / cp, acc_im.value / cp))
+        rows.append(Checkpoint(cp, math.fsum(re_sums) / cp,
+                               math.fsum(im_sums) / cp))
     return SumReport(phase.describe(), weights.label, n_max, rows)
 
 
@@ -224,17 +230,9 @@ def blockwise_abs_average(
     if bps[-1] - 1 > weights.n_max:
         raise ValueError("breakpoints exceed weight range")
     per_block = []
-    w = weights.values
     for lo, hi in zip(bps, bps[1:]):
-        lo = max(lo, 1)
-        if hi <= lo:
-            per_block.append(0.0)
-            continue
-        fr = phase.frac_chunk(lo, hi - lo)
-        ang = 2.0 * math.pi * fr
-        ws = w[lo:hi].astype(np.float64)
-        per_block.append(abs(complex(np.sum(ws * np.cos(ang)),
-                                     np.sum(ws * np.sin(ang)))))
+        z = _terms(phase, max(lo, 1), max(hi, 1), weights.values)
+        per_block.append(abs(complex(np.sum(z.real), np.sum(z.imag))))
     return sum(per_block) / bps[-1], per_block
 
 
@@ -256,17 +254,19 @@ def short_interval_sup_average(
     top = 2 * X + h - 1  # largest n used is 2X - 1 + h - 1
     if top > weights.n_max:
         raise ValueError(f"need weights up to {top}, have {weights.n_max}")
-    w = weights.values[X : top + 1].astype(np.float64)
-    count = top + 1 - X
-    best = np.zeros(X)
     for p in family:
         p.check_range(top)
-        fr = p.frac_chunk(X, count)
-        z = w * np.exp(2j * np.pi * fr)
-        c = np.concatenate([[0.0 + 0.0j], np.cumsum(z)])
-        win = np.abs(c[h:] - c[:-h])  # |sum over [x, x+h)| for x = X..
-        np.maximum(best, win[:X], out=best)
-    return float(best.sum()) / (X * h)
+    block_sums = []
+    for a in range(X, 2 * X, CHUNK):
+        m = min(CHUNK, 2 * X - a)
+        best = np.zeros(m)
+        for p in family:
+            # the term at n = a - 1 only seeds the prefix: window i is
+            # sum_{l=1..h} z[i + l], the sum over [a + i, a + i + h)
+            z = _terms(p, a - 1, a + m + h - 1, weights.values)
+            np.maximum(best, np.abs(_window_sums(z, h, 1)), out=best)
+        block_sums.append(float(np.sum(best)))
+    return math.fsum(block_sums) / (X * h)
 
 
 @dataclass
@@ -290,22 +290,18 @@ def ap_correlation(
 
     The report carries the comparison quantity (s/phi(s)) log log h / log h.
     """
-    if s < 1 or h < 3:
-        raise ValueError("need s >= 1 and h >= 3")
+    if s < 1 or h < 3 or n_max < 1:
+        raise ValueError("need s >= 1, h >= 3 and n_max >= 1")
     top = n_max + h * s
     if top > weights.n_max:
         raise ValueError(f"need weights up to {top}, have {weights.n_max}")
     phase.check_range(top)
-    z = np.zeros(top + 1, dtype=np.complex128)
-    for start in range(1, top + 1, CHUNK):
-        cnt = min(CHUNK, top + 1 - start)
-        fr = phase.frac_chunk(start, cnt)
-        ws = weights.values[start : start + cnt].astype(np.float64)
-        z[start : start + cnt] = ws * np.exp(2j * np.pi * fr)
-    acc = np.zeros(n_max, dtype=np.complex128)
-    for l in range(1, h + 1):
-        acc += z[1 + l * s : 1 + l * s + n_max]
-    value = float(np.mean(np.abs(acc / h) ** 2))
+    block_sums = []
+    for a in range(1, n_max + 1, CHUNK):
+        m = min(CHUNK, n_max + 1 - a)
+        z = _terms(phase, a, a + m + h * s, weights.values)
+        block_sums.append(float(np.sum(np.abs(_window_sums(z, h, s)) ** 2)))
+    value = math.fsum(block_sums) / (h * h * n_max)
     if phi_table is None or phi_table.n_max < s:
         phi_table = sieve_phi(s)
     comparison = (s / phi_table.value(s)) * math.log(math.log(h)) / math.log(h)
@@ -326,11 +322,7 @@ def shift_self_correlation(values: Sequence[complex], shift: int, n_max: int) ->
 def phase_table(phase: Phase, n_max: int) -> np.ndarray:
     """e(f(n)) for n = 0..n_max-1 as a complex table."""
     phase.check_range(n_max - 1)
-    out = np.empty(n_max, dtype=np.complex128)
-    for start in range(0, n_max, CHUNK):
-        cnt = min(CHUNK, n_max - start)
-        out[start : start + cnt] = np.exp(2j * np.pi * phase.frac_chunk(start, cnt))
-    return out
+    return _terms(phase, 0, n_max, None)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,12 @@ representation for n = start .. start+count-1; it is each shape's one
 batch numerator kernel, and consumers iterate over the numerators once.
 Polynomials run Horner's rule on integer-scaled coefficients (int64 while
 unit * n stays below 2^62, Python ints in an object array above) and
-bracket products one floor formula over an object array; both iterate
-over the finished list.  The other shapes go through `frac(n)` one n at a
-time and yield as they go.  `frac_chunk` is the float64 value of num/unit,
-from the same kernel.  The per-n `frac` and `value` stay as the scalar
-reference.  Consumers walk n in batches of `CHUNK`, which bounds the size
-of each batch's object arrays.
+bracket products one formula over an object array that rounds half up as
+`frac(n)` does; both iterate over the finished list.  The other shapes go
+through `frac(n)` one n at a time and yield as they go.  `frac_chunk` is the
+correctly rounded float64 value of num/unit, from the same kernel.  The
+per-n `frac` and `value` stay as the scalar reference.  Consumers walk n in
+batches of `CHUNK`, which bounds the size of each batch's object arrays.
 """
 
 from __future__ import annotations
@@ -206,6 +206,8 @@ class PolyPhase(Phase):
     def frac_chunk(self, start: int, count: int) -> np.ndarray:
         nums = self._numerators(start, count)
         if self.rational:
+            if self._unit > 1 << 53:  # int64 -> float64 would round num first
+                nums = nums.astype(object)
             return np.asarray(nums / self._unit, dtype=np.float64)
         return nums.astype(np.float64) * 2.0 ** -FRAC_BITS  # exact: unit 2^96
 
@@ -273,13 +275,14 @@ class BracketPhase(Phase):
         return self._numerators(start, count).astype(np.float64) * 2.0 ** -FRAC_BITS
 
     def _numerators(self, start: int, count: int) -> np.ndarray:
-        """floor(beta n * {alpha n}) mod 2^96 on the mantissas, in place as
-        in PolyPhase._numerators."""
+        """beta n * {alpha n} mod 2^96 on the mantissas, rounded half up as
+        FixedReal.__mul__ rounds, in place as in PolyPhase._numerators."""
         ns = np.arange(start, start + count, dtype=object)
         nums = self.beta.mantissa * ns
         ns *= self.alpha.mantissa
         ns &= SCALE - 1
         nums *= ns
+        nums += SCALE >> 1
         nums >>= FRAC_BITS
         nums &= SCALE - 1
         return nums

@@ -133,6 +133,11 @@ class TestCorrelateCommand:
                     "--n", "1000"]) == 0
         assert "value=" in capsys.readouterr().out
 
+    def test_ap_mode_without_weights_is_usage_error(self, capsys):
+        assert run(["correlate", "--mode", "ap", "--phase", "poly:0",
+                    "--s", "1", "--h", "10", "--n", "1000"]) == 2
+        assert "--weights" in capsys.readouterr().err
+
     def test_shift_mode(self, capsys):
         assert run(["correlate", "--mode", "shift", "--phase", "poly:0,1/2",
                     "--shift", "1", "--n", "64"]) == 0

@@ -5,12 +5,16 @@ approximation witness with an independently re-checked certificate."""
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from mulab import phase_sums
 from mulab.errors import ResourceBudgetError
 from mulab.fixedpoint import sqrt_const
 from mulab.phases import ConcatPhase, PolyPhase, power_phase
@@ -26,7 +30,6 @@ from mulab.phase_sums import (
     short_interval_sup_average,
     unit_weights,
     weighted_average,
-    weights_from_table,
     zero_weights,
 )
 
@@ -175,6 +178,11 @@ class TestApCorrelation:
         with pytest.raises(ValueError):
             ap_correlation(unit_weights(100), PolyPhase([0]), 1, 2, 10)
 
+    def test_empty_range_rejected(self):
+        for n_max in (0, -5):
+            with pytest.raises(ValueError):
+                ap_correlation(unit_weights(100), PolyPhase([0]), 1, 3, n_max)
+
 
 class TestShiftSelfCorrelation:
     def test_constant_table(self):
@@ -251,3 +259,128 @@ class TestConcatInSums:
         )
         assert abs(rep.rows[-1].real * 199 - direct.real) < 1e-9
         assert abs(rep.rows[-1].imag * 199 - direct.imag) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the streamed functionals against references written out in full; a small
+# phase_sums.CHUNK makes blocks, prefix restarts and window overlaps cross
+
+SMALL_CHUNKS = (7, 64)
+stream_phases = st.sampled_from(
+    (PolyPhase([0]), PolyPhase([0, sqrt_const(2)]), PolyPhase([F(1, 3), F(2, 7)]))
+)
+
+
+def small_chunk(size):
+    return mock.patch.object(phase_sums, "CHUNK", size)
+
+
+def close(got, want):
+    return abs(got - want) <= SUM_TOLERANCE * max(1.0, abs(want))
+
+
+def terms(weights, phase, lo, hi):
+    """w(n) e(f(n)) for n in [lo, hi), in one batch."""
+    fr = phase.frac_chunk(lo, hi - lo)
+    return weights.values[lo:hi] * np.exp(2j * np.pi * fr)
+
+
+def shifted_add_ap(weights, phase, s, h, n_max):
+    z = np.concatenate([[0j], terms(weights, phase, 1, n_max + h * s + 1)])
+    acc = np.zeros(n_max, dtype=np.complex128)
+    for l in range(1, h + 1):
+        acc += z[1 + l * s : 1 + l * s + n_max]
+    return float(np.mean(np.abs(acc / h) ** 2))
+
+
+def whole_window_sup(weights, family, X, h):
+    best = np.zeros(X)
+    for p in family:
+        c = np.concatenate([[0j], np.cumsum(terms(weights, p, X, 2 * X + h - 1))])
+        np.maximum(best, np.abs(c[h:] - c[:-h])[:X], out=best)
+    return float(best.sum()) / (X * h)
+
+
+def fsum_complex(z):
+    return complex(math.fsum(z.real), math.fsum(z.imag))
+
+
+class TestStreamedFunctionals:
+    @given(stream_phases, st.sampled_from(SMALL_CHUNKS), st.integers(1, 5),
+           st.integers(3, 40), st.integers(1, 300))
+    def test_ap_matches_shifted_add_loop(self, mu_weights, phase, chunk, s, h, n):
+        want = shifted_add_ap(mu_weights, phase, s, h, n)
+        with small_chunk(chunk):
+            got = ap_correlation(mu_weights, phase, s, h, n).value
+        assert close(got, want)
+
+    @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+    def test_ap_integer_terms_are_exact(self, mu_weights, chunk):
+        # poly:0 makes every window sum an integer: the value is the correctly
+        # rounded sum_n acc(n)^2 / (h^2 N)
+        s, h, n = 2, 10, 5000
+        w = mu_weights.values.astype(np.int64)
+        acc = sum(w[1 + l * s : 1 + l * s + n] for l in range(1, h + 1))
+        with small_chunk(chunk):
+            got = ap_correlation(mu_weights, PolyPhase([0]), s, h, n).value
+        assert got == float(F(int((acc * acc).sum()), h * h * n))
+
+    def test_ap_long_rotation_within_tolerance(self):
+        # |sum_{l=1..h} e((n+l)/q)| = |sin(pi h/q) / sin(pi/q)| for every n
+        q, h, n = 1000003, 1000, 10 ** 6
+        rep = ap_correlation(unit_weights(n + h), PolyPhase([0, F(1, q)]), 1, h, n)
+        want = (math.sin(math.pi * h / q) / (h * math.sin(math.pi / q))) ** 2
+        assert close(rep.value, want)
+
+    @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+    def test_short_interval_matches_whole_window_cumsum(self, mu_weights, chunk):
+        family = [PolyPhase([F(a, 5), F(b, 8)]) for a in range(2) for b in range(8)]
+        family.append(PolyPhase([0, sqrt_const(3)]))
+        for X, h in ((1, 3), (50, 7), (300, 64), (1000, 20)):
+            want = whole_window_sup(mu_weights, family, X, h)
+            with small_chunk(chunk):
+                got = short_interval_sup_average(mu_weights, family, X, h)
+            assert close(got, want)
+
+    @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+    def test_weighted_average_matches_per_n_fsum(self, mu_weights, chunk):
+        phase = PolyPhase([0, sqrt_const(2), F(1, 3)])
+        cps = [1, 7, 8, 100, 129, 2000]
+        with small_chunk(chunk):
+            rep = weighted_average(mu_weights, phase, 2000, cps)
+        z = terms(mu_weights, phase, 1, 2001)
+        for row in rep.rows:
+            want = fsum_complex(z[: row.n]) / row.n
+            assert close(row.real, want.real) and close(row.imag, want.imag)
+
+    @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+    def test_blockwise_matches_per_n_fsum(self, mu_weights, chunk):
+        phase = power_phase(3, 2)
+        bps = [0, 1, 6, 70, 71, 500, 1300]
+        with small_chunk(chunk):
+            avg, blocks = blockwise_abs_average(mu_weights, phase, bps)
+        want = [abs(fsum_complex(terms(mu_weights, phase, max(lo, 1), hi)))
+                for lo, hi in zip(bps, bps[1:])]
+        assert all(close(g, w) for g, w in zip(blocks, want))
+        assert close(avg, math.fsum(want) / bps[-1])
+
+    def test_working_memory_does_not_grow_with_n(self, mu_weights):
+        phase = PolyPhase([0, sqrt_const(2)])
+        family = [PolyPhase([0, F(j, 4)]) for j in range(4)]
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with small_chunk(4096):
+            for small, large in (
+                (lambda: ap_correlation(mu_weights, phase, 3, 100, 10 ** 5),
+                 lambda: ap_correlation(mu_weights, phase, 3, 100, 10 ** 6 - 300)),
+                (lambda: short_interval_sup_average(mu_weights, family, 4 * 10 ** 4, 50),
+                 lambda: short_interval_sup_average(mu_weights, family, 4 * 10 ** 5, 50)),
+            ):
+                assert peak(large) < 1.25 * peak(small)
