@@ -71,6 +71,7 @@ from .phase_sums import (
     ap_correlation,
     blockwise_abs_average,
     dirichlet_approx,
+    phase_shift_correlation,
     phase_table,
     residue_masked,
     shift_self_correlation,

@@ -5,6 +5,9 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+#: default working-memory budget of the measured layer's entry points (512 MiB)
+DEFAULT_BUDGET_BYTES = 1 << 29
+
 
 def atomic_write(path: str | Path, data: str | bytes) -> None:
     """Write via temp file + rename so readers never see partial output.

@@ -33,9 +33,8 @@ from .phases import parse_phase, parse_real_token
 from .phase_sums import (
     ap_correlation,
     dirichlet_approx,
-    phase_table,
+    phase_shift_correlation,
     residue_masked,
-    shift_self_correlation,
     unit_weights,
     weighted_average,
     weights_from_table,
@@ -252,8 +251,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
                "n": args.n, "value": rep.value,
                "comparison": rep.comparison}
     else:
-        table = phase_table(phase, args.n + args.shift)
-        v = shift_self_correlation(table, args.shift, args.n)
+        v = phase_shift_correlation(phase, args.shift, args.n)
         print(f"shift self-correlation shift={args.shift} N={args.n}: "
               f"{v:.6e}")
         doc = {"mode": "shift", "phase": phase.describe(),

@@ -2,17 +2,28 @@
 
 Every functional reads one term stream, `_terms`, which builds
 w(n) e(f(n)) for a range of n from the phase's `frac_chunk`, `CHUNK` n at a
-time.  The running average (1/N) sum_{n<=N} w(n) e(f(n)) keeps one pairwise
-numpy sum per `CHUNK` of terms and adds them with `math.fsum` at each
-checkpoint; the documented relative tolerance is 1e-12 for N up to 1e8.
-The progression correlation and the short-interval sup take their window
-sums from `_window_sums`: prefix sums along each residue class, then one
+time.  A phase with a period q shorter than the range (a rational
+polynomial, q its unit) has only q distinct terms e(f(n)): the stream
+builds one period, tiles it and multiplies by w, and every term is the
+float that the per-n path gives.
+
+The running average (1/N) sum_{n<=N} w(n) e(f(n)) keeps one pairwise numpy
+sum per `CHUNK` of terms and adds them with `math.fsum` at each checkpoint;
+the documented relative tolerance is 1e-12 for N up to 1e8.  The
+progression correlation and the short-interval sup take their window sums
+from `_window_sums`: prefix sums along each residue class, then one
 difference.  They walk their outer index in blocks of `CHUNK`, each block
 recomputing its h*s overlapping terms, so the prefix sums restart in every
 block, rounding error does not grow with N and working memory is
-O(`CHUNK` + h*s).  Windows of integer terms (poly:0) are exact.  Weights
-are exact integers in {-1, 0, +1} (mu, lambda, constant 1, residue-class
-masks).  Weight tables and phases are immutable.
+O(`CHUNK` + h*s).  Windows of integer terms (poly:0) are exact.  |window
+sum| does not see a polynomial's constant term, so the short-interval sup
+runs one member per class modulo constants (`PolyPhase.class_mod_constant`;
+other shapes are each their own class), and the value moves only by
+rounding.  `phase_shift_correlation` streams the shift self-correlation of
+e(f(n)) in the same blocks.
+
+Weights are exact integers in {-1, 0, +1} (mu, lambda, constant 1,
+residue-class masks).  Weight tables and phases are immutable.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ import numpy as np
 from ._util import atomic_write
 from .errors import ResourceBudgetError
 from .fixedpoint import SCALE, FixedReal
-from .phases import CHUNK, Phase
+from .phases import CHUNK, Phase, PolyPhase
 from .sieves import MobiusTable, PhiTable, sieve_phi
 
 #: documented accumulation tolerance for |average| identities
@@ -91,7 +102,15 @@ def residue_masked(base: WeightTable, q: int, a: int) -> WeightTable:
 
 def _terms(phase: Phase, lo: int, hi: int, w: np.ndarray | None) -> np.ndarray:
     """w(n) e(f(n)) for n in [lo, hi), built `CHUNK` by `CHUNK`; w is the
-    weight array indexed by n, or None for e(f(n)) alone."""
+    weight array indexed by n, or None for e(f(n)) alone.  A phase with a
+    period q < hi - lo has only q distinct terms: one period is built and
+    tiled, and each tiled term is the float the per-n path computes."""
+    q = phase.period
+    if q is not None and q < hi - lo:
+        out = np.tile(_terms(phase, lo, lo + q, None), -(-(hi - lo) // q))[: hi - lo]
+        if w is not None:
+            out *= w[lo:hi]
+        return out
     out = np.empty(hi - lo, dtype=np.complex128)
     for start in range(lo, hi, CHUNK):
         z = out[start - lo : start - lo + CHUNK]
@@ -256,11 +275,17 @@ def short_interval_sup_average(
         raise ValueError(f"need weights up to {top}, have {weights.n_max}")
     for p in family:
         p.check_range(top)
+    # |window sum| does not see a polynomial's constant term, so the first
+    # member of each class modulo constants stands for the class
+    members: dict[object, Phase] = {}
+    for p in family:
+        key = p.class_mod_constant() if isinstance(p, PolyPhase) else p
+        members.setdefault(key, p)
     block_sums = []
     for a in range(X, 2 * X, CHUNK):
         m = min(CHUNK, 2 * X - a)
         best = np.zeros(m)
-        for p in family:
+        for p in members.values():
             # the term at n = a - 1 only seeds the prefix: window i is
             # sum_{l=1..h} z[i + l], the sum over [a + i, a + i + h)
             z = _terms(p, a - 1, a + m + h - 1, weights.values)
@@ -317,6 +342,28 @@ def shift_self_correlation(values: Sequence[complex], shift: int, n_max: int) ->
         raise ValueError(f"table of {g.size} values cannot shift by {shift}")
     d = g[shift : shift + n_max] - g[:n_max]
     return float(np.mean(np.abs(d) ** 2))
+
+
+def phase_shift_correlation(phase: Phase, shift: int, n_max: int) -> float:
+    """`shift_self_correlation` of the table e(f(n)), n < n_max + shift,
+    streamed: (1/N) sum_{n=0}^{N-1} |e(f(n+shift)) - e(f(n))|^2 from one
+    `_terms` block per `CHUNK` of n (with its shift-sized overlap, or a
+    second block when the shift is longer), block sums added by `math.fsum`.
+    Working memory is O(`CHUNK`) whatever N and the shift."""
+    if shift < 0 or n_max < 1:
+        raise ValueError("need shift >= 0, n_max >= 1")
+    phase.check_range(n_max + shift - 1)
+    block_sums = []
+    for a in range(0, n_max, CHUNK):
+        m = min(CHUNK, n_max - a)
+        if shift < m:
+            z = _terms(phase, a, a + m + shift, None)
+            d = z[shift:] - z[:m]
+        else:
+            d = _terms(phase, a + shift, a + shift + m, None)
+            d -= _terms(phase, a, a + m, None)
+        block_sums.append(float(np.sum(np.abs(d) ** 2)))
+    return math.fsum(block_sums) / n_max
 
 
 def phase_table(phase: Phase, n_max: int) -> np.ndarray:

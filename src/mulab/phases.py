@@ -25,6 +25,14 @@ through `frac(n)` one n at a time and yield as they go.  `frac_chunk` is the
 correctly rounded float64 value of num/unit, from the same kernel.  The
 per-n `frac` and `value` stay as the scalar reference.  Consumers walk n in
 batches of `CHUNK`, which bounds the size of each batch's object arrays.
+
+Periods.  `Phase.period` is a q with {f(n + q)} = {f(n)} on the
+representation, or None.  A rational polynomial's period is its unit: its
+numerators are an integer polynomial mod the unit, so they depend on n mod
+the unit only.  Every other shape, fixed-point polynomials included, has
+None.  `PolyPhase.class_mod_constant` keys a polynomial by {c_1}..{c_d} on
+the representation, so that equal keys mean phases that differ by a
+constant.
 """
 
 from __future__ import annotations
@@ -85,7 +93,12 @@ def _as_real(value) -> Real:
 
 
 class Phase:
-    """Base class; subclasses implement frac(), err_ulp_at() and describe()."""
+    """Base class; subclasses implement frac(), err_ulp_at() and describe().
+
+    `period` is a q with {f(n + q)} = {f(n)} on the representation for every
+    n, or None when the shape promises none."""
+
+    period: int | None = None
 
     def frac(self, n: int) -> Real:
         raise NotImplementedError
@@ -172,6 +185,8 @@ class PolyPhase(Phase):
             scaled = [c.mantissa for c in self._fixed]
         # {f(n)} = (sum scaled_i n^i mod unit) / unit on the representation
         self._scaled = [c % self._unit for c in scaled]
+        # integer scaled coefficients: the numerators depend on n mod unit only
+        self.period = self._unit if self.rational else None
 
     @property
     def degree(self) -> int:
@@ -199,6 +214,14 @@ class PolyPhase(Phase):
         if self.rational:
             return 0
         return sum(c.err_ulp * abs(n) ** i for i, c in enumerate(self._fixed))
+
+    def class_mod_constant(self) -> tuple[Fraction, ...]:
+        """{c_1}, ..., {c_d} on the representation, trailing zeros dropped:
+        two polynomial phases with equal keys differ by a constant mod 1."""
+        key = [Fraction(c, self._unit) for c in self._scaled[1:]]
+        while key and not key[-1]:
+            key.pop()
+        return tuple(key)
 
     def frac_units(self, start: int, count: int) -> tuple[int, Iterator[int]]:
         return self._unit, iter(self._numerators(start, count).tolist())

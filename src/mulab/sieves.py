@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import atomic_write
+from ._util import DEFAULT_BUDGET_BYTES, atomic_write
 from .errors import (
     CacheChecksumError,
     CacheMagicError,
@@ -47,7 +47,6 @@ VERSION = 1
 
 _DECODE = np.array([0, 1, -1, 0], dtype=np.int8)  # code 3 filtered separately
 _DEFAULT_SEGMENT = 1 << 20
-_DEFAULT_BUDGET_BYTES = 1 << 29  # 512 MiB: the table plus one segment
 # working bytes per entry of a sieve segment, at worst (phi): rem, values and
 # f(rem) as int64, and the leftover mask
 _SEGMENT_BYTES_PER_N = 3 * 8 + 1
@@ -144,7 +143,7 @@ class MobiusTable:
 
 def _check_budget(label, table_bytes, n_max, segment_size, memory_budget=None) -> None:
     """Refuse a sieve whose table plus one segment's arrays exceed the budget."""
-    budget = _DEFAULT_BUDGET_BYTES if memory_budget is None else memory_budget
+    budget = DEFAULT_BUDGET_BYTES if memory_budget is None else memory_budget
     segment_bytes = _SEGMENT_BYTES_PER_N * min(segment_size, n_max)
     need = table_bytes + segment_bytes
     if need > budget:
@@ -162,11 +161,12 @@ def _multiplicative_segments(n_max: int, segment_size: int, ratio, dtype):
     segment overwrites."""
     base = primes_up_to(math.isqrt(n_max)).tolist()
     buf = np.empty(min(segment_size, n_max), dtype=dtype)
+    rem_dtype = np.int32 if n_max < 1 << 31 else np.int64
     for lo in range(1, n_max + 1, segment_size):
         hi = min(lo + segment_size, n_max + 1)
         vals = buf[: hi - lo]
         vals.fill(1)
-        rem = np.arange(lo, hi, dtype=np.int64)
+        rem = np.arange(lo, hi, dtype=rem_dtype)
         for p in base:
             pe, e = p, 1
             while pe <= n_max:

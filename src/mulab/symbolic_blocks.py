@@ -10,9 +10,15 @@ length-J windows are counted:
 * regularly effective    regular blocks recurring at least `threshold`
                      times among the regular positions
 
-The counts are exact (hashed tuples of symbols, no approximate matching);
-the per-J entropy estimates log|B_J|/J are finite-prefix estimates, which
-the report rows label explicitly.  Scans are pure functions of the
+The counts are exact, on integer window codes sum_j s(i+j) base^(J-1-j)
+(no approximate matching).  `entropy_curve` rolls the codes from J to J+1
+in place and counts them with np.bincount while base^J is at most the
+number of windows, else with np.unique; once base^J reaches 2^62 the
+windows are counted as structured rows instead.  Only `index_blocks`
+decodes codes into blocks.  `entropy_curve` checks its working bytes
+(measured per symbol) against the 512 MiB default budget up front.  The
+per-J entropy estimates log|B_J|/J are finite-prefix estimates, which the
+report rows label explicitly.  Scans are pure functions of the
 immutable prefix; counting unions over disjoint start ranges commute, so
 callers may shard long prefixes.
 """
@@ -29,9 +35,10 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import atomic_write
-from .errors import PrecisionError, WindowTooShortError
+from ._util import DEFAULT_BUDGET_BYTES, atomic_write
+from .errors import PrecisionError, ResourceBudgetError, WindowTooShortError
 from .fixedpoint import FRAC_BITS, SCALE, FixedReal, sqrt_const
 from .phases import CHUNK, Phase, PolyPhase, frac_rep
 
@@ -97,35 +104,80 @@ def load_symbols(header_path: str | Path) -> SymbolSeq:
 # window counting
 
 
-def _window_code_counts(
-    symbols: np.ndarray, J: int, starts: np.ndarray, base: int
-) -> dict[Block, int]:
-    """Exact occurrence counts of the J-windows at the given starts."""
-    if starts.size == 0:
-        return {}
-    if base ** J < 1 << 62:
-        codes = np.zeros(symbols.size - J + 1, dtype=np.int64)
-        s64 = symbols.astype(np.int64)
-        for j in range(J):
-            codes = codes * base + s64[j : symbols.size - J + 1 + j]
-        uniq, counts = np.unique(codes[starts], return_counts=True)
-        out = {}
-        for code, cnt in zip(uniq.tolist(), counts.tolist()):
-            block = []
-            for _ in range(J):
-                code, r = divmod(code, base)
-                block.append(r)
-            out[tuple(reversed(block))] = cnt
-        return out
-    windows = np.lib.stride_tricks.sliding_window_view(symbols, J)[starts]
-    rows = np.ascontiguousarray(windows)
-    uniq, counts = np.unique(
-        rows.view([("", rows.dtype)] * J), return_counts=True
-    )
-    return {
-        tuple(int(v) for v in row): int(cnt)
-        for row, cnt in zip(uniq.tolist(), counts.tolist())
-    }
+#: working bytes per symbol of `entropy_curve`, as tracemalloc measures them
+#: when every window is distinct (P = 1e6, numpy 2.4): the int64 codes plus
+#: np.unique's sorted copy, mask and index arrays.  Once base^J >= 2^62 the
+#: structured-row path adds about three copies of the J-symbol rows.
+_CODE_BYTES_PER_SYMBOL = 56
+_ROW_COPIES = 3
+
+
+def _code_range(base: int, J: int) -> int | None:
+    """base^J, the number of distinct J-window codes, or None once it
+    reaches 2^62 and the codes would overflow int64 (by J = 62 for base >= 2,
+    so no larger power is ever built)."""
+    size = base ** min(J, 63)
+    return size if size < 1 << 62 else None
+
+
+def _window_keys(symbols: np.ndarray, base: int, J_lo: int, J_hi: int):
+    """Yield (J, keys) for J_lo <= J <= J_hi, where keys[i] identifies the
+    J-window at start i.  While base^J < 2^62 the keys are the int64 codes
+    sum_j s[i+j] base^(J-1-j), rolled in place as code_J = code_{J-1} base
+    + s[J-1:], so each yield overwrites the one before; above that they are
+    the windows as structured rows."""
+    P = symbols.size
+    J_codes = 0  # the largest J whose codes fit, capped at J_hi
+    while J_codes < J_hi and _code_range(base, J_codes + 1) is not None:
+        J_codes += 1
+    if J_lo <= J_codes:
+        codes = np.zeros(P, dtype=np.int64)
+        for J in range(1, J_codes + 1):
+            codes = codes[: P - J + 1]
+            codes *= base
+            # unsafe casting converts the symbols as astype(int64) would
+            np.add(codes, symbols[J - 1 :], out=codes, casting="unsafe")
+            if J >= J_lo:
+                yield J, codes
+        del codes
+    for J in range(max(J_lo, J_codes + 1), J_hi + 1):
+        rows = np.ascontiguousarray(sliding_window_view(symbols, J))
+        yield J, rows.view([("", rows.dtype)] * J)[:, 0]
+
+
+def _key_counts(keys: np.ndarray, size: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct keys ascending, occurrence counts) of codes in range(size),
+    or of rows when size is None: by np.bincount while the count array is
+    no larger than the keys, else by np.unique."""
+    if size is not None and size <= keys.size:
+        counts = np.bincount(keys, minlength=size)
+        distinct = np.flatnonzero(counts)
+        return distinct, counts[distinct]
+    return np.unique(keys, return_counts=True)
+
+
+def _family_counts(keys: np.ndarray, J: int, tail_start: int, base: int):
+    """_key_counts of the windows at every start >= tail_start and of the
+    regular windows, at every J-th start from the first multiple of J there."""
+    first_reg = -(-tail_start // J) * J
+    size = _code_range(base, J)
+    return (_key_counts(keys[tail_start:], size),
+            _key_counts(keys[first_reg::J], size))
+
+
+def _blocks(distinct: np.ndarray, counts: np.ndarray, J: int, base: int) -> dict[Block, int]:
+    """The counted keys as {block: count}, decoding codes digit by digit."""
+    if distinct.dtype.names is not None:
+        return {tuple(int(v) for v in row): cnt
+                for row, cnt in zip(distinct.tolist(), counts.tolist())}
+    out = {}
+    for code, cnt in zip(distinct.tolist(), counts.tolist()):
+        block = []
+        for _ in range(J):
+            code, r = divmod(code, base)
+            block.append(r)
+        out[tuple(reversed(block))] = cnt
+    return out
 
 
 @dataclass
@@ -170,11 +222,10 @@ def index_blocks(
     if not 0 <= tail_start <= P - J:
         raise ValueError("tail_start outside the prefix")
     base = seq.alphabet_size
-    starts_all = np.arange(tail_start, P - J + 1)
-    first_reg = ((tail_start + J - 1) // J) * J
-    starts_reg = np.arange(first_reg, P - J + 1, J)
-    all_counts = _window_code_counts(seq.symbols, J, starts_all, base)
-    reg_counts = _window_code_counts(seq.symbols, J, starts_reg, base)
+    _, keys = next(_window_keys(seq.symbols, base, J, J))
+    all_counts, reg_counts = (
+        _blocks(*family, J, base)
+        for family in _family_counts(keys, J, tail_start, base))
     eff = {b: c for b, c in all_counts.items() if c >= effective_threshold}
     reg_eff = {b: c for b, c in reg_counts.items() if c >= effective_threshold}
     return BlockIndex(
@@ -202,13 +253,35 @@ def entropy_curve(
     """Per-J counts of all four families plus the finite-prefix estimate
     log|B_J|/J.  These are prefix estimates of a limit, reported side by
     side; no equality between the four columns is asserted."""
-    if J_max > len(seq):
+    P = len(seq)
+    if J_max > P:
         raise WindowTooShortError("J_max exceeds the prefix length")
+    if J_max < 1:
+        return []
+    if effective_threshold < 2:
+        raise ValueError("effective_threshold must be >= 2")
+    if not 0 <= tail_start <= P - J_max:
+        raise ValueError("tail_start outside the prefix")
+    base = seq.alphabet_size
+    per_symbol = _CODE_BYTES_PER_SYMBOL
+    if _code_range(base, J_max) is None:
+        per_symbol += _ROW_COPIES * J_max * seq.symbols.itemsize
+    if per_symbol * P > DEFAULT_BUDGET_BYTES:
+        raise ResourceBudgetError(
+            f"entropy_curve for P={P}, J_max={J_max} needs about "
+            f"{per_symbol * P} bytes ({per_symbol} per symbol), over the "
+            f"{DEFAULT_BUDGET_BYTES}-byte budget; shorten the prefix or "
+            f"lower J_max"
+        )
     rows = []
-    for J in range(1, J_max + 1):
-        idx = index_blocks(seq, J, effective_threshold, tail_start)
-        a, r, e, re_ = idx.counts()
-        rows.append(EntropyRow(J, a, r, e, re_, math.log(a) / J))
+    for J, keys in _window_keys(seq.symbols, base, 1, J_max):
+        (_, every), (_, regular) = _family_counts(keys, J, tail_start, base)
+        a = every.size
+        rows.append(EntropyRow(
+            J, a, regular.size,
+            int(np.count_nonzero(every >= effective_threshold)),
+            int(np.count_nonzero(regular >= effective_threshold)),
+            math.log(a) / J))
     return rows
 
 
@@ -239,10 +312,12 @@ def block_count_inequality_check(seq: SymbolSeq, J: int, l: int) -> bool:
         raise ValueError("need J >= 1, l >= 1")
     if (l + 1) * J > P:
         raise WindowTooShortError("window (l+1)*J exceeds the prefix")
-    starts_left = np.arange(0, P - (l + 1) * J + 1)
-    left = len(_window_code_counts(seq.symbols, l * J, starts_left, seq.alphabet_size))
-    reg = index_blocks(seq, J).regular_blocks
-    return left <= J * len(reg) ** (l + 1)
+    base = seq.alphabet_size
+    _, keys = next(_window_keys(seq.symbols, base, l * J, l * J))
+    left = _key_counts(keys[: P - (l + 1) * J + 1], _code_range(base, l * J))[0].size
+    _, keys = next(_window_keys(seq.symbols, base, J, J))
+    reg = _key_counts(keys[::J], _code_range(base, J))[0].size
+    return left <= J * reg ** (l + 1)
 
 
 # ---------------------------------------------------------------------------

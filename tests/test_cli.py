@@ -102,6 +102,17 @@ class TestEntropyCommand:
     def test_missing_inputs_usage(self):
         assert run(["entropy", "--jmax", "4"]) == 2
 
+    def test_over_budget_exits_4(self, tmp_path, capsys):
+        import numpy as np
+
+        from mulab.symbolic_blocks import SymbolSeq, save_symbols
+
+        hdr = save_symbols(
+            SymbolSeq(np.zeros(10 ** 5, dtype=np.uint8), 2), tmp_path / "seq.bin"
+        )
+        assert run(["entropy", "--seq", str(hdr), "--jmax", "5000"]) == 4
+        assert "budget" in capsys.readouterr().err
+
 
 class TestPiecesCommand:
     def test_crossing_lines_report(self, tmp_path, capsys):

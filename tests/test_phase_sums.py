@@ -15,15 +15,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mulab import phase_sums
-from mulab.errors import ResourceBudgetError
-from mulab.fixedpoint import sqrt_const
-from mulab.phases import ConcatPhase, PolyPhase, power_phase
+from mulab.errors import PrecisionError, ResourceBudgetError
+from mulab.fixedpoint import FixedReal, sqrt_const
+from mulab.phases import BracketPhase, ConcatPhase, PolyPhase, power_phase
 from mulab.phase_sums import (
     SUM_TOLERANCE,
     ap_correlation,
     blockwise_abs_average,
     checkpoint_grid,
     dirichlet_approx,
+    phase_shift_correlation,
     phase_table,
     residue_masked,
     shift_self_correlation,
@@ -382,5 +383,122 @@ class TestStreamedFunctionals:
                  lambda: ap_correlation(mu_weights, phase, 3, 100, 10 ** 6 - 300)),
                 (lambda: short_interval_sup_average(mu_weights, family, 4 * 10 ** 4, 50),
                  lambda: short_interval_sup_average(mu_weights, family, 4 * 10 ** 5, 50)),
+                (lambda: phase_shift_correlation(phase, 1, 10 ** 5),
+                 lambda: phase_shift_correlation(phase, 1, 10 ** 6)),
             ):
                 assert peak(large) < 1.25 * peak(small)
+
+
+# ---------------------------------------------------------------------------
+# each distinct term once: periodic phases tile one period, short-interval
+# families keep one member per class modulo constants
+
+
+def no_period(phase):
+    return mock.patch.object(phase, "period", None)
+
+
+@st.composite
+def unit_phases(draw):
+    """A rational polynomial whose unit is exactly q (the 1/q coefficient
+    forces it), q from 1 to past the patched CHUNK."""
+    q = draw(st.integers(1, 150))
+    cs = [F(draw(st.integers(-3 * q, 3 * q)), q), F(1, q)]
+    cs += [F(draw(st.integers(0, q - 1)), q) for _ in range(draw(st.integers(0, 2)))]
+    return PolyPhase(cs)
+
+
+class TestPeriodicTerms:
+    def test_period_is_the_unit_of_rational_polynomials_only(self):
+        assert PolyPhase([F(1, 3), F(1, 4)]).period == 12
+        assert PolyPhase([5]).period == 1
+        for phase in (PolyPhase([0, sqrt_const(2)]), PolyPhase([F(1, 3), FixedReal(1)]),
+                      BracketPhase(sqrt_const(3), sqrt_const(2)), power_phase(3, 2)):
+            assert phase.period is None
+
+    @given(unit_phases(), st.sampled_from(SMALL_CHUNKS), st.integers(0, 400),
+           st.integers(0, 600), st.booleans())
+    def test_tiled_terms_are_the_per_n_terms(self, mu_weights, phase, chunk, lo, length, weighted):
+        w = mu_weights.values if weighted else None
+        with small_chunk(chunk):
+            got = phase_sums._terms(phase, lo, lo + length, w)
+            with no_period(phase):
+                want = phase_sums._terms(phase, lo, lo + length, w)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("phase", [
+        PolyPhase([0]), PolyPhase([F(1, 3), F(2, 7), F(5, 11)]),
+        PolyPhase([0, F(1, 210000)]), PolyPhase([F(7, 4), F(1, 5), F(3, 10)]),
+    ], ids=str)
+    def test_functionals_are_bit_identical(self, mu_weights, phase):
+        def outputs():
+            avg = weighted_average(mu_weights, phase, 300_000, 20)
+            return (
+                [(r.real, r.imag) for r in avg.rows],
+                blockwise_abs_average(mu_weights, phase, [0, 1, 17, 1000, 70001]),
+                phase_table(phase, 70_001).tobytes(),
+                [ap_correlation(mu_weights, phase, s, h, 100_000).value
+                 for s, h in ((1, 10), (3, 100))],
+                phase_shift_correlation(phase, 3, 100_000),
+            )
+        got = outputs()
+        with no_period(phase):
+            assert outputs() == got
+
+
+def grid_family(g):
+    return [PolyPhase([F(a0, g), F(a1, g)]) for a0 in range(g) for a1 in range(g)]
+
+
+class TestClassesModuloConstants:
+    def test_keys(self):
+        key = PolyPhase.class_mod_constant
+        assert key(PolyPhase([F(1, 3), F(1, 4)])) == key(PolyPhase([0, F(5, 4)]))
+        assert key(PolyPhase([F(1, 3), F(1, 4), 2])) == (F(1, 4),)
+        assert key(PolyPhase([F(1, 2)])) == key(PolyPhase([sqrt_const(2)])) == ()
+        s3 = sqrt_const(3)
+        assert key(PolyPhase([sqrt_const(2), s3])) == key(PolyPhase([0, s3 + FixedReal(1 << 96)]))
+        assert key(PolyPhase([0, s3])) != key(PolyPhase([0, F(1, 4)]))
+        assert len({key(p) for p in grid_family(16)}) == 16
+
+    def test_shuffled_family_equals_its_representatives(self, mu_weights):
+        s2, s3 = sqrt_const(2), sqrt_const(3)
+        reps = [PolyPhase([0, F(1, 4)]), PolyPhase([0, F(1, 3), F(1, 5)]),
+                PolyPhase([F(1, 9), s2]), PolyPhase([0, s3, F(1, 7)]),
+                BracketPhase(s3, s2), BracketPhase(s2, s3)]
+        others = [
+            PolyPhase([F(1, 2), F(5, 4)]),            # 1/4 shifted by an integer
+            PolyPhase([0, F(1, 4)]),                  # a duplicate
+            PolyPhase([3, F(4, 3), F(-9, 5)]),        # integers added everywhere
+            PolyPhase([s3, s2 + FixedReal(5 << 96)]),  # fixed point, integer apart
+            PolyPhase([F(2, 3), s3, F(8, 7)]),
+        ]
+        shuffled = reps + others
+        random.Random(7).shuffle(shuffled)
+        for X, h in ((300, 20), (1000, 7)):
+            want = short_interval_sup_average(mu_weights, reps, X, h)
+            assert close(want, whole_window_sup(mu_weights, shuffled, X, h))
+            assert close(short_interval_sup_average(mu_weights, shuffled, X, h), want)
+            assert short_interval_sup_average(mu_weights, reps + others, X, h) == want
+
+    def test_every_member_is_range_checked(self, mu_weights):
+        coarse = PolyPhase([0, 0, FixedReal(1 << 90, err_ulp=1 << 70)])
+        with pytest.raises(PrecisionError):
+            short_interval_sup_average(mu_weights, [PolyPhase([0]), coarse], 1000, 10)
+
+
+class TestShiftCorrelationStream:
+    @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+    def test_matches_the_table_version(self, chunk):
+        for phase in (PolyPhase([0, sqrt_const(2)]), PolyPhase([F(1, 3), F(2, 7)]),
+                      BracketPhase(sqrt_const(3), sqrt_const(2))):
+            for shift, n in ((0, 50), (1, 300), (5, 129), (100, 333), (700, 64)):
+                want = shift_self_correlation(phase_table(phase, n + shift), shift, n)
+                with small_chunk(chunk):
+                    got = phase_shift_correlation(phase, shift, n)
+                assert close(got, want)
+
+    def test_rejects_bad_arguments(self):
+        for shift, n in ((-1, 10), (1, 0)):
+            with pytest.raises(ValueError):
+                phase_shift_correlation(PolyPhase([0]), shift, n)

@@ -17,6 +17,7 @@ from mulab.errors import (
 )
 from mulab.sieves import (
     MobiusTable,
+    _multiplicative_segments,
     load_cache,
     m_estimate,
     mertens,
@@ -297,6 +298,18 @@ class TestSegments:
             assert mu.value(n) == mu_oracle(n)
             assert lam.value(n) == lambda_oracle(n)
             assert phi.value(n) == phi_oracle(n)
+
+    @pytest.mark.parametrize("ratio,dtype,oracle", [
+        (lambda p, e: -1 if e == 1 else 0, np.int8, mu_oracle),
+        (lambda p, e: -1, np.int8, lambda_oracle),
+        (lambda p, e: p - 1 if e == 1 else p, np.int64, phi_oracle),
+    ], ids=["mu", "lambda", "phi"])
+    def test_int64_remainder_above_2_31(self, ratio, dtype, oracle):
+        # n_max >= 2^31 keeps the remainder in int64; only the first segment
+        # is built, and it must hold the small-n values
+        lo, vals = next(_multiplicative_segments(2 ** 31 + 5, 1000, ratio, dtype))
+        assert lo == 1
+        assert vals.tolist() == [oracle(n) for n in range(1, 1001)]
 
 
 class TestWeights:

@@ -4,6 +4,8 @@ and the bracket-phase second-difference labels."""
 
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction as F
 from unittest import mock
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mulab import symbolic_blocks
-from mulab.errors import PrecisionError, WindowTooShortError
+from mulab.errors import PrecisionError, ResourceBudgetError, WindowTooShortError
 from mulab.fixedpoint import SCALE, FixedReal, sqrt_const
 from mulab.phases import PolyPhase, TablePhase, frac_rep
 from mulab.symbolic_blocks import (
@@ -373,3 +375,100 @@ class TestQuantizeExactInputs:
         want = [min(math.floor(N * (v - math.floor(v))), N - 1)
                 for v in (y, fixed.to_fraction())]
         assert got == want + [0]
+
+
+# ---------------------------------------------------------------------------
+# rolled window codes: entropy_curve and index_blocks against plain tuple
+# scans, across the bincount/unique switch and the 2^62 structured-row path
+
+
+def repetitive(rng, base, P):
+    """Mostly a few symbols, with runs and a period, so that counts reach the
+    thresholds 3 and 50 at small J and windows still vary."""
+    common = [0, base - 1, base // 2, 1 % base]
+    out = []
+    while len(out) < P:
+        r = rng.random()
+        if r < 0.3:
+            out.extend(common[: rng.randrange(1, 5)])
+        elif r < 0.5:
+            out.extend([rng.choice(common)] * rng.randrange(1, 6))
+        else:
+            out.append(rng.randrange(base) if r > 0.9 else rng.choice(common))
+    return SymbolSeq.from_list(out[:P], base)
+
+
+# (alphabet, P, J_max): 2^62 is crossed at J = 62, 27 and 8
+ROLLING_CASES = [(2, 400, 66), (5, 300, 30), (300, 500, 10)]
+
+
+class TestRollingCodes:
+    @pytest.mark.parametrize("base,P,J_max", ROLLING_CASES)
+    def test_rows_match_per_j_tuple_scans(self, base, P, J_max):
+        seq = repetitive(random.Random(base), base, P)
+        s = seq.symbols
+        for tail in (0, 7, P - J_max):
+            scans = []
+            for J in range(1, J_max + 1):
+                first_reg = -(-tail // J) * J
+                scans.append((brute_blocks(s, J, range(tail, P - J + 1)),
+                              brute_blocks(s, J, range(first_reg, P - J + 1, J))))
+            for thr in (2, 3, 50):
+                rows = entropy_curve(seq, J_max, thr, tail)
+                want = [
+                    (J, len(every), len(reg),
+                     sum(c >= thr for c in every.values()),
+                     sum(c >= thr for c in reg.values()),
+                     math.log(len(every)) / J)
+                    for J, (every, reg) in enumerate(scans, 1)
+                ]
+                assert [(r.J, r.count_all, r.count_regular, r.count_effective,
+                         r.count_reg_effective, r.entropy_estimate)
+                        for r in rows] == want
+                assert tail > 0 or rows[0].count_effective > 0
+
+    @pytest.mark.parametrize("base,P,J_max", ROLLING_CASES)
+    def test_index_blocks_dicts_match_tuple_scans(self, base, P, J_max):
+        seq = repetitive(random.Random(base + 1), base, P)
+        s = seq.symbols
+        for J in sorted({1, 2, 5, J_max // 2, J_max - 1, J_max}):
+            for tail in (0, 7):
+                idx = index_blocks(seq, J, 3, tail)
+                every = brute_blocks(s, J, range(tail, P - J + 1))
+                reg = brute_blocks(s, J, range(-(-tail // J) * J, P - J + 1, J))
+                assert idx.all_blocks == every and idx.regular_blocks == reg
+                assert idx.effective_blocks == {b: c for b, c in every.items() if c >= 3}
+                assert idx.regularly_effective_blocks == {
+                    b: c for b, c in reg.items() if c >= 3}
+                assert all(type(v) is int for b in idx.all_blocks for v in b)
+
+    def test_argument_errors_are_unchanged(self):
+        seq = SymbolSeq.from_list([0, 1, 1, 0, 1], 2)
+        assert entropy_curve(seq, 0, effective_threshold=1, tail_start=99) == []
+        with pytest.raises(WindowTooShortError):
+            entropy_curve(seq, 6, effective_threshold=1)
+        with pytest.raises(ValueError, match="threshold"):
+            entropy_curve(seq, 2, effective_threshold=1, tail_start=99)
+        for tail in (-1, 4):
+            with pytest.raises(ValueError, match="tail_start"):
+                entropy_curve(seq, 2, tail_start=tail)
+        assert [r.J for r in entropy_curve(seq, 2, tail_start=3)] == [1, 2]
+
+    def test_peak_memory_per_symbol(self):
+        P = 10 ** 6
+        seq = random_binary(random.Random(18), P)
+        tracemalloc.start()
+        try:
+            entropy_curve(seq, 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * P
+
+    @pytest.mark.parametrize("P,J_max", [(10 ** 7, 4), (10 ** 5, 5000)])
+    def test_over_budget_fails_fast(self, P, J_max):
+        seq = SymbolSeq(np.zeros(P, dtype=np.uint8), 2)
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceBudgetError, match=r"needs about \d+ bytes.*budget"):
+            entropy_curve(seq, J_max)
+        assert time.perf_counter() - t0 < 1.0
