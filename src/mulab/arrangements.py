@@ -27,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ResourceBudgetError
+from .errors import ParseError, ResourceBudgetError
 
 SignVector = tuple[int, ...]
 
@@ -435,6 +435,8 @@ def load_arrangement_csv(path: str | Path) -> list[Hyperplane]:
                     f"row needs k>=1 numerator/denominator pairs plus an "
                     f"offset pair, got {len(nums)} fields"
                 )
+            if 0 in nums[1::2]:
+                raise ParseError(f"{path}: zero denominator in row {row}")
             pairs = [
                 Fraction(nums[i], nums[i + 1]) for i in range(0, len(nums), 2)
             ]
@@ -444,17 +446,18 @@ def load_arrangement_csv(path: str | Path) -> list[Hyperplane]:
 
 def load_arrangement_json(path: str | Path) -> list[Hyperplane]:
     spec = json.loads(Path(path).read_text(encoding="utf-8"))
-    out = []
-    for entry in spec["hyperplanes"]:
-        normal = tuple(Fraction(str(v)) for v in entry["normal"])
-        out.append(Hyperplane(normal, Fraction(str(entry["offset"]))))
-    return out
+    try:
+        return [Hyperplane(tuple(Fraction(str(v)) for v in entry["normal"]),
+                           Fraction(str(entry["offset"])))
+                for entry in spec["hyperplanes"]]
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ParseError(f"{path}: malformed arrangement ({exc!r})") from None
 
 
 def count_report(arr: Sequence[Hyperplane]) -> dict:
     """{m, k, count, bound, attained} for an arrangement."""
+    count = count_pieces(arr)  # rejects an empty arrangement
     m, k = len(arr), arr[0].dim
-    count = count_pieces(arr)
     bound = piece_bound(m, k)
     return {"m": m, "k": k, "count": count, "bound": bound,
             "attained": count == bound}

@@ -16,13 +16,7 @@ import sys
 from pathlib import Path
 
 from ._util import atomic_write
-from .errors import (
-    CacheFormatError,
-    InvariantError,
-    ParseError,
-    PrecisionError,
-    ResourceBudgetError,
-)
+from .errors import ParseError, PrecisionError, ResourceBudgetError
 from .arrangements import (
     count_report,
     load_arrangement_csv,
@@ -412,25 +406,16 @@ def main(argv: list[str] | None = None) -> int:
                     f"(flag or config file)"
                 )
         return args.run(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # ParseError, json.JSONDecodeError, bad arguments
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (PrecisionError, ResourceBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except CacheFormatError as exc:
+    except OSError as exc:  # CacheFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except InvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except Exception as exc:  # pragma: no cover - last resort
+    except Exception as exc:  # InvariantError, or a bug
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

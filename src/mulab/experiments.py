@@ -4,6 +4,7 @@ suite asserts on them.  All randomness flows through an explicit seed."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import platform
@@ -148,23 +149,11 @@ def run_appendix_exact(params: dict, out_dir: Path | None = None) -> dict:
     equiv_ok = True
     equiv_cases = 0
     for k in (1, 2, 3):
-        J = k + 1
-        idx = [0] * J
-        while True:
-            xs = [values[i] for i in idx]
+        for xs in itertools.product(values, repeat=k + 1):
             c1, c2 = xc.frac_diff_equivalence(xs, k)
             equiv_cases += 1
             if c1 != c2:
                 equiv_ok = False
-            pos = J - 1
-            while pos >= 0:
-                idx[pos] += 1
-                if idx[pos] < len(values):
-                    break
-                idx[pos] = 0
-                pos -= 1
-            if pos < 0:
-                break
     for _ in range(5000):
         k = rng.randrange(0, 4)
         J = rng.randrange(k + 1, 7)

@@ -49,10 +49,6 @@ class FixedReal:
         return FixedReal(_guard(q), 0 if r == 0 else 1, label)
 
     @staticmethod
-    def from_float(x: float) -> "FixedReal":
-        return FixedReal.from_fraction(Fraction(x))
-
-    @staticmethod
     def sqrt_int(m: int) -> "FixedReal":
         """floor(sqrt(m) * 2**96); error at most one ulp."""
         if m < 0:
@@ -126,11 +122,6 @@ class FixedReal:
 
     def err_abs(self) -> float:
         return self.err_ulp * 2.0 ** -FRAC_BITS
-
-    def circle_dist_float(self) -> float:
-        """Distance of the represented value to the nearest integer."""
-        f = self.frac_mantissa()
-        return min(f, SCALE - f) * 2.0 ** -FRAC_BITS
 
     def __lt__(self, other: "FixedReal") -> bool:
         return self.mantissa < other.mantissa

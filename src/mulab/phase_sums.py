@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import atomic_write
+from ._util import DEFAULT_BUDGET_BYTES, atomic_write
 from .errors import ResourceBudgetError
 from .fixedpoint import SCALE, FixedReal
 from .phases import CHUNK, Phase, PolyPhase
@@ -77,22 +77,28 @@ def weights_from_table(table: MobiusTable) -> WeightTable:
     return WeightTable(table.weight_array(), table.label)
 
 
+def _constant_weights(n_max: int, value: int, label: str) -> WeightTable:
+    if n_max + 1 > DEFAULT_BUDGET_BYTES:
+        raise ResourceBudgetError(
+            f"constant weights for n_max={n_max} need {n_max + 1} bytes, over "
+            f"the {DEFAULT_BUDGET_BYTES}-byte budget; lower n_max")
+    return WeightTable(np.full(n_max + 1, value, dtype=np.int8), label)
+
+
 def unit_weights(n_max: int) -> WeightTable:
-    w = np.ones(n_max + 1, dtype=np.int8)
-    return WeightTable(w, "one")
+    return _constant_weights(n_max, 1, "one")
 
 
 def zero_weights(n_max: int) -> WeightTable:
-    return WeightTable(np.zeros(n_max + 1, dtype=np.int8), "zero")
+    return _constant_weights(n_max, 0, "zero")
 
 
 def residue_masked(base: WeightTable, q: int, a: int) -> WeightTable:
     """Keep w(n) only on n = a (mod q)."""
     if q < 1 or not 0 <= a < q:
         raise ValueError("need q >= 1 and 0 <= a < q")
-    w = base.values.copy()
-    ns = np.arange(w.size)
-    w[ns % q != a] = 0
+    w = np.zeros_like(base.values)
+    w[a::q] = base.values[a::q]
     return WeightTable(w, f"{base.label}|{a}mod{q}")
 
 

@@ -3,28 +3,28 @@
 A phase evaluates to fractional parts either exactly (all-rational
 coefficients, `Fraction` arithmetic throughout) or in 96-fractional-bit
 fixed point with a certified error bound (irrational constants such as
-sqrt2 enter only as `FixedReal`).  Four shapes are supported:
+sqrt2 enter only as `FixedReal`).  Each shape has a `unit` and one batch
+kernel, `_numerators(start, count)`: an int64 or object array of num with
+{f(n)} = num/unit exactly on the representation.  The shapes and kernels:
 
-* polynomial            c_0 + c_1 n + ... + c_d n^d
-* bracket product       beta * n * {alpha * n}
-* concatenation         piece i on [N_i, N_{i+1})
-* table                 explicit values or a value oracle (e.g. n^{3/2})
+* polynomial c_0 + ... + c_d n^d: Horner's rule on integer-scaled
+  coefficients, int64 while unit * n < 2^62, Python ints above
+* bracket product beta n {alpha n}: one object-array formula rounding half
+  up as `frac(n)` does
+* power n^(a/b): iroot(n^a 2^(96 b), b) over an object array, masked
+* concatenation, piece i (any phase) on [N_i, N_{i+1}): each piece's kernel
+  on its part of the range, over the lcm of the pieces' units
+* interpolating concatenation of a source phase at schedule breakpoints:
+  the Newton form sum_{i<k} (D^i y)(0) C(n - N_i, i) mod the unit on the
+  source's node numerators y, exact because D^k vanishes on a piece
+* table: a value oracle n -> Real (e.g. linear drift), the one shape
+  evaluated per n, {oracle(n)} rounded half up to 2^-96
 
-plus a lazily-evaluated concatenation whose pieces are the degree-<k
-interpolations of a source function anchored at schedule breakpoints.
-
-Batch contract.  `frac_units(start, count)` returns `(unit, numerators)`,
-an iterator over Python ints with {f(n)} = num/unit exactly on the
-representation for n = start .. start+count-1; it is each shape's one
-batch numerator kernel, and consumers iterate over the numerators once.
-Polynomials run Horner's rule on integer-scaled coefficients (int64 while
-unit * n stays below 2^62, Python ints in an object array above) and
-bracket products one formula over an object array that rounds half up as
-`frac(n)` does; both iterate over the finished list.  The other shapes go
-through `frac(n)` one n at a time and yield as they go.  `frac_chunk` is the
-correctly rounded float64 value of num/unit, from the same kernel.  The
-per-n `frac` and `value` stay as the scalar reference.  Consumers walk n in
-batches of `CHUNK`, which bounds the size of each batch's object arrays.
+`Phase` derives the rest from the kernel: `frac_units(start, count)` is
+(unit, iterator over the numerators as Python ints) and `frac_chunk` the
+correctly rounded float64 num/unit.  The per-n `frac` and `value` of the
+polynomial, bracket and power shapes stay as the scalar reference.
+Consumers walk n in batches of `CHUNK`, which bounds the object arrays.
 
 Periods.  `Phase.period` is a q with {f(n + q)} = {f(n)} on the
 representation, or None.  A rational polynomial's period is its unit: its
@@ -61,10 +61,6 @@ RANGE_BUDGET = 2.0 ** -30
 CHUNK = 1 << 16
 
 
-def real_to_float(v: Real) -> float:
-    return v.to_float() if isinstance(v, FixedReal) else float(v)
-
-
 def frac_rep(v: Real) -> tuple[int, int]:
     """(numerator, unit) with {v} = numerator/unit exactly on the representation."""
     if isinstance(v, FixedReal):
@@ -85,20 +81,17 @@ def circle_dist(a: Real, b: Real) -> float:
 def _as_real(value) -> Real:
     if isinstance(value, (FixedReal, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, float)):
         return Fraction(value)
     raise TypeError(f"cannot treat {value!r} as an exact real")
 
 
 class Phase:
-    """Base class; subclasses implement frac(), err_ulp_at() and describe().
-
-    `period` is a q with {f(n + q)} = {f(n)} on the representation for every
-    n, or None when the shape promises none."""
+    """Base class; a shape sets `unit` and implements `_numerators`, frac(),
+    err_ulp_at() and describe(), and a periodic one sets `period`."""
 
     period: int | None = None
+    unit: int = SCALE
 
     def frac(self, n: int) -> Real:
         raise NotImplementedError
@@ -121,26 +114,25 @@ class Phase:
     def describe(self) -> str:
         raise NotImplementedError
 
-    # iteration helpers -----------------------------------------------------
+    # the batch kernel and what derives from it ------------------------------
+
+    def _numerators(self, start: int, count: int) -> np.ndarray:
+        """int64 or object array of num in [0, unit) with {f(n)} = num/unit
+        on the representation for n = start .. start+count-1."""
+        raise NotImplementedError
 
     def frac_units(self, start: int, count: int) -> tuple[int, Iterator[int]]:
-        """(unit, numerators): {f(n)} = num/unit on the representation for
-        n = start .. start+count-1.  This per-n version goes through frac(n),
-        rounds other units to 2^-96 and yields as it goes."""
-        def gen() -> Iterator[int]:
-            for n in range(start, start + count):
-                num, u = frac_rep(self.frac(n))
-                if u == SCALE:
-                    yield num
-                else:
-                    q, r = divmod(num << FRAC_BITS, u)
-                    yield q + (1 if 2 * r >= u else 0)
-        return SCALE, gen()
+        """(unit, iterator over the numerators as Python ints)."""
+        return self.unit, iter(self._numerators(start, count).tolist())
 
     def frac_chunk(self, start: int, count: int) -> np.ndarray:
-        """Float64 fractional parts for n = start .. start+count-1."""
-        unit, nums = self.frac_units(start, count)
-        return np.fromiter((v / unit for v in nums), dtype=np.float64, count=count)
+        """Float64 num/unit, correctly rounded, for n = start .. start+count-1."""
+        nums = self._numerators(start, count)
+        if self.unit == SCALE:
+            return nums.astype(np.float64) * 2.0 ** -FRAC_BITS  # exact scaling
+        if self.unit > 1 << 53:  # int64 -> float64 would round num first
+            nums = nums.astype(object)
+        return np.asarray(nums / self.unit, dtype=np.float64)
 
 
 def eval_phase(phase: Phase, n: int, budget: float = RANGE_BUDGET) -> tuple[float, float]:
@@ -151,7 +143,7 @@ def eval_phase(phase: Phase, n: int, budget: float = RANGE_BUDGET) -> tuple[floa
     """
     phase.check_range(n, budget)
     v = phase.frac(n)
-    return real_to_float(v), phase.err_bound(n)
+    return (v.to_float() if isinstance(v, FixedReal) else float(v)), phase.err_bound(n)
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +166,19 @@ class PolyPhase(Phase):
         self.coeffs: tuple[Real, ...] = tuple(cs) if cs else (Fraction(0),)
         self.rational = all(isinstance(c, Fraction) for c in self.coeffs)
         if self.rational:
-            self._unit = math.lcm(*(c.denominator for c in self.coeffs))
-            scaled = [int(c * self._unit) for c in self.coeffs]
+            self.unit = math.lcm(*(c.denominator for c in self.coeffs))
+            scaled = [int(c * self.unit) for c in self.coeffs]
         else:
             self._fixed = tuple(
                 c if isinstance(c, FixedReal) else FixedReal.from_fraction(c)
                 for c in self.coeffs
             )
-            self._unit = SCALE
+            self.unit = SCALE
             scaled = [c.mantissa for c in self._fixed]
         # {f(n)} = (sum scaled_i n^i mod unit) / unit on the representation
-        self._scaled = [c % self._unit for c in scaled]
+        self._scaled = [c % self.unit for c in scaled]
         # integer scaled coefficients: the numerators depend on n mod unit only
-        self.period = self._unit if self.rational else None
+        self.period = self.unit if self.rational else None
 
     @property
     def degree(self) -> int:
@@ -218,28 +210,19 @@ class PolyPhase(Phase):
     def class_mod_constant(self) -> tuple[Fraction, ...]:
         """{c_1}, ..., {c_d} on the representation, trailing zeros dropped:
         two polynomial phases with equal keys differ by a constant mod 1."""
-        key = [Fraction(c, self._unit) for c in self._scaled[1:]]
+        key = [Fraction(c, self.unit) for c in self._scaled[1:]]
         while key and not key[-1]:
             key.pop()
         return tuple(key)
 
-    def frac_units(self, start: int, count: int) -> tuple[int, Iterator[int]]:
-        return self._unit, iter(self._numerators(start, count).tolist())
-
-    def frac_chunk(self, start: int, count: int) -> np.ndarray:
-        nums = self._numerators(start, count)
-        if self.rational:
-            if self._unit > 1 << 53:  # int64 -> float64 would round num first
-                nums = nums.astype(object)
-            return np.asarray(nums / self._unit, dtype=np.float64)
-        return nums.astype(np.float64) * 2.0 ** -FRAC_BITS  # exact: unit 2^96
+    frac_chunk = Phase.frac_chunk  # bound here too: the benchmark tracer wraps per class
 
     def _numerators(self, start: int, count: int) -> np.ndarray:
         """Horner's rule on the scaled coefficients, reduced mod the unit: in
         int64, reduced every step, while no product can reach 2^62; else in
         Python ints (an object array), reduced once at the end.  Reducing
         mod 2^96 is a mask, which costs less than half of `%` here."""
-        unit, cs = self._unit, self._scaled
+        unit, cs = self.unit, self._scaled
         if unit * max(-start, start + count) < 1 << 62:
             ns = np.arange(start, start + count, dtype=np.int64)
             acc = np.full(count, cs[-1], dtype=np.int64)
@@ -278,24 +261,17 @@ class BracketPhase(Phase):
     def describe(self) -> str:
         return f"bracket:{_token_str(self.beta)},{_token_str(self.alpha)}"
 
-    def _value(self, n: int) -> FixedReal:
+    def value(self, n: int) -> FixedReal:
         inner = FixedReal((self.alpha.mantissa * n) % SCALE, self.alpha.err_ulp * n)
         return self.beta.mul_int(n) * inner
 
-    def value(self, n: int) -> FixedReal:
-        return self._value(n)
-
     def frac(self, n: int) -> FixedReal:
-        return self._value(n).frac()
+        return self.value(n).frac()
 
     def err_ulp_at(self, n: int) -> int:
-        return self._value(n).err_ulp
+        return self.value(n).err_ulp
 
-    def frac_units(self, start: int, count: int) -> tuple[int, Iterator[int]]:
-        return SCALE, iter(self._numerators(start, count).tolist())
-
-    def frac_chunk(self, start: int, count: int) -> np.ndarray:
-        return self._numerators(start, count).astype(np.float64) * 2.0 ** -FRAC_BITS
+    frac_units = Phase.frac_units  # bound here too: the benchmark tracer wraps per class
 
     def _numerators(self, start: int, count: int) -> np.ndarray:
         """beta n * {alpha n} mod 2^96 on the mantissas, rounded half up as
@@ -312,66 +288,79 @@ class BracketPhase(Phase):
 
 
 # ---------------------------------------------------------------------------
-# table phases (explicit values or a value oracle)
+# power and table phases
+
+
+_IROOT = np.frompyfunc(iroot, 2, 1)
+_ISQRT = np.frompyfunc(math.isqrt, 1, 1)  # iroot(x, 2) without its checks
+
+
+class PowerPhase(Phase):
+    """f(n) = n^(num/den) as floor(n^(num/den) 2^96) by exact integer roots:
+    within one ulp, exact when den = 1."""
+
+    def __init__(self, num: int, den: int):
+        if num < 1 or den < 1:
+            raise ValueError("power exponent must be positive")
+        self.num, self.den = num, den
+
+    def describe(self) -> str:
+        return f"pow:{self.num}/{self.den}"
+
+    def value(self, n: int) -> FixedReal:
+        root = iroot((n ** self.num) << (FRAC_BITS * self.den), self.den)
+        return FixedReal(root, self.err_ulp_at(n))
+
+    def frac(self, n: int) -> FixedReal:
+        return self.value(n).frac()
+
+    def err_ulp_at(self, n: int) -> int:
+        return 0 if self.den == 1 or n == 0 else 1
+
+    def _numerators(self, start: int, count: int) -> np.ndarray:
+        """iroot(n^num 2^(96 den), den) mod 2^96, in place over an object
+        array as in PolyPhase._numerators; zero when den = 1."""
+        if self.den == 1:
+            return np.zeros(count, dtype=np.int64)
+        ns = np.arange(start, start + count, dtype=object)
+        ns **= self.num
+        ns <<= FRAC_BITS * self.den
+        if self.den == 2:
+            _ISQRT(ns, out=ns)
+        else:
+            _IROOT(ns, self.den, out=ns)
+        ns &= SCALE - 1
+        return ns
+
+
+power_phase = PowerPhase
 
 
 class TablePhase(Phase):
-    """Phase backed by explicit values or a value oracle n -> Real."""
+    """Phase backed by a value oracle n -> Real: the one shape evaluated per
+    n, its numerators {oracle(n)} rounded half up to 2^-96."""
 
-    def __init__(
-        self,
-        values: Sequence[Real | int | float] | None = None,
-        oracle: Callable[[int], Real] | None = None,
-        err_ulp: int = 0,
-        label: str = "table",
-        length: int | None = None,
-    ):
-        if (values is None) == (oracle is None):
-            raise ValueError("supply exactly one of values / oracle")
-        self._values = [_as_real(v) for v in values] if values is not None else None
-        self._oracle = oracle
-        self._err = err_ulp
-        self._label = label
-        self.length = length if length is not None else (
-            len(self._values) if self._values is not None else None
-        )
+    def __init__(self, oracle: Callable[[int], Real], err_ulp: int = 0,
+                 label: str = "table"):
+        self._oracle, self._err, self._label = oracle, err_ulp, label
 
     def describe(self) -> str:
         return self._label
 
-    def value(self, n: int) -> Real:
-        if self.length is not None and not 0 <= n < self.length:
-            raise PrecisionError(f"{self._label}: n={n} outside table range")
-        if self._values is not None:
-            return self._values[n]
-        return self._oracle(n)
-
     def frac(self, n: int) -> Real:
-        v = self.value(n)
+        v = self._oracle(n)
         return v.frac() if isinstance(v, FixedReal) else frac_part(v)
 
     def err_ulp_at(self, n: int) -> int:
-        v = self.value(n)
+        v = self._oracle(n)
         return v.err_ulp if isinstance(v, FixedReal) else self._err
 
-
-def power_phase(num: int, den: int) -> TablePhase:
-    """f(n) = n^(num/den) evaluated by exact integer roots (<= 1 ulp error)."""
-    if num < 1 or den < 1:
-        raise ValueError("power exponent must be positive")
-
-    if den == 1:
-        def oracle(n: int) -> FixedReal:
-            return FixedReal((n ** num) << FRAC_BITS, 0)
-    else:
-        shift = FRAC_BITS * den
-
-        def oracle(n: int) -> FixedReal:
-            if n == 0:
-                return FixedReal(0, 0)
-            return FixedReal(iroot((n ** num) << shift, den), 1)
-
-    return TablePhase(oracle=oracle, err_ulp=1, label=f"pow:{num}/{den}")
+    def _numerators(self, start: int, count: int) -> np.ndarray:
+        def rounded(n: int) -> int:
+            num, u = frac_rep(self.frac(n))
+            return (((num << (FRAC_BITS + 1)) + u) // (2 * u)) & (SCALE - 1)
+        return np.fromiter(map(rounded, range(start, start + count)),
+                           dtype=object, count=count)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +380,7 @@ class ConcatPhase(Phase):
             raise ValueError("need exactly one piece per breakpoint")
         self.breakpoints = bps
         self.pieces = list(pieces)
+        self.unit = math.lcm(*(p.unit for p in self.pieces))
 
     def _piece(self, n: int) -> Phase:
         if n < 0:
@@ -402,6 +392,24 @@ class ConcatPhase(Phase):
 
     def err_ulp_at(self, n: int) -> int:
         return self._piece(n).err_ulp_at(n)
+
+    def _numerators(self, start: int, count: int) -> np.ndarray:
+        """Each piece's kernel on its part of the range, re-expressed over
+        the lcm of the pieces' units."""
+        if start < 0:
+            raise ValueError("phase arguments are natural numbers")
+        bps, end = self.breakpoints, start + count
+        i = bisect.bisect_right(bps, start) - 1
+        edges = [start, *bps[i + 1 : bisect.bisect_left(bps, end)], end]
+        parts = []
+        for piece, lo, hi in zip(self.pieces[i:], edges, edges[1:]):
+            nums = piece._numerators(lo, hi - lo)
+            if piece.unit != self.unit:
+                if self.unit >= 1 << 63:  # the int64 product could overflow
+                    nums = nums.astype(object)
+                nums = nums * (self.unit // piece.unit)
+            parts.append(nums)
+        return np.concatenate(parts)
 
     def describe(self) -> str:
         inner = ";".join(p.describe() for p in self.pieces[:4])
@@ -432,18 +440,12 @@ class StageSchedule:
 
     def stage_start(self, m: int) -> int | None:
         while len(self._starts) <= m:
-            i = len(self._starts)
-            prev = self._starts[-1]
-            if prev is None:
-                self._starts.append(None)
-                continue
-            raw = self._raw_stage_start(i)
-            if raw is None or raw > self._CEILING:
-                self._starts.append(None)
-                continue
-            step = 1 << i
-            while raw <= prev:
-                raw += step
+            i, prev = len(self._starts), self._starts[-1]
+            raw = None if prev is None else self._raw_stage_start(i)
+            if raw is not None and raw > self._CEILING:
+                raw = None
+            while raw is not None and raw <= prev:
+                raw += 1 << i
             self._starts.append(raw)
         return self._starts[m]
 
@@ -518,64 +520,72 @@ class GeometricSchedule(StageSchedule):
 
 
 class ScheduledLagrangeConcat(Phase):
-    """Concatenation of the degree-<k interpolations of `source` anchored at
-    each schedule breakpoint N_i: the piece value at n is
-        sum_l source(N_i + l) * prod_{t != l} (n - N_i - t)/(l - t),
-    whose fractional part depends only on {source} because the coefficients
-    are integers."""
+    """Concatenation of the degree-<k interpolations of the phase `source`
+    anchored at each schedule breakpoint N_i.  With y_l the source's
+    numerator at N_i + l, the numerator at n = N_i + j is the Newton form
+    sum_{i<k} (D^i y)(0) C(j, i) = sum_l y_l prod_{t != l} (j - t)/(l - t)
+    mod the source's unit: exact on the source's representation."""
 
-    def __init__(self, schedule: StageSchedule, source, k: int):
+    def __init__(self, schedule: StageSchedule, source: Phase, k: int):
         if k < 1:
             raise ValueError("interpolation order k must be >= 1")
-        self.schedule = schedule
-        self.source = source
-        self.k = k
-        self._node_cache: dict[int, list[Real]] = {}
-
-    def _source_frac(self, n: int) -> Real:
-        if isinstance(self.source, Phase):
-            return self.source.frac(n)
-        v = _as_real(self.source(n))
-        return v.frac() if isinstance(v, FixedReal) else frac_part(v)
-
-    def _nodes(self, anchor: int) -> list[Real]:
-        nodes = self._node_cache.get(anchor)
-        if nodes is None:
-            nodes = [self._source_frac(anchor + l) for l in range(self.k)]
-            if len(self._node_cache) > 64:
-                self._node_cache.clear()
-            self._node_cache[anchor] = nodes
-        return nodes
-
-    def value(self, n: int) -> Real:
-        anchor = self.schedule.piece_start(n)
-        nodes = self._nodes(anchor)
-        j = n - anchor
-        if isinstance(nodes[0], FixedReal):
-            acc = FixedReal(0)
-            for l, node in enumerate(nodes):
-                acc = acc + node.mul_int(lagrange_coeff(j, l, self.k))
-            return acc
-        return sum(
-            (node * lagrange_coeff(j, l, self.k) for l, node in enumerate(nodes)),
-            Fraction(0),
-        )
+        if not isinstance(source, Phase):
+            raise TypeError(f"concatenation source must be a Phase, not {source!r}")
+        self.schedule, self.source, self.k = schedule, source, k
+        self.unit = source.unit
 
     def frac(self, n: int) -> Real:
-        v = self.value(n)
-        return v.frac() if isinstance(v, FixedReal) else frac_part(v)
+        num = int(self._numerators(n, 1)[0])
+        if self.unit == SCALE:
+            return FixedReal(num, self.err_ulp_at(n))
+        return Fraction(num, self.unit)
 
     def err_ulp_at(self, n: int) -> int:
-        v = self.value(n)
-        return v.err_ulp if isinstance(v, FixedReal) else 0
+        a, k = self.schedule.piece_start(n), self.k
+        return sum(self.source.err_ulp_at(a + l) * abs(lagrange_coeff(n - a, l, k))
+                   for l in range(k))
 
     def describe(self) -> str:
-        src = self.source.describe() if isinstance(self.source, Phase) else "oracle"
+        src = self.source.describe()
         return f"concat[deg<{self.k},{self.schedule.describe()},src={src}]"
+
+    def _anchors(self, start: int, end: int) -> np.ndarray:
+        """The piece start of each n in [start, end), stage by stage."""
+        sched = self.schedule
+        out = np.arange(start, end, dtype=np.int64 if end <= 1 << 62 else object)
+        m, lo = sched.stage_of(start), start
+        while lo < end:
+            nxt = sched.stage_start(m + 1)
+            hi = end if nxt is None else min(nxt, end)
+            seg = out[lo - start : hi - start]
+            seg -= (seg - sched.stage_start(m)) % (1 << m)
+            lo, m = hi, m + 1
+        return out
+
+    def _numerators(self, start: int, count: int) -> np.ndarray:
+        """The Newton form of every piece at once, in Python ints.  The node
+        numerators come from one source window over [start, end + k - 1),
+        plus the first piece's own k nodes when it starts before `start`."""
+        k, end, src = self.k, start + count, self.source
+        anchors = self._anchors(start, end)
+        first = int(anchors[0]) if count else start
+        head = src._numerators(first, k) if first < start else np.zeros(0, np.int64)
+        ys = np.concatenate([head, src._numerators(start, count + k - 1)]).astype(object)
+        pos = (anchors - (start - head.size)).astype(np.intp)
+        pos[anchors < start] = 0
+        js = np.arange(start, end, dtype=anchors.dtype) - anchors
+        acc = ys[pos]  # (D^0 y)(0) C(j, 0)
+        binom = np.ones(count, dtype=object)
+        for i in range(1, k):
+            ys = np.diff(ys)
+            binom = binom * (js - (i - 1)) // i  # C(j, i)
+            acc += ys[pos] * binom
+        acc %= self.unit
+        return acc
 
 
 def build_concatenation(
-    source,
+    source: Phase,
     k: int,
     m_target: int,
     schedule: StageSchedule | None = None,
@@ -602,14 +612,9 @@ class ResidualReport:
 
 def concat_residual(source: Phase, concat: Phase, ns: Sequence[int]) -> ResidualReport:
     """max over sampled n of ||source(n) - concat(n)||, exact on representations."""
-    worst, arg = -1.0, -1
-    count = 0
-    for n in ns:
-        d = circle_dist(source.frac(n), concat.frac(n))
-        count += 1
-        if d > worst:
-            worst, arg = d, n
-    return ResidualReport(worst, arg, count)
+    dists = [(circle_dist(source.frac(n), concat.frac(n)), n) for n in ns]
+    worst, arg = max(dists, key=lambda d: d[0], default=(-1.0, -1))  # first on ties
+    return ResidualReport(worst, arg, len(dists))
 
 
 # ---------------------------------------------------------------------------
@@ -646,12 +651,8 @@ def parse_phase(text: str, base_dir: Path | None = None) -> Phase:
     if not sep:
         raise ParseError(f"phase {text!r} has no ':' separator")
     if head == "poly":
-        toks = rest.split(",")
-        coeffs = [
-            parse_real_token(t, f" at position {i} of {text!r}")
-            for i, t in enumerate(toks)
-        ]
-        return PolyPhase(coeffs)
+        return PolyPhase([parse_real_token(t, f" at position {i} of {text!r}")
+                          for i, t in enumerate(rest.split(","))])
     if head == "bracket":
         toks = rest.split(",")
         if len(toks) != 2:
@@ -672,6 +673,10 @@ def parse_phase(text: str, base_dir: Path | None = None) -> Phase:
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         spec = json.loads(path.read_text())
-        pieces = [parse_phase(p, base_dir) for p in spec["pieces"]]
-        return ConcatPhase(spec["breakpoints"], pieces)
+        try:
+            bps, texts = spec["breakpoints"], spec["pieces"]
+        except (KeyError, TypeError):
+            raise ParseError(
+                f"{path}: a concat spec needs 'breakpoints' and 'pieces'") from None
+        return ConcatPhase(bps, [parse_phase(t, base_dir) for t in texts])
     raise ParseError(f"unknown phase kind {head!r} in {text!r}")

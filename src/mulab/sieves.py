@@ -36,6 +36,7 @@ import numpy as np
 from ._util import DEFAULT_BUDGET_BYTES, atomic_write
 from .errors import (
     CacheChecksumError,
+    CacheFormatError,
     CacheMagicError,
     CacheVersionError,
     InvariantError,
@@ -328,7 +329,7 @@ def load_cache(path: str | Path) -> MobiusTable:
         )
     (n_max,) = struct.unpack("<Q", blob[5:13])
     payload_len = (n_max + 3) // 4
-    rest = blob[13:]
+    rest = memoryview(blob)[13:]  # slices below are views, not copies
     if len(rest) != payload_len + 4:
         raise CacheChecksumError(
             f"{path}: payload+crc is {len(rest)} bytes, expected {payload_len + 4} "
@@ -342,6 +343,13 @@ def load_cache(path: str | Path) -> MobiusTable:
             f"{path}: CRC mismatch (stored {crc_stored:08x}, actual {crc_actual:08x})"
         )
     packed = np.frombuffer(payload, dtype=np.uint8).copy()
-    table = MobiusTable(int(n_max), packed)
-    table.values(1, min(int(n_max), 1 << 16) + 1)  # reject reserved code 11 early
-    return table
+    # a code 11 sets both bits of its pair: one test over every byte
+    reserved = packed >> 1
+    reserved &= packed
+    reserved &= 0x55
+    if reserved.any():
+        b = int(np.flatnonzero(reserved)[0])
+        low = int(reserved[b]) & -int(reserved[b])  # low bit of the first bad pair
+        raise CacheFormatError(
+            f"{path}: reserved code 11 at n={4 * b + low.bit_length() // 2 + 1}")
+    return MobiusTable(int(n_max), packed)

@@ -15,12 +15,12 @@ The counts are exact, on integer window codes sum_j s(i+j) base^(J-1-j)
 in place and counts them with np.bincount while base^J is at most the
 number of windows, else with np.unique; once base^J reaches 2^62 the
 windows are counted as structured rows instead.  Only `index_blocks`
-decodes codes into blocks.  `entropy_curve` checks its working bytes
-(measured per symbol) against the 512 MiB default budget up front.  The
-per-J entropy estimates log|B_J|/J are finite-prefix estimates, which the
-report rows label explicitly.  Scans are pure functions of the
-immutable prefix; counting unions over disjoint start ranges commute, so
-callers may shard long prefixes.
+decodes codes into blocks.  `entropy_curve` and `index_blocks` check their
+working bytes (measured per symbol and per decoded block) against the
+512 MiB default budget up front.  The per-J entropy estimates log|B_J|/J
+are finite-prefix estimates, which the report rows label explicitly.
+Scans are pure functions of the immutable prefix; counting unions over
+disjoint start ranges commute, so callers may shard long prefixes.
 """
 
 from __future__ import annotations
@@ -118,6 +118,25 @@ def _code_range(base: int, J: int) -> int | None:
     so no larger power is ever built)."""
     size = base ** min(J, 63)
     return size if size < 1 << 62 else None
+
+
+#: bytes per distinct block that `index_blocks` decodes, measured the same
+#: way (P = 1e5; bases 2, 5, 300): a dict entry and its count, plus 8 per
+#: block symbol for its tuple and 8 more on the row path for the row's tuple
+_BLOCK_BYTES = 176
+
+
+def _check_budget(what: str, seq: SymbolSeq, J: int, blocks: int = 0) -> None:
+    """Raise ResourceBudgetError unless the J-window keys of `seq`, all
+    distinct, plus `blocks` decoded blocks fit the default budget."""
+    rows = _code_range(seq.alphabet_size, J) is None
+    per_symbol = _CODE_BYTES_PER_SYMBOL + rows * _ROW_COPIES * J * seq.symbols.itemsize
+    need = per_symbol * len(seq) + blocks * (_BLOCK_BYTES + 8 * J * (1 + rows))
+    if need > DEFAULT_BUDGET_BYTES:
+        raise ResourceBudgetError(
+            f"{what} for P={len(seq)}, J={J} needs about {need} bytes "
+            f"({per_symbol} per symbol for the window keys), over the "
+            f"{DEFAULT_BUDGET_BYTES}-byte budget; shorten the prefix or lower J")
 
 
 def _window_keys(symbols: np.ndarray, base: int, J_lo: int, J_hi: int):
@@ -222,6 +241,7 @@ def index_blocks(
     if not 0 <= tail_start <= P - J:
         raise ValueError("tail_start outside the prefix")
     base = seq.alphabet_size
+    _check_budget("index_blocks", seq, J, min(P - J + 1, _code_range(base, J) or P))
     _, keys = next(_window_keys(seq.symbols, base, J, J))
     all_counts, reg_counts = (
         _blocks(*family, J, base)
@@ -263,16 +283,7 @@ def entropy_curve(
     if not 0 <= tail_start <= P - J_max:
         raise ValueError("tail_start outside the prefix")
     base = seq.alphabet_size
-    per_symbol = _CODE_BYTES_PER_SYMBOL
-    if _code_range(base, J_max) is None:
-        per_symbol += _ROW_COPIES * J_max * seq.symbols.itemsize
-    if per_symbol * P > DEFAULT_BUDGET_BYTES:
-        raise ResourceBudgetError(
-            f"entropy_curve for P={P}, J_max={J_max} needs about "
-            f"{per_symbol * P} bytes ({per_symbol} per symbol), over the "
-            f"{DEFAULT_BUDGET_BYTES}-byte budget; shorten the prefix or "
-            f"lower J_max"
-        )
+    _check_budget("entropy_curve", seq, J_max)
     rows = []
     for J, keys in _window_keys(seq.symbols, base, 1, J_max):
         (_, every), (_, regular) = _family_counts(keys, J, tail_start, base)
@@ -461,8 +472,7 @@ def bracket_second_difference_labels(P: int) -> tuple[SymbolSeq, Example33Report
     worst, worst_n = -1, 0
     for start in range(0, P, CHUNK):
         cnt = min(CHUNK, P - start)
-        _, nums = frac_s2.frac_units(start, cnt + 2)
-        fm = np.fromiter(nums, dtype=object, count=cnt + 2)  # {sqrt2 n} * 2^96
+        _, fm = _numerator_array(frac_s2, start, cnt + 2)  # {sqrt2 n} * 2^96
         c0, c1, c2 = fm[:-2], fm[1:-1], fm[2:]
         up1, up2 = c1 > c0, c2 > c1
         lab = _CASE[up2.astype(np.intp), up1.astype(np.intp)]

@@ -70,6 +70,31 @@ class TestSumCommand:
                     "--n", "100"]) == 2
         assert "sqx" in capsys.readouterr().err
 
+    def test_reserved_code_in_cache_is_io_error(self, tmp_path, capsys):
+        from mulab.sieves import MobiusTable, save_cache, sieve_mobius
+
+        table = sieve_mobius(10 ** 5)
+        packed = table.packed.copy()
+        packed[(80_000 - 1) // 4] |= 0b11 << 6  # code 11 at n = 80,000
+        cache = tmp_path / "mu.bin"
+        save_cache(MobiusTable(table.n_max, packed), cache)  # with a valid CRC
+        assert run(["sum", "--weights", str(cache), "--phase", "poly:0",
+                    "--n", "100"]) == 3
+        assert "reserved code 11 at n=80000" in capsys.readouterr().err
+
+    def test_constant_weights_over_budget_exit_4(self, capsys):
+        assert run(["sum", "--weights", "one:1000000000000", "--phase", "poly:0",
+                    "--n", "10"]) == 4
+        err = capsys.readouterr().err
+        assert "1000000000001 bytes" in err and "536870912-byte budget" in err
+
+    def test_concat_spec_without_pieces_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "c.json"
+        spec.write_text('{"breakpoints": [0]}')
+        assert run(["sum", "--weights", "one:100", "--phase", f"concat:@{spec}",
+                    "--n", "100"]) == 2
+        assert "'pieces'" in capsys.readouterr().err
+
     def test_truncated_cache_is_io_error(self, tmp_path):
         cache = tmp_path / "mu.bin"
         run(["sieve", "--n", "3000", "--out", str(cache)])
@@ -125,6 +150,19 @@ class TestPiecesCommand:
         assert report["count"] == 9 and report["bound"] == 9
         assert report["attained"] is True
         assert '"count": 9' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name,text", [
+        ("zero_denominator.csv", "1,0,0,1,0,1\n"),
+        ("zero_denominator.json",
+         '{"hyperplanes": [{"normal": ["1/0", "1"], "offset": "0"}]}'),
+        ("no_hyperplanes.json", '{"planes": []}'),
+        ("empty.csv", "# no rows\n"),
+    ])
+    def test_malformed_arrangement_is_usage_error(self, tmp_path, capsys, name, text):
+        arr = tmp_path / name
+        arr.write_text(text)
+        assert run(["pieces", "--arrangement", str(arr)]) == 2
+        assert "internal error" not in capsys.readouterr().err
 
 
 class TestDirichletCommand:

@@ -11,13 +11,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mulab.errors import ParseError, PrecisionError
+from mulab.exact_calculus import lagrange_coeff
 from mulab.fixedpoint import FRAC_BITS, SCALE, FixedReal, iroot, sqrt_const
 from mulab.phases import (
     BracketPhase,
     ConcatPhase,
     GeometricSchedule,
+    Phase,
     PolyPhase,
+    PowerPhase,
     LogPowerSchedule,
+    ScheduledLagrangeConcat,
+    TablePhase,
     build_concatenation,
     concat_residual,
     eval_phase,
@@ -346,3 +351,99 @@ class TestNumeratorKernels:
                 % SCALE for n in range(start, start + count)]
         assert list(nums) == want
         assert b.frac_chunk(start, count).tolist() == [v / SCALE for v in want]
+
+
+# the power, concatenation and interpolating-concatenation kernels against
+# their per-n references; windows straddle pieces and stages
+
+fixed_sources = st.one_of(
+    st.builds(lambda a, b: PowerPhase(a, b), st.integers(1, 6), st.integers(1, 5)),
+    st.builds(lambda c: PolyPhase([F(1, 3), c]), irrationals),
+    st.builds(BracketPhase, irrationals, irrationals),
+)
+rational_sources = st.builds(PolyPhase, st.lists(rationals, min_size=1, max_size=4))
+sources = st.one_of(fixed_sources, rational_sources)
+
+
+def assert_kernel_matches(phase, start, count, want):
+    """frac_units gives `want` (a list of Fractions) exactly, and frac_chunk
+    the correctly rounded num/unit."""
+    unit, nums = phase.frac_units(start, count)
+    assert iter(nums) is nums
+    nums = list(nums)
+    assert all(type(v) is int and 0 <= v < unit for v in nums)
+    assert [F(v, unit) for v in nums] == want
+    chunk = phase.frac_chunk(start, count)
+    assert chunk.dtype == np.float64 and chunk.tolist() == [v / unit for v in nums]
+
+
+@st.composite
+def concats(draw):
+    gaps = draw(st.lists(st.integers(1, 30), min_size=0, max_size=5))
+    bps = [0]
+    for g in gaps:
+        bps.append(bps[-1] + g)
+    pieces = draw(st.lists(sources, min_size=len(bps), max_size=len(bps)))
+    start = draw(st.integers(0, bps[-1] + 5))
+    return ConcatPhase(bps, pieces), start, draw(st.integers(1, bps[-1] + 40))
+
+
+@st.composite
+def lagrange_windows(draw):
+    """An interpolating concatenation and a window around a stage start
+    or a piece boundary of its schedule."""
+    source = draw(st.one_of(sources, st.builds(
+        lambda a, b: ConcatPhase([0, 40], [a, b]), rational_sources, rational_sources)))
+    k = draw(st.integers(1, 4))
+    sched = draw(st.one_of(
+        st.builds(GeometricSchedule, st.integers(1, 8)),
+        st.just(LogPowerSchedule(tau=0.7, c_const=1.0, m_target=10, k=2))))
+    m = draw(st.integers(1, 3))
+    centre = sched.stage_start(m) + draw(st.integers(-9, 9)) * (1 << m)
+    start = max(0, centre + draw(st.integers(-12, 12)))
+    return build_concatenation(source, k, 10, schedule=sched), start, draw(st.integers(1, 60))
+
+
+class TestBatchKernels:
+    @given(st.integers(1, 7), st.integers(1, 5),
+           st.one_of(st.integers(0, 3000), st.integers(10 ** 9, 10 ** 12)), st.integers(1, 40))
+    def test_power_kernel_matches_value(self, num, den, start, count):
+        p = PowerPhase(num, den)
+        want = [F(p.value(n).frac_mantissa(), SCALE) for n in range(start, start + count)]
+        assert_kernel_matches(p, start, count, want)
+
+    @given(concats())
+    def test_concat_kernel_matches_pieces(self, case):
+        c, start, count = case
+        want = [F(*frac_rep(c.frac(n))) for n in range(start, start + count)]
+        assert_kernel_matches(c, start, count, want)
+
+    @given(lagrange_windows())
+    def test_lagrange_kernel_matches_lagrange_form(self, case):
+        concat, start, count = case
+        src, k, sched = concat.source, concat.k, concat.schedule
+        want = []
+        for n in range(start, start + count):
+            anchor = sched.piece_start(n)
+            value = sum(F(*frac_rep(src.frac(anchor + l))) * lagrange_coeff(n - anchor, l, k)
+                        for l in range(k))
+            want.append(value - (value.numerator // value.denominator))
+        assert_kernel_matches(concat, start, count, want)
+        assert all(F(*frac_rep(concat.frac(n))) == w for n, w in zip(range(start, start + 3), want))
+
+    def test_only_phase_defines_the_derived_methods(self):
+        shapes = (PolyPhase, BracketPhase, PowerPhase, TablePhase, ConcatPhase,
+                  ScheduledLagrangeConcat)
+        for cls in shapes:
+            assert cls.frac_units is Phase.frac_units
+            assert cls.frac_chunk is Phase.frac_chunk
+
+    def test_table_phase_takes_an_oracle_only(self):
+        t = TablePhase(lambda n: FixedReal(n << (FRAC_BITS - 2), 1), err_ulp=1, label="q")
+        assert list(t.frac_units(0, 5)[1]) == [0, SCALE // 4, SCALE // 2, 3 * SCALE // 4, 0]
+        with pytest.raises(TypeError):
+            TablePhase(values=[0, 1])
+
+    def test_concatenation_source_must_be_a_phase(self):
+        with pytest.raises(TypeError, match="must be a Phase"):
+            build_concatenation(lambda n: F(n, 3), 2, 10)

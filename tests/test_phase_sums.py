@@ -53,6 +53,17 @@ class TestWeights:
         with pytest.raises(ValueError):
             residue_masked(unit_weights(10), 3, 3)
 
+    @pytest.mark.parametrize("q,a", [(1, 0), (4, 0), (4, 1), (7, 6), (999_983, 5)])
+    def test_mask_matches_the_modulus_formula(self, mu_weights, q, a):
+        w = mu_weights.values
+        want = np.where(np.arange(w.size) % q == a, w, 0)
+        got = residue_masked(mu_weights, q, a)
+        assert got.values.dtype == np.int8 and np.array_equal(got.values, want)
+
+    def test_constant_weights_over_budget_fail_fast(self):
+        with pytest.raises(ResourceBudgetError, match=r"need 10000000000001 bytes.*budget"):
+            unit_weights(10 ** 13)
+
 
 class TestCheckpointGrid:
     def test_exact_count_and_endpoint(self):

@@ -11,6 +11,7 @@ import pytest
 
 from mulab.errors import (
     CacheChecksumError,
+    CacheFormatError,
     CacheMagicError,
     CacheVersionError,
     ResourceBudgetError,
@@ -249,6 +250,17 @@ class TestPersistence:
         blob[20] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(CacheChecksumError, match="CRC mismatch"):
+            load_cache(path)
+
+    @pytest.mark.parametrize("n", [1, 65_537, 80_000, 99_999])
+    def test_reserved_code_anywhere_is_format_error(self, tmp_path, n):
+        # the CRC is valid; only the code-11 scan over the payload catches it
+        table = sieve_mobius(10 ** 5)
+        packed = table.packed.copy()
+        packed[(n - 1) // 4] |= 0b11 << 2 * ((n - 1) % 4)
+        path = tmp_path / "mu.bin"
+        save_cache(MobiusTable(table.n_max, packed), path)
+        with pytest.raises(CacheFormatError, match=f"reserved code 11 at n={n}$"):
             load_cache(path)
 
     def test_bad_magic(self, tmp_path):

@@ -472,3 +472,32 @@ class TestRollingCodes:
         with pytest.raises(ResourceBudgetError, match=r"needs about \d+ bytes.*budget"):
             entropy_curve(seq, J_max)
         assert time.perf_counter() - t0 < 1.0
+
+
+class TestIndexBlocksBudget:
+    @pytest.mark.parametrize("P,J,base", [(10 ** 6, 40, 2), (10 ** 5, 5000, 2), (2 * 10 ** 6, 20, 300)])
+    def test_over_budget_fails_fast(self, P, J, base):
+        seq = SymbolSeq(np.zeros(P, dtype=np.uint8 if base <= 256 else np.int64), base)
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceBudgetError, match=r"index_blocks .* needs about \d+ bytes.*budget"):
+            index_blocks(seq, J)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("base,J", [(2, 30), (300, 7), (2, 62)])
+    def test_budget_covers_the_measured_peak(self, base, J):
+        # every window distinct: the budget's worst case, on the code path
+        # and (base 2, J = 62) the structured-row path
+        P = 20_000
+        rng = np.random.default_rng(base + J)
+        dtype = np.uint8 if base <= 256 else np.int64
+        seq = SymbolSeq(rng.integers(0, base, P).astype(dtype), base)
+        tracemalloc.start()
+        try:
+            idx = index_blocks(seq, J)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(idx.all_blocks) > 0.99 * P
+        with mock.patch.object(symbolic_blocks, "DEFAULT_BUDGET_BYTES", peak - 1):
+            with pytest.raises(ResourceBudgetError):
+                index_blocks(seq, J)
