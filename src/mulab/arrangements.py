@@ -446,12 +446,14 @@ def load_arrangement_csv(path: str | Path) -> list[Hyperplane]:
 
 def load_arrangement_json(path: str | Path) -> list[Hyperplane]:
     spec = json.loads(Path(path).read_text(encoding="utf-8"))
+    out = []
     try:
-        return [Hyperplane(tuple(Fraction(str(v)) for v in entry["normal"]),
-                           Fraction(str(entry["offset"])))
-                for entry in spec["hyperplanes"]]
+        for entry in spec["hyperplanes"]:
+            normal = tuple(Fraction(str(v)) for v in entry["normal"])
+            out.append(Hyperplane(normal, Fraction(str(entry["offset"]))))
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: malformed arrangement ({exc!r})") from None
+    return out
 
 
 def count_report(arr: Sequence[Hyperplane]) -> dict:

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,7 +81,9 @@ def circle_dist(a: Real, b: Real) -> float:
 def _as_real(value) -> Real:
     if isinstance(value, (FixedReal, Fraction)):
         return value
-    if isinstance(value, (int, float)):
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
         return Fraction(value)
     raise TypeError(f"cannot treat {value!r} as an exact real")
 
@@ -292,7 +294,6 @@ class BracketPhase(Phase):
 
 
 _IROOT = np.frompyfunc(iroot, 2, 1)
-_ISQRT = np.frompyfunc(math.isqrt, 1, 1)  # iroot(x, 2) without its checks
 
 
 class PowerPhase(Phase):
@@ -325,10 +326,7 @@ class PowerPhase(Phase):
         ns = np.arange(start, start + count, dtype=object)
         ns **= self.num
         ns <<= FRAC_BITS * self.den
-        if self.den == 2:
-            _ISQRT(ns, out=ns)
-        else:
-            _IROOT(ns, self.den, out=ns)
+        _IROOT(ns, self.den, out=ns)
         ns &= SCALE - 1
         return ns
 
@@ -342,7 +340,9 @@ class TablePhase(Phase):
 
     def __init__(self, oracle: Callable[[int], Real], err_ulp: int = 0,
                  label: str = "table"):
-        self._oracle, self._err, self._label = oracle, err_ulp, label
+        self._oracle = oracle
+        self._err = err_ulp
+        self._label = label
 
     def describe(self) -> str:
         return self._label
@@ -352,8 +352,10 @@ class TablePhase(Phase):
         return v.frac() if isinstance(v, FixedReal) else frac_part(v)
 
     def err_ulp_at(self, n: int) -> int:
+        """The oracle's own bound, plus one ulp for rounding a rational value
+        to 2^-96 in the batch kernel."""
         v = self._oracle(n)
-        return v.err_ulp if isinstance(v, FixedReal) else self._err
+        return v.err_ulp if isinstance(v, FixedReal) else self._err + 1
 
     def _numerators(self, start: int, count: int) -> np.ndarray:
         def rounded(n: int) -> int:
@@ -440,12 +442,18 @@ class StageSchedule:
 
     def stage_start(self, m: int) -> int | None:
         while len(self._starts) <= m:
-            i, prev = len(self._starts), self._starts[-1]
-            raw = None if prev is None else self._raw_stage_start(i)
-            if raw is not None and raw > self._CEILING:
-                raw = None
-            while raw is not None and raw <= prev:
-                raw += 1 << i
+            i = len(self._starts)
+            prev = self._starts[-1]
+            if prev is None:
+                self._starts.append(None)
+                continue
+            raw = self._raw_stage_start(i)
+            if raw is None or raw > self._CEILING:
+                self._starts.append(None)
+                continue
+            step = 1 << i
+            while raw <= prev:
+                raw += step
             self._starts.append(raw)
         return self._starts[m]
 
@@ -531,7 +539,9 @@ class ScheduledLagrangeConcat(Phase):
             raise ValueError("interpolation order k must be >= 1")
         if not isinstance(source, Phase):
             raise TypeError(f"concatenation source must be a Phase, not {source!r}")
-        self.schedule, self.source, self.k = schedule, source, k
+        self.schedule = schedule
+        self.source = source
+        self.k = k
         self.unit = source.unit
 
     def frac(self, n: int) -> Real:
@@ -611,10 +621,39 @@ class ResidualReport:
 
 
 def concat_residual(source: Phase, concat: Phase, ns: Sequence[int]) -> ResidualReport:
-    """max over sampled n of ||source(n) - concat(n)||, exact on representations."""
-    dists = [(circle_dist(source.frac(n), concat.frac(n)), n) for n in ns]
-    worst, arg = max(dists, key=lambda d: d[0], default=(-1.0, -1))  # first on ties
-    return ResidualReport(worst, arg, len(dists))
+    """max over sampled n of ||source(n) - concat(n)||, exact on representations.
+
+    The concatenation side comes from its batch kernel, one call per run of
+    samples that lie close together."""
+    worst, arg = -1.0, -1
+    count = 0
+    for run in _runs(ns):
+        unit, nums = concat.frac_units(run[0], run[-1] + 1 - run[0])
+        nums = list(nums)
+        for n in run:
+            d = circle_dist(source.frac(n), Fraction(nums[n - run[0]], unit))
+            count += 1
+            if d > worst:
+                worst, arg = d, n
+    return ResidualReport(worst, arg, count)
+
+
+#: samples fewer than this many n apart share one kernel call in
+#: concat_residual: a call costs about as much as a few dozen terms
+_RUN_GAP = 32
+
+
+def _runs(ns: Iterable[int]) -> Iterator[list[int]]:
+    """ns in order, split into runs of nondecreasing samples, each less than
+    _RUN_GAP after the one before and all within CHUNK of the first."""
+    run: list[int] = []
+    for n in ns:
+        if run and not (run[-1] <= n < run[-1] + _RUN_GAP and n - run[0] < CHUNK):
+            yield run
+            run = []
+        run.append(n)
+    if run:
+        yield run
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +690,12 @@ def parse_phase(text: str, base_dir: Path | None = None) -> Phase:
     if not sep:
         raise ParseError(f"phase {text!r} has no ':' separator")
     if head == "poly":
-        return PolyPhase([parse_real_token(t, f" at position {i} of {text!r}")
-                          for i, t in enumerate(rest.split(","))])
+        toks = rest.split(",")
+        coeffs = [
+            parse_real_token(t, f" at position {i} of {text!r}")
+            for i, t in enumerate(toks)
+        ]
+        return PolyPhase(coeffs)
     if head == "bracket":
         toks = rest.split(",")
         if len(toks) != 2:

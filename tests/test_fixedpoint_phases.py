@@ -21,6 +21,7 @@ from mulab.phases import (
     PolyPhase,
     PowerPhase,
     LogPowerSchedule,
+    ResidualReport,
     ScheduledLagrangeConcat,
     TablePhase,
     build_concatenation,
@@ -447,3 +448,41 @@ class TestBatchKernels:
     def test_concatenation_source_must_be_a_phase(self):
         with pytest.raises(TypeError, match="must be a Phase"):
             build_concatenation(lambda n: F(n, 3), 2, 10)
+
+    def test_rational_table_source_bound_counts_the_rounding(self):
+        # the kernel rounds a rational oracle value to 2^-96, and the
+        # concatenation's certified bound covers it
+        src = TablePhase(lambda n: F(n * n, 3), label="n^2/3")
+        concat = build_concatenation(src, 2, 10, schedule=GeometricSchedule(4))
+        worst = F(0)
+        for n in range(300):
+            anchor = concat.schedule.piece_start(n)
+            exact = sum(src.frac(anchor + l) * lagrange_coeff(n - anchor, l, 2)
+                        for l in range(2)) % 1
+            err = abs(exact - F(*frac_rep(concat.frac(n))))
+            err = min(err, 1 - err)
+            assert src.err_ulp_at(n) == 1
+            assert err * SCALE <= concat.err_ulp_at(n)
+            worst = max(worst, err)
+        assert worst > 0  # the rounding does show
+
+
+@given(st.lists(st.tuples(st.integers(0, 400), st.integers(1, 30), st.integers(0, 40)),
+                max_size=6))
+def test_concat_residual_matches_the_per_n_maximum(runs):
+    # samples in strided runs, the strides on both sides of the gap that
+    # splits a kernel call, in any order and with repeats
+    samples = [lo + i * step for lo, size, step in runs for i in range(size)]
+    src = power_phase(3, 2)
+    concat = build_concatenation(src, 2, 10, schedule=GeometricSchedule(4))
+    dists = [(abs(src.frac(n).frac_mantissa() - concat.frac(n).frac_mantissa()), n)
+             for n in samples]
+    dists = [(min(d, SCALE - d) / SCALE, n) for d, n in dists]
+    worst, arg = max(dists, key=lambda d: d[0], default=(-1.0, -1))  # first on ties
+    assert concat_residual(src, concat, samples) == ResidualReport(worst, arg, len(samples))
+
+
+def test_residual_runs_stay_within_a_chunk():
+    from mulab.phases import CHUNK, _runs
+    assert [len(r) for r in _runs(range(2 * CHUNK + 5))] == [CHUNK, CHUNK, 5]
+    assert list(_runs([3, 3, 40, 71, 200, 5])) == [[3, 3], [40, 71], [200], [5]]
