@@ -486,3 +486,11 @@ def test_residual_runs_stay_within_a_chunk():
     from mulab.phases import CHUNK, _runs
     assert [len(r) for r in _runs(range(2 * CHUNK + 5))] == [CHUNK, CHUNK, 5]
     assert list(_runs([3, 3, 40, 71, 200, 5])) == [[3, 3], [40, 71], [200], [5]]
+    assert list(_runs([0, 31, 63])) == [[0, 31], [63]]
+
+
+def test_concat_residual_reports_the_first_maximum():
+    poly = PolyPhase([F(1, 3), F(-2, 7)])
+    concat = build_concatenation(poly, 2, 10, schedule=GeometricSchedule(8))
+    assert concat_residual(poly, concat, [9, 5, 200, 2]) == ResidualReport(0.0, 9, 4)
+    assert concat_residual(poly, concat, []) == ResidualReport(-1.0, -1, 0)
