@@ -257,7 +257,9 @@ def enumerate_pieces(arr: Sequence[Hyperplane]) -> PieceEnumeration:
     if m > MAX_HYPERPLANES or dim > MAX_DIM:
         raise ResourceBudgetError(
             f"arrangement m={m}, k={dim} beyond enumeration budget "
-            f"(m <= {MAX_HYPERPLANES}, k <= {MAX_DIM})"
+            f"(m <= {MAX_HYPERPLANES}, k <= {MAX_DIM}): it may have "
+            f"piece_bound({m}, {dim}) = {piece_bound(m, dim)} pieces, each "
+            f"with an exact witness to solve for"
         )
     planes = _int_rows(arr)
     states: list[tuple[SignVector, tuple[Fraction, ...]]] = [

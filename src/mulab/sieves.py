@@ -5,13 +5,23 @@ Values of mu (and lambda) live in a 2-bit packed array over [1, n_max]:
 code 00 -> 0, 01 -> +1, 10 -> -1; code 11 is reserved-invalid so corrupted
 payloads are detectable.  Entry n sits at bit offset 2*(n-1), little-endian
 within each byte.  Index 0 is unaddressable: the sums here run from n = 1.
+Reads decode whole bytes through one 256 x 4 table of signed values (and
+Mertens sums whole bytes through the 256 sums of its rows), a chunk of
+bytes at a time, and refuse a chunk holding a code 11.
 
-mu, lambda and phi come from one segmented kernel for a multiplicative f.
-In each segment it strips every prime power p^e <= n_max from a remainder
-and multiplies the running value at the multiples of p^e by the integer
-ratio f(p^e) / f(p^(e-1)): -1 then 0 for mu, -1 for lambda, p - 1 then p
-for phi.  A zero ratio ends that prime's powers.  The remainder is then 1
-or one prime q > sqrt(n_max), whose f(q) is the last factor.
+mu, lambda and phi come from one segmented kernel for a multiplicative f,
+given by the integer ratios f(p^e) / f(p^(e-1)): -1 then 0 for mu, -1 for
+lambda, p - 1 then p for phi.  The prime powers 2^4, 3^2, 5^2, 7^2 and
+their divisors are pre-sieved once, over one period of 176,400 = 2^4 3^2
+5^2 7^2 (no larger than n_max + 1): a tile of f over those powers and a
+tile of the product of the powers stripped.  Each segment starts from the
+two tiles at offset lo mod 176,400.  Every other prime power p^e <= n_max
+then multiplies the values at its multiples by the ratio and the product
+by p; a zero ratio ends that prime's powers.  The quotient q = n / product
+is 1 or one prime above sqrt(n_max), whose f(q) is the last factor.  It is
+taken in float64, exact because the product divides n and both are below
+2^53; the sieves refuse n_max >= 2^53 up front.  mu and lambda pack their
+values to codes arithmetically, four to a byte.
 
 Tables are immutable after construction and safe to share across
 concurrent readers; construction itself is single-writer, segment by
@@ -46,11 +56,30 @@ from .errors import (
 MAGIC = b"MUSV"
 VERSION = 1
 
-_DECODE = np.array([0, 1, -1, 0], dtype=np.int8)  # code 3 filtered separately
 _DEFAULT_SEGMENT = 1 << 20
-# working bytes per entry of a sieve segment, at worst (phi): rem, values and
-# f(rem) as int64, and the leftover mask
-_SEGMENT_BYTES_PER_N = 3 * 8 + 1
+#: the small primes pre-sieved from one period, with their top exponents
+_TILED = ((2, 4), (3, 2), (5, 2), (7, 2))
+_PERIOD = math.prod(p ** e for p, e in _TILED)  # 176,400
+#: entries per pass over the leftover quotients, small enough to stay in cache
+_QUOTIENT_CHUNK = 1 << 16
+# working bytes of a sieve, as tracemalloc measures them: per entry of a
+# segment, the values and the product of the stripped powers (int64 at
+# worst; mu's int8 values, codes and packing take less); per entry of a
+# quotient pass, the float64 quotient, f of it, its mask and numpy's cast
+# buffers; per entry of the period, the two tiles (int32 at worst); per
+# integer up to sqrt(n_max), the prime mask and the base primes' powers (about
+# 100 bytes a prime); and a fixed part for Python objects and array headers
+_SEGMENT_BYTES_PER_N = 8 + 8
+_QUOTIENT_BYTES_PER_N = 8 + 8 + 8
+_TILE_BYTES_PER_N = 4 + 4
+_ROOT_BYTES_PER_N = 16
+_FIXED_BYTES = 1 << 14
+
+# the four signed values of each packed byte, and their sum; a code 11
+# decodes as 0 here and is caught by _reserved
+_BYTE_VALUES = np.array([[(0, 1, -1, 0)[b >> k & 3] for k in (0, 2, 4, 6)]
+                         for b in range(256)], dtype=np.int8)
+_BYTE_SUMS = np.array([sum(row) for row in _BYTE_VALUES.tolist()], dtype=np.int8)
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -66,20 +95,25 @@ def primes_up_to(n: int) -> np.ndarray:
 
 
 def _pack_codes(codes: np.ndarray) -> np.ndarray:
+    """Pack 2-bit codes four to a byte, entry i at bits 2*(i % 4)."""
     if codes.size % 4:
         codes = np.concatenate([codes, np.zeros(4 - codes.size % 4, dtype=np.uint8)])
-    return (
-        codes[0::4] | (codes[1::4] << 2) | (codes[2::4] << 4) | (codes[3::4] << 6)
-    ).astype(np.uint8)
+    # each group of four codes read as one little-endian uint32: code k sits
+    # at bit 8k and moves to bit 2k
+    word = codes.view("<u4")
+    packed = word >> 6
+    packed |= word
+    packed |= word >> 12
+    packed |= word >> 18
+    return packed.astype(np.uint8)
 
 
-def _unpack_codes(packed: np.ndarray, count: int) -> np.ndarray:
-    out = np.empty(packed.size * 4, dtype=np.uint8)
-    out[0::4] = packed & 3
-    out[1::4] = (packed >> 2) & 3
-    out[2::4] = (packed >> 4) & 3
-    out[3::4] = (packed >> 6) & 3
-    return out[:count]
+def _reserved(packed: np.ndarray) -> np.ndarray:
+    """Per byte, the low bit of every pair whose code is 11."""
+    reserved = packed >> 1
+    reserved &= packed
+    reserved &= 0x55
+    return reserved
 
 
 @dataclass
@@ -106,80 +140,173 @@ class MobiusTable:
     def checksum(self) -> int:
         return zlib.crc32(self.packed.tobytes()) & 0xFFFFFFFF
 
-    def codes(self, lo: int, hi: int) -> np.ndarray:
-        """Raw 2-bit codes for n in [lo, hi)."""
-        if not 1 <= lo <= hi <= self.n_max + 1:
-            raise ValueError(f"range [{lo}, {hi}) outside [1, {self.n_max}]")
-        b0 = (lo - 1) // 4
-        b1 = (hi - 1 + 3) // 4
-        block = _unpack_codes(self.packed[b0:b1], (b1 - b0) * 4)
-        return block[(lo - 1) - 4 * b0 : (hi - 1) - 4 * b0]
+    def _bytes(self, b0: int, b1: int):
+        """(first byte, payload bytes) over bytes [b0, b1), one
+        _DEFAULT_SEGMENT entries at a time, each checked for code 11."""
+        step = max(1, _DEFAULT_SEGMENT // 4)
+        for a in range(b0, b1, step):
+            block = self.packed[a : min(a + step, b1)]
+            if _reserved(block).any():
+                raise InvariantError("reserved code 11 present in table")
+            yield a, block
+
+    def _decode(self, quads: np.ndarray, b0: int) -> None:
+        """quads[i] = the four signed values of payload byte b0 + i."""
+        for a, block in self._bytes(b0, b0 + len(quads)):
+            np.take(_BYTE_VALUES, block, axis=0, mode="clip",
+                    out=quads[a - b0 : a - b0 + block.size])
 
     def values(self, lo: int, hi: int) -> np.ndarray:
         """Signed values for n in [lo, hi) as int8."""
-        codes = self.codes(lo, hi)
-        if (codes == 3).any():
-            raise InvariantError("reserved code 11 present in table")
-        return _DECODE[codes]
+        if not 1 <= lo <= hi <= self.n_max + 1:
+            raise ValueError(f"range [{lo}, {hi}) outside [1, {self.n_max}]")
+        b0 = (lo - 1) // 4
+        quads = np.empty(((hi - 1 + 3) // 4 - b0, 4), dtype=np.int8)
+        self._decode(quads, b0)
+        return quads.ravel()[(lo - 1) - 4 * b0 : (hi - 1) - 4 * b0]
 
     def value(self, n: int) -> int:
         return int(self.values(n, n + 1)[0])
 
-    def _segments(self, lo: int, hi: int):
-        """(start, values) over [lo, hi), one _DEFAULT_SEGMENT at a time."""
-        for a in range(lo, hi, _DEFAULT_SEGMENT):
-            yield a, self.values(a, min(a + _DEFAULT_SEGMENT, hi))
-
     def weight_array(self) -> np.ndarray:
         """Read-only int8 array w with w[n] = value(n) for 1 <= n <= n_max;
-        w[0] = 0.  Decoded once, then cached and shared."""
+        w[0] = 0.  Decoded once, in place, then cached and shared."""
         if self._weights is None:
-            w = np.zeros(self.n_max + 1, dtype=np.int8)
-            for lo, vals in self._segments(1, self.n_max + 1):
-                w[lo : lo + vals.size] = vals
+            w = np.empty(self.n_max + 1, dtype=np.int8)
+            w[0] = 0
+            full = self.n_max // 4  # the bytes that hold four entries
+            self._decode(w[1 : 1 + 4 * full].reshape(-1, 4), 0)
+            w[1 + 4 * full :] = self.values(4 * full + 1, self.n_max + 1)
             w.flags.writeable = False
             self._weights = w
         return self._weights
 
+    def _sum(self, lo: int, hi: int) -> int:
+        """Sum of the values for n in [lo, hi), whole bytes by their sums."""
+        b0, b1 = -(-(lo - 1) // 4), (hi - 1) // 4  # the bytes inside [lo, hi)
+        if b0 > b1:
+            return int(self.values(lo, hi).sum())
+        total = (int(self.values(lo, 4 * b0 + 1).sum())
+                 + int(self.values(4 * b1 + 1, hi).sum()))
+        for _, block in self._bytes(b0, b1):
+            total += int(np.take(_BYTE_SUMS, block, mode="clip").sum(dtype=np.int64))
+        return total
+
+
+def _segment_bytes(n_max: int, segment_size: int) -> int:
+    """Working bytes of a sieve beside its table: one segment, one quotient
+    pass, the period tiles and the base primes."""
+    size = min(segment_size, n_max)
+    return (_SEGMENT_BYTES_PER_N * size
+            + _QUOTIENT_BYTES_PER_N * min(_QUOTIENT_CHUNK, size)
+            + _TILE_BYTES_PER_N * min(_PERIOD, n_max + 1)
+            + _ROOT_BYTES_PER_N * math.isqrt(n_max) + _FIXED_BYTES)
+
 
 def _check_budget(label, table_bytes, n_max, segment_size, memory_budget=None) -> None:
-    """Refuse a sieve whose table plus one segment's arrays exceed the budget."""
+    """Refuse a sieve past the float quotient's exact range, or one whose
+    table plus working bytes exceed the budget."""
+    if n_max >= 1 << 53:
+        raise ValueError(
+            f"{label} sieve for n_max={n_max}: n_max must be below 2^53, where "
+            f"the leftover prime is an exact float64 quotient")
     budget = DEFAULT_BUDGET_BYTES if memory_budget is None else memory_budget
-    segment_bytes = _SEGMENT_BYTES_PER_N * min(segment_size, n_max)
+    segment_bytes = _segment_bytes(n_max, segment_size)
     need = table_bytes + segment_bytes
     if need > budget:
         raise ResourceBudgetError(
             f"{label} sieve for n_max={n_max} needs {need} bytes ({table_bytes} "
-            f"for the table, {segment_bytes} for one segment), over the "
-            f"{budget}-byte budget; lower n_max or raise the budget"
+            f"for the table, {segment_bytes} for one segment, the period tiles "
+            f"and the base primes), over the {budget}-byte budget; lower n_max "
+            f"or raise the budget"
         )
+
+
+def _apply_powers(vals, prod, lo, p, pe, e, stop, ratio):
+    """From p^e on, for each power of p below stop: multiply vals by
+    ratio(p, e) and prod by p at the multiples of p^e, where vals[i] and
+    prod[i] stand for n = lo + i.  Return the (p^e, e) that comes next, or
+    None once a ratio is 0 (the higher powers then change nothing)."""
+    while pe < stop:
+        r = ratio(p, e)
+        first = -lo % pe  # offset of the first multiple of p^e
+        vals[first::pe] *= r
+        if r == 0:
+            return None
+        prod[first::pe] *= p
+        pe, e = pe * p, e + 1
+    return pe, e
+
+
+def _tile_into(dst: np.ndarray, tile: np.ndarray, start: int) -> None:
+    """dst[i] = tile[(start + i) % tile.size]."""
+    i = min(dst.size, tile.size - start)
+    dst[:i] = tile[start : start + i]
+    while i < dst.size:
+        k = min(tile.size, dst.size - i)
+        dst[i : i + k] = tile[:k]
+        i += k
+
+
+def _segment_filler(n_max: int, size: int, ratio, dtype):
+    """fill(vals, lo) writes f(n) for n in [lo, lo + len(vals)) into vals,
+    for the multiplicative f on [1, n_max] with ratio(p, e) = f(p^e) /
+    f(p^(e-1)), so ratio(q, 1) = f(q) (see the module docstring).  vals has
+    the given dtype and at most size entries."""
+    # f over the tiled powers, and their product, for n mod _PERIOD; each
+    # tile entry is at most _PERIOD in absolute value, so it fits int32
+    tile_dtype = dtype if np.dtype(dtype).itemsize <= 4 else np.int32
+    tile_vals = np.ones(min(_PERIOD, n_max + 1), dtype=tile_dtype)
+    tile_prod = np.ones(tile_vals.size, dtype=np.int32)
+    powers = []  # (p, p^e, e): where each prime's powers go on per segment
+    for p, top in _TILED:
+        nxt = _apply_powers(tile_vals, tile_prod, 0, p, p, 1,
+                            min(p ** (top + 1), n_max + 1), ratio)
+        if nxt is not None:
+            powers.append((p, *nxt))
+    tiled = {p for p, _ in _TILED}
+    powers += [(p, p, 1) for p in primes_up_to(math.isqrt(n_max)).tolist()
+               if p not in tiled]
+    prod_buf = np.empty(size, dtype=np.int32 if n_max < 1 << 31 else np.int64)
+
+    def fill(vals: np.ndarray, lo: int) -> None:
+        hi = lo + vals.size
+        prod = prod_buf[: vals.size]
+        _tile_into(vals, tile_vals, lo % _PERIOD)
+        _tile_into(prod, tile_prod, lo % _PERIOD)
+        for p, pe, e in powers:
+            _apply_powers(vals, prod, lo, p, pe, e, hi, ratio)
+        # prod divides n and both are below 2^53, so the quotient is exact:
+        # 1, or the one prime factor of n above sqrt(n_max)
+        for a in range(0, vals.size, _QUOTIENT_CHUNK):
+            b = min(a + _QUOTIENT_CHUNK, vals.size)
+            q = np.arange(lo + a, lo + b, dtype=np.float64)
+            q /= prod[a:b]
+            last = ratio(q, 1)
+            if np.ndim(last):  # f(q) varies with q: 1 + [q > 1] (f(q) - 1)
+                last -= 1
+                last *= q > 1
+                last += 1
+                np.multiply(vals[a:b], last, out=vals[a:b], casting="unsafe")
+            else:  # the same f(q) for every prime q
+                factor = (q > 1).view(np.int8)
+                factor *= last - 1
+                factor += 1
+                vals[a:b] *= factor
+
+    return fill
 
 
 def _multiplicative_segments(n_max: int, segment_size: int, ratio, dtype):
     """Yield (lo, f on [lo, lo + len)) over [1, n_max] for the multiplicative f
-    with ratio(p, e) = f(p^e) / f(p^(e-1)), so ratio(q, 1) = f(q) (see the
-    module docstring).  The values are a view of one buffer that the next
-    segment overwrites."""
-    base = primes_up_to(math.isqrt(n_max)).tolist()
-    buf = np.empty(min(segment_size, n_max), dtype=dtype)
-    rem_dtype = np.int32 if n_max < 1 << 31 else np.int64
+    with ratio(p, e) = f(p^e) / f(p^(e-1)) (see _segment_filler).  The values
+    are a view of one buffer that the next segment overwrites."""
+    size = min(segment_size, n_max)
+    fill = _segment_filler(n_max, size, ratio, dtype)
+    buf = np.empty(size, dtype=dtype)
     for lo in range(1, n_max + 1, segment_size):
-        hi = min(lo + segment_size, n_max + 1)
-        vals = buf[: hi - lo]
-        vals.fill(1)
-        rem = np.arange(lo, hi, dtype=rem_dtype)
-        for p in base:
-            pe, e = p, 1
-            while pe <= n_max:
-                r = ratio(p, e)
-                first = -lo % pe  # offset of the first multiple of p^e
-                vals[first::pe] *= r
-                if r == 0:
-                    break
-                rem[first::pe] //= p
-                pe, e = pe * p, e + 1
-        np.multiply(vals, ratio(rem, 1), out=vals, where=rem > 1)
-        del rem
+        vals = buf[: min(segment_size, n_max + 1 - lo)]
+        fill(vals, lo)
         yield lo, vals
 
 
@@ -191,7 +318,9 @@ def _segmented_pack(n_max, segment_size, memory_budget, ratio, label) -> MobiusT
     _check_budget(label, (n_max + 3) // 4, n_max, segment_size, memory_budget)
     out = np.empty((n_max + 3) // 4, dtype=np.uint8)
     for lo, vals in _multiplicative_segments(n_max, segment_size, ratio, np.int8):
-        codes = (vals % 3).astype(np.uint8)  # 0->0, 1->1, -1->2
+        codes = vals.view(np.uint8)  # the buffer is refilled for the next segment
+        codes &= 3  # 0 -> 0, 1 -> 1, -1 -> 3
+        codes -= codes >> 1  # -1 -> 2
         b0 = (lo - 1) // 4
         out[b0 : b0 + (codes.size + 3) // 4] = _pack_codes(codes)
     return MobiusTable(n_max, out, label)
@@ -235,8 +364,9 @@ def sieve_phi(n_max: int, segment_size: int = _DEFAULT_SEGMENT) -> PhiTable:
     _check_budget("phi", 8 * (n_max + 1), n_max, segment_size)
     out = np.zeros(n_max + 1, dtype=np.int64)
     phi_ratio = lambda p, e: p - 1 if e == 1 else p
-    for lo, vals in _multiplicative_segments(n_max, segment_size, phi_ratio, np.int64):
-        out[lo : lo + vals.size] = vals
+    fill = _segment_filler(n_max, min(segment_size, n_max), phi_ratio, np.int64)
+    for lo in range(1, n_max + 1, segment_size):
+        fill(out[lo : lo + segment_size], lo)  # the table's own slice
     return PhiTable(n_max, out)
 
 
@@ -254,8 +384,7 @@ def mertens_trace(table: MobiusTable, ns: Sequence[int]) -> list[tuple[int, int]
     total = 0
     prev = 1
     for n in ns:
-        for _, vals in table._segments(prev, n + 1):
-            total += int(vals.sum(dtype=np.int64))
+        total += table._sum(prev, n + 1)
         prev = n + 1
         out.append((n, total))
     return out
@@ -344,9 +473,7 @@ def load_cache(path: str | Path) -> MobiusTable:
         )
     packed = np.frombuffer(payload, dtype=np.uint8).copy()
     # a code 11 sets both bits of its pair: one test over every byte
-    reserved = packed >> 1
-    reserved &= packed
-    reserved &= 0x55
+    reserved = _reserved(packed)
     if reserved.any():
         b = int(np.flatnonzero(reserved)[0])
         low = int(reserved[b]) & -int(reserved[b])  # low bit of the first bad pair

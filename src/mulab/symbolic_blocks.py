@@ -13,12 +13,15 @@ length-J windows are counted:
 The counts are exact, on integer window codes sum_j s(i+j) base^(J-1-j)
 (no approximate matching).  `entropy_curve` rolls the codes from J to J+1
 in place and counts them with np.bincount while base^J is at most the
-number of windows, else with np.unique; once base^J reaches 2^62 the
-windows are counted as structured rows instead.  Only `index_blocks`
-decodes codes into blocks.  `entropy_curve` and `index_blocks` check their
-working bytes (measured per symbol and per decoded block) against the
-512 MiB default budget up front.  The per-J entropy estimates log|B_J|/J
-are finite-prefix estimates, which the report rows label explicitly.
+number of windows, else with np.unique.  Once base^J reaches 2^62 the
+windows are keyed by their dense ranks instead: the J-window at i is the
+pair (rank of the (J-1)-window at i, s(i+J-1)), ranked by one np.unique.
+Only `index_blocks` decodes keys into blocks.  `entropy_curve` and
+`index_blocks` check their working bytes (measured per symbol and per
+decoded block) against the 512 MiB default budget, and the window keys
+they build over all J against a fixed limit, up front.  The per-J entropy
+estimates log|B_J|/J are finite-prefix estimates, which the report rows
+label explicitly.
 Scans are pure functions of the immutable prefix; counting unions over
 disjoint start ranges commute, so callers may shard long prefixes.
 """
@@ -35,7 +38,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._util import DEFAULT_BUDGET_BYTES, atomic_write
 from .errors import PrecisionError, ResourceBudgetError, WindowTooShortError
@@ -107,9 +109,14 @@ def load_symbols(header_path: str | Path) -> SymbolSeq:
 #: working bytes per symbol of `entropy_curve`, as tracemalloc measures them
 #: when every window is distinct (P = 1e6, numpy 2.4): the int64 codes plus
 #: np.unique's sorted copy, mask and index arrays.  Once base^J >= 2^62 the
-#: structured-row path adds about three copies of the J-symbol rows.
+#: ranked windows add the symbols' digits, the pair keys, the previous ranks
+#: and np.unique's inverse and first starts (about 107 in all at P = 1e6,
+#: bases 2, 5, 300).
 _CODE_BYTES_PER_SYMBOL = 56
-_ROW_COPIES = 3
+_RANK_BYTES_PER_SYMBOL = 56
+#: window keys that one call may build over all its J (P per J): 2^28 keys
+#: take about 20 s of sorting on one core
+_MAX_WINDOW_KEYS = 1 << 28
 
 
 def _code_range(base: int, J: int) -> int | None:
@@ -122,73 +129,89 @@ def _code_range(base: int, J: int) -> int | None:
 
 #: bytes per distinct block that `index_blocks` decodes, measured the same
 #: way (P = 1e5; bases 2, 5, 300): a dict entry and its count, plus 8 per
-#: block symbol for its tuple and 8 more on the row path for the row's tuple
+#: block symbol for its tuple and 8 more on the rank path for the symbols'
+#: list
 _BLOCK_BYTES = 176
 
 
 def _check_budget(what: str, seq: SymbolSeq, J: int, blocks: int = 0) -> None:
     """Raise ResourceBudgetError unless the J-window keys of `seq`, all
-    distinct, plus `blocks` decoded blocks fit the default budget."""
-    rows = _code_range(seq.alphabet_size, J) is None
-    per_symbol = _CODE_BYTES_PER_SYMBOL + rows * _ROW_COPIES * J * seq.symbols.itemsize
-    need = per_symbol * len(seq) + blocks * (_BLOCK_BYTES + 8 * J * (1 + rows))
-    if need > DEFAULT_BUDGET_BYTES:
+    distinct, plus `blocks` decoded blocks fit the default budget, and the
+    keys of every window length up to J stay within _MAX_WINDOW_KEYS."""
+    ranked = _code_range(seq.alphabet_size, J) is None
+    per_symbol = _CODE_BYTES_PER_SYMBOL + ranked * _RANK_BYTES_PER_SYMBOL
+    need = per_symbol * len(seq) + blocks * (_BLOCK_BYTES + 8 * J * (1 + ranked))
+    keys = len(seq) * J
+    if need > DEFAULT_BUDGET_BYTES or keys > _MAX_WINDOW_KEYS:
         raise ResourceBudgetError(
             f"{what} for P={len(seq)}, J={J} needs about {need} bytes "
-            f"({per_symbol} per symbol for the window keys), over the "
-            f"{DEFAULT_BUDGET_BYTES}-byte budget; shorten the prefix or lower J")
+            f"({per_symbol} per symbol for the window keys) and {keys} window "
+            f"keys, over the {DEFAULT_BUDGET_BYTES}-byte budget or the "
+            f"{_MAX_WINDOW_KEYS}-key limit; shorten the prefix or lower J")
 
 
 def _window_keys(symbols: np.ndarray, base: int, J_lo: int, J_hi: int):
-    """Yield (J, keys) for J_lo <= J <= J_hi, where keys[i] identifies the
-    J-window at start i.  While base^J < 2^62 the keys are the int64 codes
-    sum_j s[i+j] base^(J-1-j), rolled in place as code_J = code_{J-1} base
-    + s[J-1:], so each yield overwrites the one before; above that they are
-    the windows as structured rows."""
+    """Yield (J, keys, size, starts) for J_lo <= J <= J_hi.  keys[i] < size
+    identifies the J-window at start i, and keys order the windows as their
+    symbols do.  While base^J < 2^62 the keys are the int64 codes
+    sum_j s[i+j] base^(J-1-j) (size base^J, starts None), rolled in place as
+    code_J = code_{J-1} base + s[J-1:], so each yield overwrites the one
+    before.  Above that they are dense ranks, of the pair keys
+    rank_{J-1}[i] d + digit[i+J-1], where digit is the rank of a symbol
+    among the d distinct ones, so that a key stays below P^2: size is the
+    number of distinct windows and starts[r] the first start of rank r."""
     P = symbols.size
-    J_codes = 0  # the largest J whose codes fit, capped at J_hi
-    while J_codes < J_hi and _code_range(base, J_codes + 1) is not None:
-        J_codes += 1
-    if J_lo <= J_codes:
-        codes = np.zeros(P, dtype=np.int64)
-        for J in range(1, J_codes + 1):
-            codes = codes[: P - J + 1]
-            codes *= base
-            # unsafe casting converts the symbols as astype(int64) would
-            np.add(codes, symbols[J - 1 :], out=codes, casting="unsafe")
-            if J >= J_lo:
-                yield J, codes
-        del codes
-    for J in range(max(J_lo, J_codes + 1), J_hi + 1):
-        rows = np.ascontiguousarray(sliding_window_view(symbols, J))
-        yield J, rows.view([("", rows.dtype)] * J)[:, 0]
+    codes = np.zeros(P, dtype=np.int64)
+    J = 0
+    while J < J_hi and _code_range(base, J + 1) is not None:
+        J += 1
+        codes = codes[: P - J + 1]
+        codes *= base
+        # unsafe casting converts the symbols as astype(int64) would
+        np.add(codes, symbols[J - 1 :], out=codes, casting="unsafe")
+        if J >= J_lo:
+            yield J, codes, _code_range(base, J), None
+    if J == J_hi:
+        return
+    ranks = np.unique(codes, return_inverse=True)[1]
+    del codes
+    digits = np.unique(symbols, return_inverse=True)[1]
+    d = int(digits.max()) + 1
+    for J in range(J + 1, J_hi + 1):
+        keys = ranks[: P - J + 1] * d
+        keys += digits[J - 1 :]
+        _, starts, ranks = np.unique(keys, return_index=True, return_inverse=True)
+        del keys
+        if J >= J_lo:
+            yield J, ranks, starts.size, starts
 
 
-def _key_counts(keys: np.ndarray, size: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct keys ascending, occurrence counts) of codes in range(size),
-    or of rows when size is None: by np.bincount while the count array is
-    no larger than the keys, else by np.unique."""
-    if size is not None and size <= keys.size:
+def _key_counts(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct keys ascending, occurrence counts) of keys in range(size):
+    by np.bincount while the count array is no larger than the keys, else
+    by np.unique."""
+    if size <= keys.size:
         counts = np.bincount(keys, minlength=size)
         distinct = np.flatnonzero(counts)
         return distinct, counts[distinct]
     return np.unique(keys, return_counts=True)
 
 
-def _family_counts(keys: np.ndarray, J: int, tail_start: int, base: int):
+def _family_counts(keys: np.ndarray, J: int, tail_start: int, size: int):
     """_key_counts of the windows at every start >= tail_start and of the
     regular windows, at every J-th start from the first multiple of J there."""
     first_reg = -(-tail_start // J) * J
-    size = _code_range(base, J)
     return (_key_counts(keys[tail_start:], size),
             _key_counts(keys[first_reg::J], size))
 
 
-def _blocks(distinct: np.ndarray, counts: np.ndarray, J: int, base: int) -> dict[Block, int]:
-    """The counted keys as {block: count}, decoding codes digit by digit."""
-    if distinct.dtype.names is not None:
-        return {tuple(int(v) for v in row): cnt
-                for row, cnt in zip(distinct.tolist(), counts.tolist())}
+def _blocks(distinct: np.ndarray, counts: np.ndarray, J: int, base: int,
+            symbols: np.ndarray, starts: np.ndarray | None) -> dict[Block, int]:
+    """The counted keys as {block: count}: ranks read from the first start
+    of their window, codes decoded digit by digit."""
+    if starts is not None:
+        return {tuple(symbols[i : i + J].tolist()): cnt
+                for i, cnt in zip(starts[distinct].tolist(), counts.tolist())}
     out = {}
     for code, cnt in zip(distinct.tolist(), counts.tolist()):
         block = []
@@ -242,10 +265,10 @@ def index_blocks(
         raise ValueError("tail_start outside the prefix")
     base = seq.alphabet_size
     _check_budget("index_blocks", seq, J, min(P - J + 1, _code_range(base, J) or P))
-    _, keys = next(_window_keys(seq.symbols, base, J, J))
+    _, keys, size, starts = next(_window_keys(seq.symbols, base, J, J))
     all_counts, reg_counts = (
-        _blocks(*family, J, base)
-        for family in _family_counts(keys, J, tail_start, base))
+        _blocks(*family, J, base, seq.symbols, starts)
+        for family in _family_counts(keys, J, tail_start, size))
     eff = {b: c for b, c in all_counts.items() if c >= effective_threshold}
     reg_eff = {b: c for b, c in reg_counts.items() if c >= effective_threshold}
     return BlockIndex(
@@ -285,8 +308,8 @@ def entropy_curve(
     base = seq.alphabet_size
     _check_budget("entropy_curve", seq, J_max)
     rows = []
-    for J, keys in _window_keys(seq.symbols, base, 1, J_max):
-        (_, every), (_, regular) = _family_counts(keys, J, tail_start, base)
+    for J, keys, size, _ in _window_keys(seq.symbols, base, 1, J_max):
+        (_, every), (_, regular) = _family_counts(keys, J, tail_start, size)
         a = every.size
         rows.append(EntropyRow(
             J, a, regular.size,
@@ -324,10 +347,10 @@ def block_count_inequality_check(seq: SymbolSeq, J: int, l: int) -> bool:
     if (l + 1) * J > P:
         raise WindowTooShortError("window (l+1)*J exceeds the prefix")
     base = seq.alphabet_size
-    _, keys = next(_window_keys(seq.symbols, base, l * J, l * J))
-    left = _key_counts(keys[: P - (l + 1) * J + 1], _code_range(base, l * J))[0].size
-    _, keys = next(_window_keys(seq.symbols, base, J, J))
-    reg = _key_counts(keys[::J], _code_range(base, J))[0].size
+    _, keys, size, _ = next(_window_keys(seq.symbols, base, l * J, l * J))
+    left = _key_counts(keys[: P - (l + 1) * J + 1], size)[0].size
+    _, keys, size, _ = next(_window_keys(seq.symbols, base, J, J))
+    reg = _key_counts(keys[::J], size)[0].size
     return left <= J * reg ** (l + 1)
 
 

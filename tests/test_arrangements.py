@@ -141,6 +141,16 @@ class TestEnumeration:
                            match=r"m=13, k=1 beyond enumeration budget \(m <= 12, k <= 4\)"):
             enumerate_pieces(arr)
 
+    @pytest.mark.parametrize("m,k,bound", [(13, 1, 27), (1, 5, 3), (13, 5, 55_251)])
+    def test_enumeration_budget_error_states_the_need(self, m, k, bound):
+        assert piece_bound(m, k) == bound
+        arr = [hyperplane((1,) * (k - 1) + (i + 1,), i) for i in range(m)]
+        with pytest.raises(ResourceBudgetError,
+                           match=rf"m={m}, k={k} beyond enumeration budget "
+                                 rf"\(m <= 12, k <= 4\): it may have "
+                                 rf"piece_bound\({m}, {k}\) = {bound} pieces"):
+            enumerate_pieces(arr)
+
 
 class TestBound:
     def test_examples(self):

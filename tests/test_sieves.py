@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mulab.errors import (
     CacheChecksumError,
@@ -376,3 +377,141 @@ class TestPackedInvariants:
         broken = MobiusTable(64, bad)
         with pytest.raises(Exception, match="reserved code"):
             broken.values(1, 65)
+
+
+# ---------------------------------------------------------------------------
+# the tiled kernel and the byte-table decode against the trial-division
+# oracles
+
+PERIOD = 176_400  # 2^4 3^2 5^2 7^2, the pre-sieved period
+
+
+def raw_table(table):
+    arr = table.packed if isinstance(table, MobiusTable) else table.values
+    return arr.tobytes()
+
+
+def assert_matches_oracles(n_max, ns, segment_size=1 << 20):
+    mu = sieve_mobius(n_max, segment_size)
+    lam = sieve_liouville(n_max, segment_size)
+    phi = sieve_phi(n_max, segment_size)
+    mu_w, lam_w = mu.weight_array(), lam.weight_array()
+    for n in ns:
+        assert mu_w[n] == mu_oracle(n), (n_max, n)
+        assert lam_w[n] == lambda_oracle(n), (n_max, n)
+        assert phi.values[n] == phi_oracle(n), (n_max, n)
+    return mu, lam, phi
+
+
+class TestTiledKernel:
+    @pytest.mark.parametrize("n_max", range(1, 61))
+    def test_every_small_n_max(self, n_max):
+        # the tiled powers 16, 9, 25 and 49 exceed n_max for the smallest
+        mu, lam, phi = assert_matches_oracles(n_max, range(1, n_max + 1))
+        for size in (4, 5, 8):
+            assert raw_table(sieve_mobius(n_max, size)) == raw_table(mu)
+            assert raw_table(sieve_liouville(n_max, size)) == raw_table(lam)
+            assert raw_table(sieve_phi(n_max, size)) == raw_table(phi)
+
+    @pytest.mark.parametrize("n_max", [PERIOD - 1, PERIOD, PERIOD + 1])
+    def test_around_one_period(self, n_max):
+        rng = random.Random(n_max)
+        ns = (list(range(1, 400)) + list(range(PERIOD - 400, n_max + 1))
+              + [rng.randrange(1, n_max + 1) for _ in range(2000)])
+        mu, lam, phi = assert_matches_oracles(n_max, ns)
+        for size in (PERIOD // 4, 65_536, 100_000):
+            assert raw_table(sieve_mobius(n_max, size)) == raw_table(mu)
+            assert raw_table(sieve_liouville(n_max, size)) == raw_table(lam)
+            assert raw_table(sieve_phi(n_max, size)) == raw_table(phi)
+
+    @given(st.integers(1, 3 * PERIOD).flatmap(lambda n_max: st.tuples(
+        st.just(n_max), st.integers(max(4, n_max // 64), 2 * PERIOD))))
+    @settings(max_examples=25)
+    @example((PERIOD + 1, PERIOD))
+    @example((2 * PERIOD + 5, PERIOD // 3 + 2))
+    @example((3 * PERIOD, 2 * PERIOD))
+    @example((3 * PERIOD - 1, 3 * PERIOD // 64))
+    def test_tables_do_not_depend_on_the_segment_size(self, case):
+        n_max, size = case
+        # n on both sides of the segment edges and of the period's multiples
+        edges = [k * size + 1 for k in range(1, n_max // size + 1)]
+        edges += [k * PERIOD for k in range(1, n_max // PERIOD + 1)]
+        ns = {n for e in edges + [1, n_max] for n in range(e - 2, e + 3)
+              if 1 <= n <= n_max}
+        mu, lam, phi = assert_matches_oracles(n_max, sorted(ns), size)
+        assert raw_table(mu) == raw_table(sieve_mobius(n_max))
+        assert raw_table(lam) == raw_table(sieve_liouville(n_max))
+        assert raw_table(phi) == raw_table(sieve_phi(n_max))
+
+    def test_phi_tile_holds_every_period_residue(self):
+        # the multiples of the whole period: every tiled power divides them
+        n_max = 3 * PERIOD + 7
+        phi = sieve_phi(n_max)
+        for n in (PERIOD, 2 * PERIOD, 3 * PERIOD, 2 * PERIOD + 1, 3 * PERIOD + 7):
+            assert phi.value(n) == phi_oracle(n)
+
+
+class TestByteDecode:
+    @pytest.mark.parametrize("n_max", [1000, 1001, 1002, 1003])
+    def test_values_weights_and_sums_at_every_residue(self, monkeypatch, n_max):
+        import mulab.sieves
+
+        table = sieve_liouville(n_max)
+        oracle = [lambda_oracle(n) for n in range(1, n_max + 1)]
+        csum = np.cumsum(oracle)
+        # 12 entries a chunk: chunk edges every 3 bytes
+        monkeypatch.setattr(mulab.sieves, "_DEFAULT_SEGMENT", 12)
+        w = table.weight_array()
+        assert w.size == n_max + 1 and w[0] == 0 and w.tolist()[1:] == oracle
+        for lo in range(1, 14):
+            for hi in (lo, lo + 1, lo + 7, n_max - 3, n_max + 1):
+                if lo <= hi <= n_max + 1:
+                    assert table.values(lo, hi).tolist() == oracle[lo - 1 : hi - 1]
+        pts = list(range(1, 30)) + [500, 501] + list(range(n_max - 14, n_max + 1))
+        assert mertens_trace(table, pts) == [(n, int(csum[n - 1])) for n in pts]
+
+    def test_reserved_code_is_refused_by_every_reader(self):
+        from mulab.errors import InvariantError
+
+        table = sieve_mobius(1001)
+        bad = table.packed.copy()
+        bad[100] |= 0b11 << 4  # n = 403
+        for read in (lambda t: t.weight_array(), lambda t: mertens(t, 1001),
+                     lambda t: t.values(400, 410)):
+            with pytest.raises(InvariantError, match="reserved code 11"):
+                read(MobiusTable(1001, bad))
+        assert MobiusTable(1001, bad).values(1, 400).tolist() == \
+            table.values(1, 400).tolist()
+
+
+class TestSieveBudget:
+    @pytest.mark.parametrize("sieve,table_bytes", [
+        (sieve_mobius, lambda n: (n + 3) // 4),
+        (sieve_phi, lambda n: 8 * (n + 1)),
+    ], ids=["mu", "phi"])
+    def test_peak_within_the_budget_figure(self, sieve, table_bytes):
+        import tracemalloc
+        from mulab.sieves import _DEFAULT_SEGMENT, _segment_bytes
+
+        n_max = 2 * 10 ** 6
+        tracemalloc.start()
+        try:
+            sieve(n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= table_bytes(n_max) + _segment_bytes(n_max, _DEFAULT_SEGMENT)
+
+    @pytest.mark.parametrize("call", [
+        lambda n: sieve_mobius(n, memory_budget=10 ** 30),
+        lambda n: sieve_liouville(n, memory_budget=10 ** 30),
+        sieve_phi,
+    ], ids=["mu", "lambda", "phi"])
+    def test_n_max_past_2_53_is_refused_fast(self, call):
+        import time
+
+        start = time.perf_counter()
+        for n in (2 ** 53, 2 ** 60):
+            with pytest.raises(ValueError, match="below 2\\^53"):
+                call(n)
+        assert time.perf_counter() - start < 1.0

@@ -501,3 +501,85 @@ class TestIndexBlocksBudget:
         with mock.patch.object(symbolic_blocks, "DEFAULT_BUDGET_BYTES", peak - 1):
             with pytest.raises(ResourceBudgetError):
                 index_blocks(seq, J)
+
+
+# ---------------------------------------------------------------------------
+# dense ranks once base^J >= 2^62, well past twice the code length
+# (61, 26 and 7 symbols for alphabets 2, 5 and 300)
+
+RANK_CASES = [(2, 260, 130), (5, 200, 60), (300, 150, 17)]
+
+
+class TestRankedWindows:
+    @pytest.mark.parametrize("base,P,J_max", RANK_CASES)
+    def test_rows_and_dicts_match_tuple_scans(self, base, P, J_max):
+        seq = repetitive(random.Random(base + 2), base, P)
+        s = seq.symbols
+        L = max(J for J in range(1, 63) if base ** J < 2 ** 62)
+        index_js = {L, L + 1, 2 * L, 2 * L + 1, J_max - 1, J_max}
+        for tail in (0, 7, P - J_max):
+            rows = {thr: entropy_curve(seq, J_max, thr, tail) for thr in (2, 3, 50)}
+            for J in range(1, J_max + 1):
+                every = brute_blocks(s, J, range(tail, P - J + 1))
+                reg = brute_blocks(s, J, range(-(-tail // J) * J, P - J + 1, J))
+                for thr, curve in rows.items():
+                    r = curve[J - 1]
+                    assert (r.J, r.count_all, r.count_regular, r.count_effective,
+                            r.count_reg_effective, r.entropy_estimate) == (
+                        J, len(every), len(reg),
+                        sum(c >= thr for c in every.values()),
+                        sum(c >= thr for c in reg.values()),
+                        math.log(len(every)) / J)
+                    if J in index_js:
+                        idx = index_blocks(seq, J, thr, tail)
+                        assert idx.all_blocks == every and idx.regular_blocks == reg
+                        assert idx.effective_blocks == {
+                            b: c for b, c in every.items() if c >= thr}
+                        assert idx.regularly_effective_blocks == {
+                            b: c for b, c in reg.items() if c >= thr}
+                        assert list(idx.all_blocks) == sorted(every)
+                        assert all(type(v) is int for b in idx.all_blocks for v in b)
+
+    def test_huge_alphabet_keys_do_not_overflow(self):
+        # base^2 >= 2^62 from J = 2 on; rank * base would overflow int64
+        base = 2 ** 62 - 1
+        rng = random.Random(5)
+        pool = [rng.randrange(base) for _ in range(6)]
+        seq = SymbolSeq(np.array([rng.choice(pool) for _ in range(300)]), base)
+        s = seq.symbols
+        rows = entropy_curve(seq, 6, 3, 7)
+        for r in rows:
+            every = brute_blocks(s, r.J, range(7, 300 - r.J + 1))
+            assert (r.count_all, r.count_effective) == (
+                len(every), sum(c >= 3 for c in every.values()))
+        assert index_blocks(seq, 4).all_blocks == brute_blocks(s, 4, range(297))
+
+    def test_block_count_inequality_on_ranks(self):
+        seq = repetitive(random.Random(9), 2, 400)
+        assert block_count_inequality_check(seq, 40, 2)  # l J = 80 > 61
+        assert block_count_inequality_check(seq, 70, 1)
+
+    def test_budget_covers_the_measured_peak(self):
+        P = 200_000
+        rng = np.random.default_rng(300)
+        seq = SymbolSeq(rng.integers(0, 300, P), 300)
+        tracemalloc.start()
+        try:
+            rows = entropy_curve(seq, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows[-1].count_all == P - 9
+        with mock.patch.object(symbolic_blocks, "DEFAULT_BUDGET_BYTES", peak - 1):
+            with pytest.raises(ResourceBudgetError):
+                entropy_curve(seq, 10)
+
+    def test_window_key_limit(self):
+        seq = repetitive(random.Random(3), 5, 100)
+        with mock.patch.object(symbolic_blocks, "_MAX_WINDOW_KEYS", 3000):
+            assert len(entropy_curve(seq, 30)) == 30
+            index_blocks(seq, 30)
+            for call in (lambda: entropy_curve(seq, 31), lambda: index_blocks(seq, 31)):
+                with pytest.raises(ResourceBudgetError,
+                                   match=r"and 3100 window keys, .*3000-key limit"):
+                    call()
