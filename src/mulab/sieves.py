@@ -65,8 +65,8 @@ _QUOTIENT_CHUNK = 1 << 16
 # working bytes of a sieve, as tracemalloc measures them: per entry of a
 # segment, the values and the product of the stripped powers (int64 at
 # worst; mu's int8 values, codes and packing take less); per entry of a
-# quotient pass, the float64 quotient, f of it, its mask and numpy's cast
-# buffers; per entry of the period, the two tiles (int32 at worst); per
+# quotient pass, the float64 quotient, f(q) - 1, the factor in the values'
+# dtype and numpy's cast buffers; per entry of the period, the two tiles (int32 at worst); per
 # integer up to sqrt(n_max), the prime mask and the base primes' powers (about
 # 100 bytes a prime); and a fixed part for Python objects and array headers
 _SEGMENT_BYTES_PER_N = 8 + 8
@@ -282,17 +282,11 @@ def _segment_filler(n_max: int, size: int, ratio, dtype):
             b = min(a + _QUOTIENT_CHUNK, vals.size)
             q = np.arange(lo + a, lo + b, dtype=np.float64)
             q /= prod[a:b]
-            last = ratio(q, 1)
-            if np.ndim(last):  # f(q) varies with q: 1 + [q > 1] (f(q) - 1)
-                last -= 1
-                last *= q > 1
-                last += 1
-                np.multiply(vals[a:b], last, out=vals[a:b], casting="unsafe")
-            else:  # the same f(q) for every prime q
-                factor = (q > 1).view(np.int8)
-                factor *= last - 1
-                factor += 1
-                vals[a:b] *= factor
+            # 1 + [q > 1] (f(q) - 1): f(q) for a prime q, 1 for q = 1
+            factor = (q > 1).astype(vals.dtype)
+            np.multiply(factor, ratio(q, 1) - 1, out=factor, casting="unsafe")
+            factor += 1
+            vals[a:b] *= factor
 
     return fill
 

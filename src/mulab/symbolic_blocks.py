@@ -18,8 +18,8 @@ windows are keyed by their dense ranks instead: the J-window at i is the
 pair (rank of the (J-1)-window at i, s(i+J-1)), ranked by one np.unique.
 Only `index_blocks` decodes keys into blocks.  `entropy_curve` and
 `index_blocks` check their working bytes (measured per symbol and per
-decoded block) against the 512 MiB default budget, and the window keys
-they build over all J against a fixed limit, up front.  The per-J entropy
+decoded block) against the 512 MiB default budget, and the ranked window
+keys they build over all J against a fixed limit, up front.  The per-J entropy
 estimates log|B_J|/J are finite-prefix estimates, which the report rows
 label explicitly.
 Scans are pure functions of the immutable prefix; counting unions over
@@ -114,8 +114,10 @@ def load_symbols(header_path: str | Path) -> SymbolSeq:
 #: bases 2, 5, 300).
 _CODE_BYTES_PER_SYMBOL = 56
 _RANK_BYTES_PER_SYMBOL = 56
-#: window keys that one call may build over all its J (P per J): 2^28 keys
-#: take about 20 s of sorting on one core
+#: ranked window keys that one call may build over all its J (P per J past
+#: the code length): each takes 240-300 ns of np.unique (P = 1e6 and 4e6,
+#: bases 2 and 300, one core of a 2-core Xeon VM), so 2^28 keys take 65-80 s.
+#: The int64 codes are not counted against it
 _MAX_WINDOW_KEYS = 1 << 28
 
 
@@ -137,16 +139,18 @@ _BLOCK_BYTES = 176
 def _check_budget(what: str, seq: SymbolSeq, J: int, blocks: int = 0) -> None:
     """Raise ResourceBudgetError unless the J-window keys of `seq`, all
     distinct, plus `blocks` decoded blocks fit the default budget, and the
-    keys of every window length up to J stay within _MAX_WINDOW_KEYS."""
-    ranked = _code_range(seq.alphabet_size, J) is None
+    ranked keys of the window lengths up to J stay within _MAX_WINDOW_KEYS."""
+    coded = next(j for j in range(J, -1, -1)
+                 if _code_range(seq.alphabet_size, j) is not None)
+    ranked = coded < J
     per_symbol = _CODE_BYTES_PER_SYMBOL + ranked * _RANK_BYTES_PER_SYMBOL
     need = per_symbol * len(seq) + blocks * (_BLOCK_BYTES + 8 * J * (1 + ranked))
-    keys = len(seq) * J
+    keys = len(seq) * (J - coded)
     if need > DEFAULT_BUDGET_BYTES or keys > _MAX_WINDOW_KEYS:
         raise ResourceBudgetError(
             f"{what} for P={len(seq)}, J={J} needs about {need} bytes "
-            f"({per_symbol} per symbol for the window keys) and {keys} window "
-            f"keys, over the {DEFAULT_BUDGET_BYTES}-byte budget or the "
+            f"({per_symbol} per symbol for the window keys) and {keys} ranked "
+            f"window keys, over the {DEFAULT_BUDGET_BYTES}-byte budget or the "
             f"{_MAX_WINDOW_KEYS}-key limit; shorten the prefix or lower J")
 
 

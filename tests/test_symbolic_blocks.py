@@ -575,11 +575,17 @@ class TestRankedWindows:
                 entropy_curve(seq, 10)
 
     def test_window_key_limit(self):
+        # base 5: codes up to J = 26, ranks from J = 27 on, P = 100 per J
         seq = repetitive(random.Random(3), 5, 100)
         with mock.patch.object(symbolic_blocks, "_MAX_WINDOW_KEYS", 3000):
-            assert len(entropy_curve(seq, 30)) == 30
-            index_blocks(seq, 30)
-            for call in (lambda: entropy_curve(seq, 31), lambda: index_blocks(seq, 31)):
+            assert len(entropy_curve(seq, 56)) == 56
+            index_blocks(seq, 56)
+            for call in (lambda: entropy_curve(seq, 57), lambda: index_blocks(seq, 57)):
                 with pytest.raises(ResourceBudgetError,
-                                   match=r"and 3100 window keys, .*3000-key limit"):
+                                   match=r"and 3100 ranked window keys, .*3000-key limit"):
                     call()
+        with mock.patch.object(symbolic_blocks, "_MAX_WINDOW_KEYS", 0):
+            assert len(entropy_curve(seq, 26)) == 26
+            assert index_blocks(seq, 26).J == 26
+            with pytest.raises(ResourceBudgetError, match=r"and 100 ranked window keys"):
+                entropy_curve(seq, 27)
