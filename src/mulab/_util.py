@@ -9,20 +9,21 @@ from pathlib import Path
 DEFAULT_BUDGET_BYTES = 1 << 29
 
 
-def atomic_write(path: str | Path, data: str | bytes) -> None:
-    """Write via temp file + rename so readers never see partial output.
+def atomic_write(path: str | Path, *parts: str | bytes | memoryview) -> None:
+    """Write the parts in order via temp file + rename so readers never see
+    partial output.
 
-    Text is written as UTF-8 with no newline translation.  The file gets
-    the mode a plain open() would give it (0666 less the umask).
+    Text is written as UTF-8 with no newline translation, bytes-like parts
+    as they are, without a copy.  The file gets the mode a plain open()
+    would give it (0666 less the umask).
     """
     path = Path(path)
-    if isinstance(data, str):
-        data = data.encode("utf-8")
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part.encode("utf-8") if isinstance(part, str) else part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -4,17 +4,13 @@ A piece is a nonempty intersection P_1 cap ... cap P_m with each P_j one of
 {F_j > c_j}, {F_j < c_j}, {F_j = c_j}; equivalently a feasible sign vector
 over {+1, -1, 0}, or a face of the arrangement.
 
-`count_pieces` is witness-free: it builds the intersection lattice (the
-nonempty intersections of the planes, each kept as an integer echelon form)
-and sums |mu(X, Y)| over pairs of flats X <= Y, which is Zaslavsky's face
-count ("Facing up to arrangements", 1975).  It needs exact ranks only, no
-feasibility solves.
-
-`enumerate_pieces` is the only path that yields sign vectors and witness
-points.  It decides each mixed strict/equality system by exact integer
-Fourier-Motzkin elimination (equalities are pivoted away first), so there
-are no epsilon questions at desk scale, and it serves as the differential
-oracle for the count.
+`count_pieces` and `enumerate_pieces` both start from the intersection
+lattice (the nonempty intersections of the distinct planes, each kept as an
+integer echelon form) and solve no feasibility problem.  `count_pieces`
+sums |mu(X, Y)| over pairs of flats X <= Y (Zaslavsky, "Facing up to
+arrangements", 1975); `enumerate_pieces` takes every split of a region and
+every witness from it (the incremental construction of Edelsbrunner,
+O'Rourke & Seidel, SIAM J. Comput. 1986).
 """
 
 from __future__ import annotations
@@ -34,9 +30,12 @@ SignVector = tuple[int, ...]
 # digit order of sign vectors in enumeration output (ternary-counter order)
 _DIGITS = {1: 0, -1: 1, 0: 2}
 
-# enumerate_pieces budget, from the cost of Fourier-Motzkin elimination
-MAX_HYPERPLANES = 12
-MAX_DIM = 4
+# enumerate_pieces budget: the largest m * piece_bound(m, k), the signs its
+# output may hold, that it takes on.  On a 2-core Xeon VM, general position
+# near the limit took 4-13 us and at most 280 B of tracemalloc peak per sign
+# (m=315, k=1: 0.75 s, 20 B; m=13, k=4: 1.6 s, 121 B; m=9, k=9: 2.3 s,
+# 279 B): about 110 us per piece at k = 4.
+MAX_ENUM_SIGNS = 200_000
 # count_pieces budget: the largest piece_bound(m, k) it takes on.  Its cost
 # tracks that bound, 6-17 us per unit on a 2-core Xeon VM (general position
 # m=24, k=4: 1.7 s; m=16, k=5: 1.2 s; 1e5 points on a line: 3.5 s).
@@ -78,10 +77,6 @@ def classify_point(point: Sequence, arr: Sequence[Hyperplane]) -> SignVector:
     return tuple(h.side(pt) for h in arr)
 
 
-# ---------------------------------------------------------------------------
-# exact feasibility of one sign system
-
-
 def _int_rows(arr: Sequence[Hyperplane]) -> list[tuple[tuple[int, ...], int]]:
     """Clear denominators per hyperplane: (a, c) ints with a.x = c the plane."""
     rows = []
@@ -91,137 +86,6 @@ def _int_rows(arr: Sequence[Hyperplane]) -> list[tuple[tuple[int, ...], int]]:
             (tuple(int(f * scale) for f in h.normal), int(h.offset * scale))
         )
     return rows
-
-
-def _normalize(a: tuple[int, ...], c: int) -> tuple[tuple[int, ...], int]:
-    g = math.gcd(*(abs(x) for x in a), abs(c))
-    if g > 1:
-        return tuple(x // g for x in a), c // g
-    return a, c
-
-
-def _solve_sign_system(
-    planes: Sequence[tuple[tuple[int, ...], int]],
-    signs: Sequence[int],
-    dim: int,
-) -> tuple[Fraction, ...] | None:
-    """Witness point for {sign_j(a_j.x - c_j) as prescribed}, or None.
-
-    Inequalities are kept in the strict form a.x > c; equalities are
-    substituted away by integer pivoting, then Fourier-Motzkin elimination
-    runs on the remainder.  A witness is rebuilt by back-substitution.
-    """
-    eqs: list[tuple[tuple[int, ...], int]] = []
-    ins: list[tuple[tuple[int, ...], int]] = []
-    for (a, c), s in zip(planes, signs):
-        if s == 0:
-            eqs.append((a, c))
-        elif s > 0:
-            ins.append((a, c))
-        else:
-            ins.append((tuple(-x for x in a), -c))
-
-    pivots: list[tuple[int, tuple[int, ...], int]] = []  # (var, eq row)
-
-    def eliminate_eq(rows, a, c, var):
-        av = a[var]
-        sa = 1 if av > 0 else -1
-        out = []
-        for b, d in rows:
-            bv = b[var]
-            if bv == 0:
-                out.append((b, d))
-                continue
-            nb = tuple(abs(av) * x - sa * bv * y for x, y in zip(b, a))
-            nd = abs(av) * d - sa * bv * c
-            out.append(_normalize(nb, nd))
-        return out
-
-    work = list(eqs)
-    while work:
-        a, c = work.pop()
-        if all(x == 0 for x in a):
-            if c != 0:
-                return None
-            continue
-        var = next(i for i, x in enumerate(a) if x != 0)
-        pivots.append((var, a, c))
-        work = eliminate_eq(work, a, c, var)
-        ins = eliminate_eq(ins, a, c, var)
-
-    # Fourier-Motzkin on the strict system a.x > c
-    stages: list[tuple[int, list, list]] = []
-    rows = []
-    for a, c in ins:
-        if all(x == 0 for x in a):
-            if c >= 0:
-                return None
-        else:
-            rows.append(_normalize(a, c))
-    rows = list(dict.fromkeys(rows))
-    active = [
-        v for v in range(dim)
-        if not any(v == pv for pv, _, _ in pivots)
-    ]
-    remaining = list(active)
-    while remaining:
-        # cheapest variable first: fewest pos*neg combinations
-        def cost(v: int) -> int:
-            pos = sum(1 for a, _ in rows if a[v] > 0)
-            neg = sum(1 for a, _ in rows if a[v] < 0)
-            return pos * neg
-        var = min(remaining, key=cost)
-        remaining.remove(var)
-        pos = [(a, c) for a, c in rows if a[var] > 0]
-        neg = [(a, c) for a, c in rows if a[var] < 0]
-        rest = [(a, c) for a, c in rows if a[var] == 0]
-        stages.append((var, pos, neg))
-        new = rest
-        for ap, cp in pos:
-            for an, cn in neg:
-                alpha, beta = ap[var], -an[var]
-                a = tuple(beta * x + alpha * y for x, y in zip(ap, an))
-                c = beta * cp + alpha * cn
-                if all(x == 0 for x in a):
-                    if c >= 0:
-                        return None
-                    continue
-                new.append(_normalize(a, c))
-        rows = list(dict.fromkeys(new))
-
-    if any(c >= 0 for a, c in rows if all(x == 0 for x in a)):
-        return None
-
-    # back-substitute a witness
-    x: list[Fraction | None] = [None] * dim
-    for v in range(dim):
-        x[v] = Fraction(0)
-    for var, pos, neg in reversed(stages):
-        lo: Fraction | None = None
-        hi: Fraction | None = None
-        for a, c in pos:  # a.x > c with a[var] > 0: lower bound
-            bound = (Fraction(c) - sum(a[i] * x[i] for i in range(dim) if i != var)) / a[var]
-            if lo is None or bound > lo:
-                lo = bound
-        for a, c in neg:  # upper bound
-            bound = (Fraction(c) - sum(a[i] * x[i] for i in range(dim) if i != var)) / a[var]
-            if hi is None or bound < hi:
-                hi = bound
-        if lo is None and hi is None:
-            x[var] = Fraction(0)
-        elif lo is None:
-            x[var] = hi - 1
-        elif hi is None:
-            x[var] = lo + 1
-        else:
-            x[var] = (lo + hi) / 2
-    for var, a, c in reversed(pivots):
-        x[var] = (Fraction(c) - sum(a[i] * x[i] for i in range(dim) if i != var)) / a[var]
-    return tuple(x)
-
-
-# ---------------------------------------------------------------------------
-# enumeration
 
 
 def _checked_dim(arr: Sequence[Hyperplane]) -> int:
@@ -236,54 +100,8 @@ def _checked_dim(arr: Sequence[Hyperplane]) -> int:
     return dim
 
 
-@dataclass
-class PieceEnumeration:
-    sign_vectors: list[SignVector]  # ternary-counter order: +, -, 0 per digit
-    witnesses: list[tuple[Fraction, ...]]
-
-    @property
-    def count(self) -> int:
-        return len(self.sign_vectors)
-
-
-def enumerate_pieces(arr: Sequence[Hyperplane]) -> PieceEnumeration:
-    """All feasible sign vectors with exact witness points.
-
-    Extends one hyperplane at a time: an existing witness certifies its own
-    side for free, the other two signs get a fresh feasibility solve.
-    """
-    dim = _checked_dim(arr)
-    m = len(arr)
-    if m > MAX_HYPERPLANES or dim > MAX_DIM:
-        raise ResourceBudgetError(
-            f"arrangement m={m}, k={dim} beyond enumeration budget "
-            f"(m <= {MAX_HYPERPLANES}, k <= {MAX_DIM}): it may have "
-            f"piece_bound({m}, {dim}) = {piece_bound(m, dim)} pieces, each "
-            f"with an exact witness to solve for"
-        )
-    planes = _int_rows(arr)
-    states: list[tuple[SignVector, tuple[Fraction, ...]]] = [
-        ((), tuple(Fraction(0) for _ in range(dim)))
-    ]
-    for j, (a, c) in enumerate(planes):
-        nxt = []
-        for signs, w in states:
-            v = sum(ai * wi for ai, wi in zip(a, w)) - c
-            s_w = (v > 0) - (v < 0)
-            for s in (1, -1, 0):
-                if s == s_w:
-                    nxt.append((signs + (s,), w))
-                else:
-                    w2 = _solve_sign_system(planes[: j + 1], signs + (s,), dim)
-                    if w2 is not None:
-                        nxt.append((signs + (s,), w2))
-        states = nxt
-    states.sort(key=lambda sw: tuple(_DIGITS[s] for s in sw[0]))
-    return PieceEnumeration([s for s, _ in states], [w for _, w in states])
-
-
 # ---------------------------------------------------------------------------
-# witness-free count over the intersection lattice
+# the intersection lattice
 #
 # A row (a_1, ..., a_k, c) stands for the plane a.x = c.  A flat is kept as
 # the integer reduced echelon form of its planes' rows: primitive rows with
@@ -333,25 +151,11 @@ def _meet(pivots, rows, plane, dim):
     return tuple(p for p, _ in out), tuple(row for _, row in out)
 
 
-def count_pieces(arr: Sequence[Hyperplane]) -> int:
-    """Number of nonempty pieces cut by the arrangement.
-
-    Flats are built breadth-first by rank: each is the meet of a flat one
-    rank lower with a plane, and the planes that give the same meet are
-    exactly the ones added to that flat's closure.  The count is the sum
-    over flats X <= Y (Y contained in X) of |mu(X, Y)|, with mu from the
-    recursion mu(Z, Y) = -sum_{Z < W <= Y} mu(W, Y).  Arrangements with
-    piece_bound(m, k) > MAX_COUNT_BOUND raise ResourceBudgetError.
-    """
-    dim = _checked_dim(arr)
-    m = len(arr)
-    bound = piece_bound(m, min(dim, m))  # terms past j = m vanish
-    if bound > MAX_COUNT_BOUND:
-        raise ResourceBudgetError(
-            f"arrangement m={m}, k={dim} may have {bound} pieces, beyond the "
-            f"count budget of {MAX_COUNT_BOUND}"
-        )
-    planes = _distinct_planes(arr)
+def _lattice(planes, dim):
+    """(flats, closure, below, index) of the nonempty intersections of the
+    planes, built breadth-first by rank: each is the meet of a flat one rank
+    lower with a plane, and the planes that give the same meet are exactly
+    the ones added to that flat's closure.  index maps rows to flats."""
     flats = [((), ())]          # (pivots, rows); indices grow with rank
     closure = [0]               # bitmask of the planes containing the flat
     below = [{0}]               # flats containing this one, itself included
@@ -381,7 +185,24 @@ def count_pieces(arr: Sequence[Hyperplane]) -> int:
                 below[y] |= below[x]
                 done |= closure[y]
         level = nxt
+    return flats, closure, below, index
 
+
+def count_pieces(arr: Sequence[Hyperplane]) -> int:
+    """Number of nonempty pieces cut by the arrangement: the sum over flats
+    X <= Y (Y contained in X) of |mu(X, Y)|, with mu from the recursion
+    mu(Z, Y) = -sum_{Z < W <= Y} mu(W, Y).  Arrangements with
+    piece_bound(m, k) > MAX_COUNT_BOUND raise ResourceBudgetError.
+    """
+    dim = _checked_dim(arr)
+    m = len(arr)
+    bound = piece_bound(m, min(dim, m))  # terms past j = m vanish
+    if bound > MAX_COUNT_BOUND:
+        raise ResourceBudgetError(
+            f"arrangement m={m}, k={dim} may have {bound} pieces, beyond the "
+            f"count budget of {MAX_COUNT_BOUND}"
+        )
+    _, _, below, _ = _lattice(_distinct_planes(arr), dim)
     total = 0
     for y, lower in enumerate(below):
         acc = dict.fromkeys(lower, 0)
@@ -393,6 +214,113 @@ def count_pieces(arr: Sequence[Hyperplane]) -> int:
                 if z != w:
                     acc[z] -= mu
     return total
+
+
+# ---------------------------------------------------------------------------
+# enumeration over the lattice
+
+
+@dataclass
+class PieceEnumeration:
+    sign_vectors: list[SignVector]  # ternary-counter order: +, -, 0 per digit
+    witnesses: list[tuple[Fraction, ...]]
+
+    @property
+    def count(self) -> int:
+        return len(self.sign_vectors)
+
+
+def _value(row, u, den) -> int:
+    """den (a.x - c) at x = u / den for the row (a, c); a.u when den = 0."""
+    return sum(a * x for a, x in zip(row, u)) - row[-1] * den
+
+
+def _frame(pivots, rows, dim):
+    """((u, den), directions) of a flat, from the null space of its rows
+    (a, c): one integer vector v per free column f, v_f = den the lcm of the
+    pivots.  f < dim gives a direction, f = dim the point -v / den."""
+    den = math.lcm(*(row[p] for p, row in zip(pivots, rows)))
+    null = []
+    for f in range(dim + 1):
+        if f not in pivots:
+            v = [0] * (dim + 1)
+            v[f] = den
+            for p, row in zip(pivots, rows):
+                v[p] = -row[f] * den // row[p]
+            null.append(tuple(v[:dim]))
+    return (tuple(-c for c in null.pop()), den), null
+
+
+def enumerate_pieces(arr: Sequence[Hyperplane]) -> PieceEnumeration:
+    """All nonempty pieces as sign vectors with exact witness points.
+
+    A piece is an open region of the flat it spans.  For each plane H in
+    turn and each flat X, a plane containing X gives X's regions the sign
+    0, and a plane parallel to X the side of their witness.  Otherwise a
+    region R of X meets H exactly when Y = X cap H has a region with R's
+    sign vector; that witness y lies in R, and y +/- t d, for a direction d
+    of X across H and t = min(1, half of |v_i(y)| / |v_i(d)| over the
+    planes i cutting X), are the witnesses of R's two sides.  Y comes after
+    X in the lattice, so it still holds the regions of the planes before H.
+    Arrangements with m piece_bound(m, k) > MAX_ENUM_SIGNS raise
+    ResourceBudgetError.
+    """
+    dim = _checked_dim(arr)
+    m = len(arr)
+    bound = piece_bound(m, min(dim, m))
+    if m * bound > MAX_ENUM_SIGNS:
+        raise ResourceBudgetError(
+            f"arrangement m={m}, k={dim} may have piece_bound({m}, {dim}) = "
+            f"{bound} pieces of {m} signs, {m * bound} signs in all, beyond "
+            f"the enumeration budget of {MAX_ENUM_SIGNS}"
+        )
+    planes = _distinct_planes(arr)
+    flats, closure, _, index = _lattice(planes, dim)
+    frames = [_frame(pivots, rows, dim) for pivots, rows in flats]
+    # flat -> {(bitmask of + planes, bitmask of - planes): witness (u, den)};
+    # before any plane, a flat is its one region
+    regions = [{(0, 0): point} for point, _ in frames]
+    for j, plane in enumerate(planes):
+        bit = 1 << j
+        for x, (pivots, rows) in enumerate(flats):
+            if closure[x] & bit:
+                continue  # sign 0 sets no bit
+            meet = None if len(rows) == dim else _meet(pivots, rows, plane, dim)
+            split = {}
+            if meet is not None:  # the plane cuts X in the flat Y = meet
+                split = regions[index[meet[1]]]
+                d = next(d for d in frames[x][1] if _value(plane, d, 0))
+                if _value(plane, d, 0) < 0:
+                    d = tuple(-c for c in d)
+                # the earlier planes that cut X, whose signs y +/- t d keeps
+                active = [(row, 2 * abs(g)) for row in planes[:j]
+                          if (g := _value(row, d, 0))]
+            out = {}
+            for (pos, neg), w in regions[x].items():
+                y = split.get((pos, neg))
+                if y is None:
+                    side = _value(plane, *w) > 0
+                    out[(pos | bit, neg) if side else (pos, neg | bit)] = w
+                    continue
+                u, den = y
+                p, q = den, 1  # t den = p / q
+                for row, g in active:
+                    v = abs(_value(row, u, den))
+                    if v * q < g * p:
+                        p, q = v, g
+                for key, sign in (((pos | bit, neg), 1), ((pos, neg | bit), -1)):
+                    num = [q * a + sign * p * b for a, b in zip(u, d)]
+                    common = math.gcd(*num, q * den)
+                    out[key] = (tuple(c // common for c in num), q * den // common)
+            regions[x] = out
+    given = [(*a, c) for a, c in _int_rows(arr)]  # duplicates included
+    pieces = []
+    for flat in regions:
+        for u, den in flat.values():
+            signs = ((v > 0) - (v < 0) for v in (_value(row, u, den) for row in given))
+            pieces.append((tuple(signs), tuple(Fraction(c, den) for c in u)))
+    pieces.sort(key=lambda sw: tuple(_DIGITS[s] for s in sw[0]))
+    return PieceEnumeration([s for s, _ in pieces], [w for _, w in pieces])
 
 
 def piece_bound(m: int, k: int) -> int:
@@ -451,6 +379,8 @@ def load_arrangement_json(path: str | Path) -> list[Hyperplane]:
     out = []
     try:
         for entry in spec["hyperplanes"]:
+            if not isinstance(entry["normal"], list):
+                raise TypeError("normal must be a JSON list")
             normal = tuple(Fraction(str(v)) for v in entry["normal"])
             out.append(Hyperplane(normal, Fraction(str(entry["offset"]))))
     except (KeyError, TypeError, ZeroDivisionError) as exc:

@@ -254,6 +254,7 @@ def blockwise_abs_average(
         raise ValueError("need at least two increasing breakpoints")
     if bps[-1] - 1 > weights.n_max:
         raise ValueError("breakpoints exceed weight range")
+    phase.check_range(bps[-1] - 1)
     per_block = []
     for lo, hi in zip(bps, bps[1:]):
         z = _terms(phase, max(lo, 1), max(hi, 1), weights.values)

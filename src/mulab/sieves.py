@@ -130,6 +130,8 @@ class MobiusTable:
     _weights: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # the CRC and the cache writer read the array's buffer
+        self.packed = np.ascontiguousarray(self.packed)
         expected = (self.n_max + 3) // 4
         if self.packed.size != expected:
             raise InvariantError(
@@ -138,7 +140,7 @@ class MobiusTable:
 
     @property
     def checksum(self) -> int:
-        return zlib.crc32(self.packed.tobytes()) & 0xFFFFFFFF
+        return zlib.crc32(self.packed) & 0xFFFFFFFF
 
     def _bytes(self, b0: int, b1: int):
         """(first byte, payload bytes) over bytes [b0, b1), one
@@ -426,16 +428,14 @@ def m_estimate(g, t_grid: Sequence[float], x_max: int) -> tuple[float, float]:
 
 
 def save_cache(table: MobiusTable, path: str | Path) -> None:
-    """Write the packed table; bit-exact and atomic (temp file + rename)."""
-    payload = table.packed.tobytes()
-    blob = (
-        MAGIC
-        + bytes([VERSION])
-        + struct.pack("<Q", table.n_max)
-        + payload
-        + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+    """Write the packed table; bit-exact and atomic (temp file + rename).
+    The payload goes from the table's array to the file, with no copy."""
+    atomic_write(
+        path,
+        MAGIC + bytes([VERSION]) + struct.pack("<Q", table.n_max),
+        memoryview(table.packed),
+        struct.pack("<I", table.checksum),
     )
-    atomic_write(path, blob)
 
 
 def load_cache(path: str | Path) -> MobiusTable:
@@ -451,6 +451,8 @@ def load_cache(path: str | Path) -> MobiusTable:
             f"{path}: version 0x{version:02x}, expected 0x{VERSION:02x}"
         )
     (n_max,) = struct.unpack("<Q", blob[5:13])
+    if n_max < 1:
+        raise CacheFormatError(f"{path}: n_max {n_max}, a table needs n_max >= 1")
     payload_len = (n_max + 3) // 4
     rest = memoryview(blob)[13:]  # slices below are views, not copies
     if len(rest) != payload_len + 4:

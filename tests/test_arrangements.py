@@ -1,6 +1,7 @@
 """Piece enumeration: fixed examples with known counts, witness-certified
 random arrangements, the counting bound and its recursion, exact
-classification, and the lattice count against the enumeration."""
+classification, and the lattice count and enumeration against the
+Fourier-Motzkin oracle."""
 
 import inspect
 import json
@@ -11,9 +12,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mulab.arrangements
+from fm_oracle import fm_oracle
 from mulab.errors import ResourceBudgetError
 from mulab.arrangements import (
     MAX_COUNT_BOUND,
+    MAX_ENUM_SIGNS,
     Hyperplane,
     classify_point,
     coarse_piece_bound,
@@ -136,20 +140,31 @@ class TestEnumeration:
 
     def test_enumeration_budget_is_fixed(self):
         assert list(inspect.signature(enumerate_pieces).parameters) == ["arr"]
-        arr = [hyperplane((1,), i) for i in range(13)]
-        with pytest.raises(ResourceBudgetError,
-                           match=r"m=13, k=1 beyond enumeration budget \(m <= 12, k <= 4\)"):
-            enumerate_pieces(arr)
+        # m = 13 and k = 5 both lie past the cap of the Fourier-Motzkin era
+        for arr in ([hyperplane((1,), i) for i in range(13)],
+                    [hyperplane((1,) * 5, 0)]):
+            en = enumerate_pieces(arr)
+            assert en.count == count_pieces(arr) == piece_bound(len(arr), 1)
+            for sv, w in zip(en.sign_vectors, en.witnesses):
+                assert classify_point(w, arr) == sv
 
-    @pytest.mark.parametrize("m,k,bound", [(13, 1, 27), (1, 5, 3), (13, 5, 55_251)])
-    def test_enumeration_budget_error_states_the_need(self, m, k, bound):
+    @pytest.mark.parametrize("m,k,bound", [(13, 1, 27), (1, 5, 3), (13, 5, 55_251),
+                                           (316, 1, 633)])
+    def test_enumeration_budget_error_states_the_need(self, monkeypatch, m, k, bound):
+        # the budget counts the m * piece_bound(m, k) signs of the output;
+        # 316 points on a line, 200,028 signs, are the first past the limit
         assert piece_bound(m, k) == bound
+        assert 315 * piece_bound(315, 1) <= MAX_ENUM_SIGNS < 316 * 633
+        limit = min(MAX_ENUM_SIGNS, m * bound - 1)
+        monkeypatch.setattr(mulab.arrangements, "MAX_ENUM_SIGNS", limit)
         arr = [hyperplane((1,) * (k - 1) + (i + 1,), i) for i in range(m)]
+        start = time.perf_counter()
         with pytest.raises(ResourceBudgetError,
-                           match=rf"m={m}, k={k} beyond enumeration budget "
-                                 rf"\(m <= 12, k <= 4\): it may have "
-                                 rf"piece_bound\({m}, {k}\) = {bound} pieces"):
+                           match=rf"m={m}, k={k} may have piece_bound\({m}, {k}\) = "
+                                 rf"{bound} pieces of {m} signs, {m * bound} signs in "
+                                 rf"all, beyond the enumeration budget of {limit}$"):
             enumerate_pieces(arr)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestBound:
@@ -240,7 +255,7 @@ class TestSerialization:
 
 
 # ---------------------------------------------------------------------------
-# the witness-free lattice count against the Fourier-Motzkin enumeration
+# the lattice count and enumeration against the Fourier-Motzkin oracle
 
 
 def degenerate_arrangement(rng, m, k, kind):
@@ -273,23 +288,29 @@ def degenerate_arrangement(rng, m, k, kind):
 KINDS = ("duplicate", "negated", "parallel", "central", "cylinder")
 
 
+def assert_matches_oracle(arr):
+    """The enumeration gives the oracle's sign vectors in its order, every
+    witness classifies to its sign vector, and the count agrees."""
+    en = enumerate_pieces(arr)
+    assert en.sign_vectors == fm_oracle(arr).sign_vectors, arr
+    assert [classify_point(w, arr) for w in en.witnesses] == en.sign_vectors
+    assert count_pieces(arr) == en.count
+
+
 class TestLatticeCount:
     @pytest.mark.parametrize("k", (1, 2, 3, 4))
     def test_matches_enumeration_on_degenerate_families(self, k):
         rng = random.Random(97 + k)
         for m in range(1, 9):
             for kind in KINDS:
-                arr = degenerate_arrangement(rng, m, k, kind)
-                assert count_pieces(arr) == enumerate_pieces(arr).count, \
-                    (m, k, kind)
+                assert_matches_oracle(degenerate_arrangement(rng, m, k, kind))
 
     def test_plane_repeated_with_negative_scale_counts_once(self):
         arr = [hyperplane((1, -2), F(1, 3)), hyperplane((-3, 6), -1)]
         assert count_pieces(arr) == count_pieces(arr[:1]) == 3
 
     def test_general_position_at_the_budget(self):
-        # Fourier-Motzkin enumeration takes minutes at this size; the
-        # lattice count takes a fraction of a second, and the bound leaves
+        # the lattice count takes a fraction of a second; the bound leaves
         # room for slow hosts
         rng = random.Random(5)
         arr = [hyperplane([rng.randrange(-999, 1000) for _ in range(4)],
@@ -299,15 +320,14 @@ class TestLatticeCount:
         assert time.perf_counter() - start < 10.0
 
     def test_input_errors_kept(self, monkeypatch):
-        with pytest.raises(ValueError):
-            count_pieces([])
-        with pytest.raises(ValueError):
-            count_pieces([hyperplane((1,), 0), hyperplane((1, 0), 0)])
-        # k = 5 is past the enumeration budget only
+        for pieces in (count_pieces, enumerate_pieces):
+            with pytest.raises(ValueError):
+                pieces([])
+            with pytest.raises(ValueError):
+                pieces([hyperplane((1,), 0), hyperplane((1, 0), 0)])
+        # k = 5 is within both budgets
         assert count_pieces([hyperplane((1,) * 5, 0)]) == 3
-        with pytest.raises(ResourceBudgetError):
-            enumerate_pieces([hyperplane((1,) * 5, 0)])
-        import mulab.arrangements
+        assert enumerate_pieces([hyperplane((1,) * 5, 0)]).count == 3
 
         monkeypatch.setattr(mulab.arrangements, "MAX_COUNT_BOUND", 18)
         with pytest.raises(ResourceBudgetError):  # piece_bound(3, 2) = 19
@@ -321,6 +341,16 @@ class TestLatticeCount:
         kind = data.draw(st.sampled_from(KINDS + ("random",)), label="kind")
         seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
         rng = random.Random(seed)
-        arr = (rand_arrangement(rng, m, k, span=3) if kind == "random"
-               else degenerate_arrangement(rng, m, k, kind))
-        assert count_pieces(arr) == enumerate_pieces(arr).count
+        assert_matches_oracle(rand_arrangement(rng, m, k, span=3) if kind == "random"
+                              else degenerate_arrangement(rng, m, k, kind))
+
+    def test_general_position_enumeration(self):
+        # wide random coefficients land in general position; the
+        # Fourier-Motzkin oracle is too slow at this size
+        rng = random.Random(5)
+        arr = [hyperplane([rng.randrange(-999, 1000) for _ in range(4)],
+                          rng.randrange(-999, 1000)) for _ in range(8)]
+        en = enumerate_pieces(arr)
+        assert en.count == count_pieces(arr) == piece_bound(8, 4) == 1697
+        for sv, w in zip(en.sign_vectors, en.witnesses):
+            assert classify_point(w, arr) == sv

@@ -95,6 +95,16 @@ class TestSumCommand:
                     "--n", "100"]) == 2
         assert "'pieces'" in capsys.readouterr().err
 
+    def test_empty_table_cache_is_io_error(self, tmp_path, capsys):
+        import struct
+        import zlib
+
+        cache = tmp_path / "empty.bin"
+        cache.write_bytes(b"MUSV\x01" + struct.pack("<QI", 0, zlib.crc32(b"")))
+        assert run(["sum", "--weights", str(cache), "--phase", "poly:0",
+                    "--n", "1"]) == 3
+        assert "a table needs n_max >= 1" in capsys.readouterr().err
+
     def test_truncated_cache_is_io_error(self, tmp_path):
         cache = tmp_path / "mu.bin"
         run(["sieve", "--n", "3000", "--out", str(cache)])
@@ -157,6 +167,8 @@ class TestPiecesCommand:
          '{"hyperplanes": [{"normal": ["1/0", "1"], "offset": "0"}]}'),
         ("no_hyperplanes.json", '{"planes": []}'),
         ("empty.csv", "# no rows\n"),
+        ("string_normal.json",
+         '{"hyperplanes": [{"normal": "12", "offset": "0"}]}'),
     ])
     def test_malformed_arrangement_is_usage_error(self, tmp_path, capsys, name, text):
         arr = tmp_path / name

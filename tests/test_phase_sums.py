@@ -126,6 +126,15 @@ class TestWeightedAverage:
 
 
 class TestBlockwise:
+    def test_range_is_checked_like_the_average(self):
+        # the cubic coefficient's error bound passes the budget past n = 2^22
+        phase, n = PolyPhase([0, 0, 0, sqrt_const(2)]), 5 * 10 ** 6
+        weights = unit_weights(n)
+        with pytest.raises(PrecisionError):
+            weighted_average(weights, phase, n)
+        with pytest.raises(PrecisionError):
+            blockwise_abs_average(weights, phase, [0, n // 2, n + 1])
+
     def test_unit_weights_constant_phase(self):
         avg, per_block = blockwise_abs_average(
             unit_weights(100), PolyPhase([0]), [0, 10, 40, 100]

@@ -3,6 +3,7 @@ distance, and the packed cache format (including corruption handling)."""
 
 import random
 import struct
+import tracemalloc
 import zlib
 from fractions import Fraction as F
 
@@ -233,6 +234,33 @@ class TestPersistence:
         umask = os.umask(0)
         os.umask(umask)
         assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_save_copies_no_payload(self, tmp_path):
+        table = sieve_mobius(4 * 10 ** 6)
+        tracemalloc.start()
+        try:
+            save_cache(table, tmp_path / "mu.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.packed.nbytes / 2
+        assert load_cache(tmp_path / "mu.bin").checksum == table.checksum
+
+    def test_strided_payload_saves_the_same_bytes(self, tmp_path):
+        table = sieve_mobius(1000)
+        buf = np.zeros(2 * table.packed.size, dtype=np.uint8)
+        buf[::2] = table.packed
+        save_cache(table, tmp_path / "a.bin")
+        save_cache(MobiusTable(1000, buf[::2]), tmp_path / "b.bin")
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_zero_n_max_is_format_error(self, tmp_path):
+        # magic, version, n_max = 0 and the valid CRC of the empty payload
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"MUSV\x01" + struct.pack("<QI", 0, zlib.crc32(b"")))
+        assert path.stat().st_size == 17
+        with pytest.raises(CacheFormatError, match="n_max 0, a table needs n_max >= 1"):
+            load_cache(path)
 
     def test_truncated_file_is_checksum_error(self, tmp_path):
         table = sieve_mobius(10 ** 4)
