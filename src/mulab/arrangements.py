@@ -59,12 +59,7 @@ class Hyperplane:
 
     def side(self, point: Sequence[Fraction]) -> int:
         """Sign of F(point) - offset: +1 above, -1 below, 0 on the plane."""
-        if len(point) != self.dim:
-            raise ValueError(
-                f"point has dimension {len(point)}, hyperplane {self.dim}"
-            )
-        v = sum(a * Fraction(x) for a, x in zip(self.normal, point)) - self.offset
-        return (v > 0) - (v < 0)
+        return classify_point(point, [self])[0]
 
 
 def hyperplane(normal: Iterable, offset) -> Hyperplane:
@@ -73,8 +68,28 @@ def hyperplane(normal: Iterable, offset) -> Hyperplane:
 
 def classify_point(point: Sequence, arr: Sequence[Hyperplane]) -> SignVector:
     """Sign of F_j(point) - c_j per hyperplane, exact."""
-    pt = tuple(Fraction(x) for x in point)
-    return tuple(h.side(pt) for h in arr)
+    return _classify(point, [(*a, c) for a, c in _int_rows(arr)])
+
+
+def _classify(point: Sequence, rows) -> SignVector:
+    """The signs of the integer rows (a, c) at the point, over one common
+    denominator of its coordinates."""
+    pt = [Fraction(x) for x in point]
+    for row in rows:
+        if len(row) != len(pt) + 1:
+            raise ValueError(f"point has dimension {len(pt)}, hyperplane {len(row) - 1}")
+    den = math.lcm(*(x.denominator for x in pt))
+    return _signs(rows, [x.numerator * (den // x.denominator) for x in pt], den)
+
+
+def _value(row, u, den) -> int:
+    """den (a.x - c) at x = u / den for the row (a, c); a.u when den = 0."""
+    return sum(a * x for a, x in zip(row, u)) - row[-1] * den
+
+
+def _signs(rows, u, den) -> SignVector:
+    """Sign of a.x - c per row (a, c) at x = u / den, for den > 0."""
+    return tuple((v > 0) - (v < 0) for v in (_value(row, u, den) for row in rows))
 
 
 def _int_rows(arr: Sequence[Hyperplane]) -> list[tuple[tuple[int, ...], int]]:
@@ -82,9 +97,8 @@ def _int_rows(arr: Sequence[Hyperplane]) -> list[tuple[tuple[int, ...], int]]:
     rows = []
     for h in arr:
         scale = math.lcm(*(f.denominator for f in (*h.normal, h.offset)))
-        rows.append(
-            (tuple(int(f * scale) for f in h.normal), int(h.offset * scale))
-        )
+        rows.append((tuple(f.numerator * (scale // f.denominator) for f in h.normal),
+                     h.offset.numerator * (scale // h.offset.denominator)))
     return rows
 
 
@@ -230,11 +244,6 @@ class PieceEnumeration:
         return len(self.sign_vectors)
 
 
-def _value(row, u, den) -> int:
-    """den (a.x - c) at x = u / den for the row (a, c); a.u when den = 0."""
-    return sum(a * x for a, x in zip(row, u)) - row[-1] * den
-
-
 def _frame(pivots, rows, dim):
     """((u, den), directions) of a flat, from the null space of its rows
     (a, c): one integer vector v per free column f, v_f = den the lcm of the
@@ -317,8 +326,7 @@ def enumerate_pieces(arr: Sequence[Hyperplane]) -> PieceEnumeration:
     pieces = []
     for flat in regions:
         for u, den in flat.values():
-            signs = ((v > 0) - (v < 0) for v in (_value(row, u, den) for row in given))
-            pieces.append((tuple(signs), tuple(Fraction(c, den) for c in u)))
+            pieces.append((_signs(given, u, den), tuple(Fraction(c, den) for c in u)))
     pieces.sort(key=lambda sw: tuple(_DIGITS[s] for s in sw[0]))
     return PieceEnumeration([s for s, _ in pieces], [w for _, w in pieces])
 
@@ -341,9 +349,10 @@ def locate_block_pieces(
     points: Sequence[Sequence], arr: Sequence[Hyperplane]
 ) -> dict[SignVector, list[int]]:
     """Group point indices by the piece containing them."""
+    rows = [(*a, c) for a, c in _int_rows(arr)]
     groups: dict[SignVector, list[int]] = {}
     for i, p in enumerate(points):
-        groups.setdefault(classify_point(p, arr), []).append(i)
+        groups.setdefault(_classify(p, rows), []).append(i)
     return groups
 
 

@@ -42,6 +42,7 @@ from .sieves import (
     sieve_phi,
 )
 from .symbolic_blocks import (
+    _check_budget,
     entropy_curve,
     indicator_set,
     load_symbols,
@@ -177,6 +178,8 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     elif args.p1 and args.p2:
         if not args.length:
             raise ParseError("--length is required with --p1/--p2")
+        # the block counts' budget, before the indicator scan it would follow
+        _check_budget("entropy_curve", args.length, 2, args.jmax)
         seq, report = indicator_set(
             parse_phase(args.p1), parse_phase(args.p2), args.length
         )

@@ -4,14 +4,20 @@ A phase evaluates to fractional parts either exactly (all-rational
 coefficients, `Fraction` arithmetic throughout) or in 96-fractional-bit
 fixed point with a certified error bound (irrational constants such as
 sqrt2 enter only as `FixedReal`).  Each shape has a `unit` and one batch
-kernel, `_numerators(start, count)`: an int64 or object array of num with
-{f(n)} = num/unit exactly on the representation.  The shapes and kernels:
+kernel, `_numerators(start, count)`, with {f(n)} = num/unit exactly on the
+representation: an int64 or object array of num, or for the fixed-point
+polynomial and the bracket product a (3, count) uint64 array of num's
+32-bit limbs (`_limbs`), least significant first.  The shapes and kernels:
 
 * polynomial c_0 + ... + c_d n^d: Horner's rule on integer-scaled
-  coefficients, int64 while unit * n < 2^62, Python ints above
-* bracket product beta n {alpha n}: one object-array formula rounding half
-  up as `frac(n)` does
+  coefficients; for a rational unit int64 while unit * n < 2^62, Python
+  ints above; for the unit 2^96 in limbs, mod 2^96 with n entering as the
+  limbs of n mod 2^96, so any integer start works
+* bracket product beta n {alpha n}: in limbs, (beta n mod 2^192) times
+  {alpha n}, plus 2^95, shifted right by 96 and taken mod 2^96: rounded
+  half up as `frac(n)` rounds, with a negative beta in two's complement
 * power n^(a/b): iroot(n^a 2^(96 b), b) over an object array, masked
+  (126-bit roots, so it stays on Python ints)
 * concatenation, piece i (any phase) on [N_i, N_{i+1}): each piece's kernel
   on its part of the range, over the lcm of the pieces' units
 * interpolating concatenation of a source phase at schedule breakpoints:
@@ -21,10 +27,14 @@ kernel, `_numerators(start, count)`: an int64 or object array of num with
   evaluated per n, {oracle(n)} rounded half up to 2^-96
 
 `Phase` derives the rest from the kernel: `frac_units(start, count)` is
-(unit, iterator over the numerators as Python ints) and `frac_chunk` the
-correctly rounded float64 num/unit.  The per-n `frac` and `value` of the
-polynomial, bracket and power shapes stay as the scalar reference.
-Consumers walk n in batches of `CHUNK`, which bounds the object arrays.
+(unit, iterator over the numerators as Python ints, built from the limbs
+where the kernel gives limbs) and `frac_chunk` the correctly rounded float64
+num/unit.  From limbs that float rounds hi = num // 2^32 once and adds the
+exact remainder, so the final add is the only rounding; from ints it is
+float(num) 2^-96 for the unit 2^96 and the quotient otherwise.  The
+concatenations need Python ints, and build them from their pieces' limbs.
+The per-n `frac` and `value` of the polynomial, bracket and power shapes
+stay as the scalar reference.  Consumers walk n in batches of `CHUNK`.
 
 Periods.  `Phase.period` is a q with {f(n + q)} = {f(n)} on the
 representation, or None.  A rational polynomial's period is its unit: its
@@ -47,6 +57,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import _limbs
 from .errors import ParseError, PrecisionError
 from .exact_calculus import frac_part, lagrange_coeff
 from .fixedpoint import FRAC_BITS, SCALE, FixedReal, iroot, sqrt_const
@@ -56,8 +67,10 @@ Real = Fraction | FixedReal
 #: default certified-precision requirement for {f(n)}
 RANGE_BUDGET = 2.0 ** -30
 
-#: n per batch for every consumer of frac_units/frac_chunk; it bounds the
-#: batch's object arrays, which for a whole 1e6-term prefix take ~300 MiB
+#: n per batch for every consumer of frac_units/frac_chunk.  It bounds the
+#: batch's arrays: 24 bytes per n for the limbs, 48 for an object array of
+#: 96-bit ints (40 per int, 8 per slot), where a whole 1e6-term prefix
+#: would take ~46 MiB per array.  The limb kernels work in _limbs.BLOCK n
 CHUNK = 1 << 16
 
 
@@ -119,22 +132,31 @@ class Phase:
     # the batch kernel and what derives from it ------------------------------
 
     def _numerators(self, start: int, count: int) -> np.ndarray:
-        """int64 or object array of num in [0, unit) with {f(n)} = num/unit
-        on the representation for n = start .. start+count-1."""
+        """num in [0, unit) with {f(n)} = num/unit on the representation for
+        n = start .. start+count-1: an int64 or object array, or for the
+        unit 2^96 a (3, count) uint64 array of num's limbs."""
         raise NotImplementedError
 
     def frac_units(self, start: int, count: int) -> tuple[int, Iterator[int]]:
         """(unit, iterator over the numerators as Python ints)."""
-        return self.unit, iter(self._numerators(start, count).tolist())
+        return self.unit, iter(_ints(self._numerators(start, count)).tolist())
 
     def frac_chunk(self, start: int, count: int) -> np.ndarray:
         """Float64 num/unit, correctly rounded, for n = start .. start+count-1."""
         nums = self._numerators(start, count)
+        if nums.ndim == 2:
+            return _limbs.to_float(nums)
         if self.unit == SCALE:
             return nums.astype(np.float64) * 2.0 ** -FRAC_BITS  # exact scaling
         if self.unit > 1 << 53:  # int64 -> float64 would round num first
             nums = nums.astype(object)
         return np.asarray(nums / self.unit, dtype=np.float64)
+
+
+def _ints(nums: np.ndarray) -> np.ndarray:
+    """A kernel's numerators as a 1-d int64 or object array: limbs become
+    Python ints."""
+    return _limbs.to_ints(nums) if nums.ndim == 2 else nums
 
 
 def eval_phase(phase: Phase, n: int, budget: float = RANGE_BUDGET) -> tuple[float, float]:
@@ -181,6 +203,8 @@ class PolyPhase(Phase):
         self._scaled = [c % self.unit for c in scaled]
         # integer scaled coefficients: the numerators depend on n mod unit only
         self.period = self.unit if self.rational else None
+        if not self.rational:
+            self._coeff_limbs = [_limbs.split(c, 3) for c in self._scaled]
 
     @property
     def degree(self) -> int:
@@ -220,10 +244,12 @@ class PolyPhase(Phase):
     frac_chunk = Phase.frac_chunk  # bound here too: the benchmark tracer wraps per class
 
     def _numerators(self, start: int, count: int) -> np.ndarray:
-        """Horner's rule on the scaled coefficients, reduced mod the unit: in
-        int64, reduced every step, while no product can reach 2^62; else in
-        Python ints (an object array), reduced once at the end.  Reducing
-        mod 2^96 is a mask, which costs less than half of `%` here."""
+        """Horner's rule on the scaled coefficients, reduced mod the unit: for
+        the unit 2^96 in limbs; else in int64, reduced every step, while no
+        product can reach 2^62; else in Python ints (an object array),
+        reduced once at the end."""
+        if not self.rational:
+            return _limbs.blocks(self._horner, start, count)
         unit, cs = self.unit, self._scaled
         if unit * max(-start, start + count) < 1 << 62:
             ns = np.arange(start, start + count, dtype=np.int64)
@@ -237,10 +263,15 @@ class PolyPhase(Phase):
         for c in reversed(cs[:-1]):
             acc *= ns
             acc += c
-        if self.rational:
-            acc %= unit
-        else:
-            acc &= SCALE - 1
+        acc %= unit
+        return acc
+
+    def _horner(self, start: int, count: int) -> list:
+        """The fixed-point numerators' limbs, Horner's rule mod 2^96."""
+        ns = _limbs.arange(start, count, 3)
+        acc = self._coeff_limbs[-1]
+        for c in reversed(self._coeff_limbs[:-1]):
+            acc = _limbs.mul(acc, ns, 3, c)
         return acc
 
 
@@ -259,6 +290,8 @@ class BracketPhase(Phase):
         b, a = _as_real(beta), _as_real(alpha)
         self.beta = b if isinstance(b, FixedReal) else FixedReal.from_fraction(b)
         self.alpha = a if isinstance(a, FixedReal) else FixedReal.from_fraction(a)
+        self._beta = _limbs.split(self.beta.mantissa, 6)  # mod 2^192
+        self._alpha = _limbs.split(self.alpha.mantissa, 3)  # mod 2^96
 
     def describe(self) -> str:
         return f"bracket:{_token_str(self.beta)},{_token_str(self.alpha)}"
@@ -276,17 +309,20 @@ class BracketPhase(Phase):
     frac_units = Phase.frac_units  # bound here too: the benchmark tracer wraps per class
 
     def _numerators(self, start: int, count: int) -> np.ndarray:
-        """beta n * {alpha n} mod 2^96 on the mantissas, rounded half up as
-        FixedReal.__mul__ rounds, in place as in PolyPhase._numerators."""
-        ns = np.arange(start, start + count, dtype=object)
-        nums = self.beta.mantissa * ns
-        ns *= self.alpha.mantissa
-        ns &= SCALE - 1
-        nums *= ns
-        nums += SCALE >> 1
-        nums >>= FRAC_BITS
-        nums &= SCALE - 1
-        return nums
+        """(beta n * {alpha n} + 2^95) >> 96 mod 2^96 on the mantissas,
+        rounded half up as FixedReal.__mul__ rounds, in limbs.  With
+        U = beta n {alpha n} + 2^95, floor(U / 2^96) mod 2^96 depends on
+        U mod 2^192 only, so beta n may be taken mod 2^192 (in two's
+        complement when it is negative)."""
+        return _limbs.blocks(self._product, start, count)
+
+    def _product(self, start: int, count: int) -> list:
+        """The numerators' limbs: the top half of U's six."""
+        ns = _limbs.arange(start, count, 6)
+        frac = _limbs.mul(self._alpha, ns, 3)  # {alpha n} 2^96
+        prod = _limbs.mul(_limbs.mul(self._beta, ns, 6), frac, 6,
+                          _limbs.split(SCALE >> 1, 6))
+        return prod[3:]
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +441,7 @@ class ConcatPhase(Phase):
         edges = [start, *bps[i + 1 : bisect.bisect_left(bps, end)], end]
         parts = []
         for piece, lo, hi in zip(self.pieces[i:], edges, edges[1:]):
-            nums = piece._numerators(lo, hi - lo)
+            nums = _ints(piece._numerators(lo, hi - lo))
             if piece.unit != self.unit:
                 if self.unit >= 1 << 63:  # the int64 product could overflow
                     nums = nums.astype(object)
@@ -579,8 +615,8 @@ class ScheduledLagrangeConcat(Phase):
         k, end, src = self.k, start + count, self.source
         anchors = self._anchors(start, end)
         first = int(anchors[0]) if count else start
-        head = src._numerators(first, k) if first < start else np.zeros(0, np.int64)
-        ys = np.concatenate([head, src._numerators(start, count + k - 1)]).astype(object)
+        head = _ints(src._numerators(first, k)) if first < start else np.zeros(0, np.int64)
+        ys = np.concatenate([head, _ints(src._numerators(start, count + k - 1))]).astype(object)
         pos = (anchors - (start - head.size)).astype(np.intp)
         pos[anchors < start] = 0
         js = np.arange(start, end, dtype=anchors.dtype) - anchors

@@ -24,6 +24,16 @@ estimates log|B_J|/J are finite-prefix estimates, which the report rows
 label explicitly.
 Scans are pure functions of the immutable prefix; counting unions over
 disjoint start ranges commute, so callers may shard long prefixes.
+
+The comparison-set indicator reads both phases' `frac_units` ints and
+takes the sign of their difference, and its tie test, from the difference's
+correctly rounded float; the few n where that float cannot decide the tie
+are checked on the ints.  The example-33 labels read {sqrt2 n} from the
+limb kernel of `PolyPhase([0, sqrt2])` (`_limbs`): the orderings come from
+signed 96-bit differences with borrow, and the residual D2 f - formula from
+160-bit two's complement limbs, exact for every n below 2^58.  Both, and
+`block_count_inequality_check`, check their measured working bytes against
+the default budget up front.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _limbs
 from ._util import DEFAULT_BUDGET_BYTES, atomic_write
 from .errors import PrecisionError, ResourceBudgetError, WindowTooShortError
 from .fixedpoint import FRAC_BITS, SCALE, FixedReal, sqrt_const
@@ -136,19 +147,22 @@ def _code_range(base: int, J: int) -> int | None:
 _BLOCK_BYTES = 176
 
 
-def _check_budget(what: str, seq: SymbolSeq, J: int, blocks: int = 0) -> None:
-    """Raise ResourceBudgetError unless the J-window keys of `seq`, all
-    distinct, plus `blocks` decoded blocks fit the default budget, and the
-    ranked keys of the window lengths up to J stay within _MAX_WINDOW_KEYS."""
-    coded = next(j for j in range(J, -1, -1)
-                 if _code_range(seq.alphabet_size, j) is not None)
+def _check_budget(what: str, P: int, alphabet_size: int, J: int,
+                  blocks: int = 0) -> None:
+    """Raise ResourceBudgetError unless the J-window keys of a length-P
+    prefix over the alphabet, all distinct, plus `blocks` decoded blocks
+    fit the default budget, and the ranked keys of the window lengths up to
+    J stay within _MAX_WINDOW_KEYS.  It needs no symbols, so a caller that
+    builds the prefix can check before building it."""
+    coded = next((j for j in range(J, -1, -1)
+                  if _code_range(alphabet_size, j) is not None), 0)
     ranked = coded < J
     per_symbol = _CODE_BYTES_PER_SYMBOL + ranked * _RANK_BYTES_PER_SYMBOL
-    need = per_symbol * len(seq) + blocks * (_BLOCK_BYTES + 8 * J * (1 + ranked))
-    keys = len(seq) * (J - coded)
+    need = per_symbol * P + blocks * (_BLOCK_BYTES + 8 * J * (1 + ranked))
+    keys = P * (J - coded)
     if need > DEFAULT_BUDGET_BYTES or keys > _MAX_WINDOW_KEYS:
         raise ResourceBudgetError(
-            f"{what} for P={len(seq)}, J={J} needs about {need} bytes "
+            f"{what} for P={P}, J={J} needs about {need} bytes "
             f"({per_symbol} per symbol for the window keys) and {keys} ranked "
             f"window keys, over the {DEFAULT_BUDGET_BYTES}-byte budget or the "
             f"{_MAX_WINDOW_KEYS}-key limit; shorten the prefix or lower J")
@@ -268,7 +282,7 @@ def index_blocks(
     if not 0 <= tail_start <= P - J:
         raise ValueError("tail_start outside the prefix")
     base = seq.alphabet_size
-    _check_budget("index_blocks", seq, J, min(P - J + 1, _code_range(base, J) or P))
+    _check_budget("index_blocks", P, base, J, min(P - J + 1, _code_range(base, J) or P))
     _, keys, size, starts = next(_window_keys(seq.symbols, base, J, J))
     all_counts, reg_counts = (
         _blocks(*family, J, base, seq.symbols, starts)
@@ -310,7 +324,7 @@ def entropy_curve(
     if not 0 <= tail_start <= P - J_max:
         raise ValueError("tail_start outside the prefix")
     base = seq.alphabet_size
-    _check_budget("entropy_curve", seq, J_max)
+    _check_budget("entropy_curve", P, base, J_max)
     rows = []
     for J, keys, size, _ in _window_keys(seq.symbols, base, 1, J_max):
         (_, every), (_, regular) = _family_counts(keys, J, tail_start, size)
@@ -351,6 +365,7 @@ def block_count_inequality_check(seq: SymbolSeq, J: int, l: int) -> bool:
     if (l + 1) * J > P:
         raise WindowTooShortError("window (l+1)*J exceeds the prefix")
     base = seq.alphabet_size
+    _check_budget("block_count_inequality_check", P, base, l * J)
     _, keys, size, _ = next(_window_keys(seq.symbols, base, l * J, l * J))
     left = _key_counts(keys[: P - (l + 1) * J + 1], size)[0].size
     _, keys, size, _ = next(_window_keys(seq.symbols, base, J, J))
@@ -385,6 +400,26 @@ def quantize_gn(y_values: Sequence, N: int) -> SymbolSeq:
 # the comparison-set indicator and its block growth
 
 
+#: working bytes of `indicator_set` and `bracket_second_difference_labels`
+#: beyond their one-byte symbols per n: one batch's arrays, which CHUNK
+#: (of Python ints) and _limbs.BLOCK (of limbs) bound.  tracemalloc measures
+#: 8.4-12.1 MB and 3.7 MB for P from 1e5 to 3e6 (numpy 2.4; the indicator
+#: of poly:0,sqrt2 and poly:0,sqrt3)
+_INDICATOR_BATCH_BYTES = 16 << 20
+_LABEL_BATCH_BYTES = 4 << 20
+
+
+def _check_bytes(what: str, P: int, batch_bytes: int) -> None:
+    """Raise ResourceBudgetError unless one byte per n for P symbols plus
+    one batch's working bytes fit the default budget."""
+    need = P + batch_bytes
+    if need > DEFAULT_BUDGET_BYTES:
+        raise ResourceBudgetError(
+            f"{what} for P={P} needs about {need} bytes (1 per n for the "
+            f"symbols and {batch_bytes} for a batch), over the "
+            f"{DEFAULT_BUDGET_BYTES}-byte budget; shorten the prefix")
+
+
 @dataclass
 class IndicatorReport:
     length: int
@@ -416,6 +451,7 @@ def indicator_set(
                 f"n={P - 1} cannot support {tie_bits}-bit comparisons; "
                 f"about {need} fractional bits would be required"
             )
+    _check_bytes("indicator_set", P, _INDICATOR_BATCH_BYTES)
     syms = np.empty(P, dtype=np.uint8)
     ties: list[int] = []
     tie_count = 0
@@ -427,11 +463,18 @@ def indicator_set(
         # exactly when |d| < gap = ceil(unit / 2^tie_bits), as d is an integer
         unit = math.lcm(u1, u2)
         gap = -(-unit >> tie_bits)
-        d *= unit // u1
-        b *= unit // u2
+        if u1 != unit:
+            d *= unit // u1
+        if u2 != unit:
+            b *= unit // u2
         d -= b
-        syms[start : start + cnt] = d < 0
-        tied = np.flatnonzero((d > -gap) & (d < gap))
+        # float(d) rounds d correctly, so it has d's sign, and |d| < gap can
+        # hold only where |float(d)| <= float(gap); those few are checked
+        # on the ints
+        df = d.astype(np.float64)
+        syms[start : start + cnt] = df < 0
+        near = np.flatnonzero(np.abs(df) <= float(gap))
+        tied = near[np.abs(d[near]) < gap]
         tie_count += tied.size
         ties.extend((tied[: 64 - len(ties)] + start).tolist())
     report = IndicatorReport(
@@ -489,37 +532,77 @@ def bracket_second_difference_labels(P: int) -> tuple[SymbolSeq, Example33Report
     """
     if P < 3:
         raise ValueError("need P >= 3")
+    _check_bytes("bracket_second_difference_labels", P, _LABEL_BATCH_BYTES)
     s2, s3 = sqrt_const(2), sqrt_const(3)
     two_s3 = s3.mul_int(2)
     a1 = (two_s3 * (s2 - FixedReal.from_fraction(1))).mantissa  # 2 sqrt3 (sqrt2 - 1)
     a2 = (two_s3 * (s2 - FixedReal.from_fraction(2))).mantissa  # 2 sqrt3 (sqrt2 - 2)
+    # The residual r = D2 f - formula takes 160-bit two's complement limbs
+    # (f(n) 2^96 mod 2^160, so the product m3 n fm + 2^95 mod 2^256), and
+    # r is exact there whenever |r| < 2^159.  With 0 <= fm < 2^96 and
+    # m3 < 2^97, 0 <= f(n) 2^96 <= m3 n < 2^97 n, so |D2 f| 2^96 < 2^98 (n+3);
+    # |a1|, |a2| < 2^98 and the slope m3 n < 2^97 n, so |r| < 2^99 (n + 3),
+    # below 2^159 for every n < 2^58.  The budget keeps P below 2^29.
+    wide1, wide2 = _limbs.split(a1, 5), _limbs.split(a2, 5)
+    m3 = _limbs.split(s3.mantissa, 6)
+    half = _limbs.split(SCALE >> 1, 8)
     frac_s2 = PolyPhase([0, s2])
-    m3 = s3.mantissa
     labels = np.empty(P, dtype=np.uint8)
+    counts = np.zeros(5, dtype=np.int64)
     worst, worst_n = -1, 0
-    for start in range(0, P, CHUNK):
-        cnt = min(CHUNK, P - start)
-        _, fm = _numerator_array(frac_s2, start, cnt + 2)  # {sqrt2 n} * 2^96
-        c0, c1, c2 = fm[:-2], fm[1:-1], fm[2:]
-        up1, up2 = c1 > c0, c2 > c1
+    for start in range(0, P, _limbs.BLOCK):
+        cnt = min(_limbs.BLOCK, P - start)
+        fm = frac_s2._numerators(start, cnt + 2)  # {sqrt2 n} 2^96, in limbs
+        c0, c1, c2 = fm[:, :-2], fm[:, 1:-1], fm[:, 2:]
+        up1, flat1 = _order(c0, c1)
+        up2, flat2 = _order(c1, c2)
         lab = _CASE[up2.astype(np.intp), up1.astype(np.intp)]
-        lab[(c0 == c1) | (c1 == c2)] = 0
+        lab[flat1 | flat2] = 0
         labels[start : start + cnt] = lab
+        counts += np.bincount(lab, minlength=5)
         # f(n) = sqrt3 n {sqrt2 n}, rounded to 2^-96 as FixedReal.__mul__ does
-        ns = np.arange(start, start + cnt + 2, dtype=object)
-        fv = (m3 * ns * fm + (SCALE >> 1)) >> FRAC_BITS
-        d2 = fv[2:] - 2 * fv[1:-1] + fv[:-2]
-        slope = m3 * ns[:-2]
-        formula = np.select([lab == 1, lab == 2, lab == 3],
-                            [a1, a2, a1 + slope], a2 - slope)
-        resid = np.where(lab > 0, np.abs(d2 - formula), -1)
-        k = int(np.argmax(resid))
-        if resid[k] > worst:
-            worst, worst_n = resid[k], start + k
-    counts = np.bincount(labels, minlength=5)
+        m3n = _limbs.mul(m3, _limbs.arange(start, cnt + 2, 6), 6)  # below 2^160
+        fv = _limbs.mul(m3n + [0, 0], list(fm), 8, half)[3:]
+        mid = [x[1:-1] for x in fv]
+        d2 = _limbs.add(_limbs.sub([x[2:] for x in fv], mid),
+                        _limbs.sub([x[:-2] for x in fv], mid))
+        slope = [x[:-2] for x in m3n[:5]]
+        down = _limbs.sub([0] * 5, slope)
+        odd = (lab & 1).astype(bool)  # cases 1 and 3 start from a1
+        formula = _limbs.add(
+            [np.where(odd, np.uint64(x), np.uint64(y)) for x, y in zip(wide1, wide2)],
+            [np.where(lab == 3, x, np.where(lab == 4, y, 0)) for x, y in zip(slope, down)])
+        r = _limbs.sub(d2, formula)
+        neg = _limbs.negative(r)
+        r = [np.where(neg, x, y) for x, y in zip(_limbs.sub([0] * 5, r), r)]
+        k = _first_max(r, lab > 0)
+        if k is not None:
+            v = sum(int(x[k]) << (32 * i) for i, x in enumerate(r))
+            if v > worst:
+                worst, worst_n = v, start + k
     ties = int(counts[0])
     report = Example33Report(
         P, tuple(int(c) for c in counts[1:]), worst / SCALE, worst_n, ties,
         ties == 0,
     )
     return SymbolSeq(labels, 5), report
+
+
+def _order(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a < b, a == b) for (3, count) limb arrays of unsigned 96-bit
+    values, from their signed difference, taken in four limbs so that its
+    top bit is the borrow."""
+    d = _limbs.sub([*a, 0], [*b, 0])
+    return _limbs.negative(d), (d[0] | d[1] | d[2]) == 0
+
+
+def _first_max(a, where: np.ndarray) -> int | None:
+    """The first index of the largest value among the elements `where`
+    holds, comparing the limbs from the top; None when it holds none."""
+    idx = np.flatnonzero(where)
+    if not idx.size:
+        return None
+    for limb in reversed(a):
+        vals = limb[idx]
+        idx = idx[vals == vals.max()]
+    return int(idx[0])

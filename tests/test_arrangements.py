@@ -297,6 +297,64 @@ def assert_matches_oracle(arr):
     assert count_pieces(arr) == en.count
 
 
+def fraction_signs(point, arr):
+    """The sign of F(point) - c per plane, evaluated in Fraction arithmetic."""
+    out = []
+    for h in arr:
+        v = sum(a * F(x) for a, x in zip(h.normal, point)) - h.offset
+        out.append((v > 0) - (v < 0))
+    return tuple(out)
+
+
+class TestIntegerSigns:
+    """classify_point, Hyperplane.side and locate_block_pieces take their
+    signs from the integer rows; they match the Fraction evaluation."""
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 4))
+    def test_degenerate_families(self, k):
+        rng = random.Random(31 + k)
+        for m in range(1, 7):
+            for kind in KINDS:
+                arr = degenerate_arrangement(rng, m, k, kind)
+                points = enumerate_pieces(arr).witnesses  # on planes too
+                points += [tuple(F(rng.randrange(-9, 10), rng.randrange(1, 9))
+                                 for _ in range(k)) for _ in range(10)]
+                for pt in points:
+                    want = fraction_signs(pt, arr)
+                    assert classify_point(pt, arr) == want
+                    assert tuple(h.side(pt) for h in arr) == want
+                groups = locate_block_pieces(points, arr)
+                assert groups == locate_block_pieces_by_fractions(points, arr)
+
+    @given(st.integers(1, 4), st.integers(1, 7), st.integers(0, 2 ** 32 - 1),
+           st.lists(st.builds(F, st.integers(-99, 99), st.integers(1, 50)),
+                    min_size=4, max_size=4))
+    def test_hypothesis_draws(self, k, m, seed, coords):
+        arr = rand_arrangement(random.Random(seed), m, k, span=4)
+        pt = tuple(coords[:k])
+        assert classify_point(pt, arr) == fraction_signs(pt, arr)
+        # and a point on the first plane, where a sign is 0
+        h = arr[0]
+        j = next(i for i, a in enumerate(h.normal) if a)
+        on = list(pt)
+        on[j] = (h.offset - sum(a * x for i, (a, x) in enumerate(zip(h.normal, pt)) if i != j)) / h.normal[j]
+        assert classify_point(on, arr)[0] == 0
+        assert classify_point(on, arr) == fraction_signs(on, arr)
+
+    def test_mixed_dimensions_and_ints(self):
+        with pytest.raises(ValueError, match="dimension"):
+            classify_point((1, 2), [hyperplane((1, 0), 0), hyperplane((1, 0, 0), 0)])
+        assert classify_point((), []) == ()
+        assert classify_point((3, F(1, 2)), [Hyperplane((1, 2), 4)]) == (0,)
+
+
+def locate_block_pieces_by_fractions(points, arr):
+    groups = {}
+    for i, p in enumerate(points):
+        groups.setdefault(fraction_signs(p, arr), []).append(i)
+    return groups
+
+
 class TestLatticeCount:
     @pytest.mark.parametrize("k", (1, 2, 3, 4))
     def test_matches_enumeration_on_degenerate_families(self, k):

@@ -1,6 +1,7 @@
 """labctl surface: exit codes, file outputs, determinism, config handling."""
 
 import json
+import time
 
 import pytest
 
@@ -147,6 +148,13 @@ class TestEntropyCommand:
         )
         assert run(["entropy", "--seq", str(hdr), "--jmax", "5000"]) == 4
         assert "budget" in capsys.readouterr().err
+
+    def test_indicator_over_the_entropy_budget_exits_4_before_scanning(self, capsys):
+        t0 = time.perf_counter()
+        assert run(["entropy", "--p1", "poly:0,sqrt2", "--p2", "poly:0,sqrt3",
+                    "--length", "10000000", "--jmax", "18"]) == 4
+        assert time.perf_counter() - t0 < 1.0
+        assert "entropy_curve for P=10000000" in capsys.readouterr().err
 
 
 class TestPiecesCommand:

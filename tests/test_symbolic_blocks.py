@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mulab import symbolic_blocks
+from mulab import _limbs, symbolic_blocks
 from mulab.errors import PrecisionError, ResourceBudgetError, WindowTooShortError
 from mulab.fixedpoint import SCALE, FixedReal, sqrt_const
 from mulab.phases import PolyPhase, TablePhase, frac_rep
@@ -329,7 +329,7 @@ class TestBatchDifferential:
 
     @given(st.integers(3, 80), st.integers(1, 9))
     def test_bracket_labels_match_per_n_reference(self, P, chunk):
-        with mock.patch.object(symbolic_blocks, "CHUNK", chunk):
+        with mock.patch.object(_limbs, "BLOCK", chunk):
             labels, rep = bracket_second_difference_labels(P)
         want_labels, want_rep = _bracket_labels_reference(P)
         assert labels.symbols.tolist() == want_labels
@@ -501,6 +501,40 @@ class TestIndexBlocksBudget:
         with mock.patch.object(symbolic_blocks, "DEFAULT_BUDGET_BYTES", peak - 1):
             with pytest.raises(ResourceBudgetError):
                 index_blocks(seq, J)
+
+
+class TestScanBudgets:
+    """indicator_set, the example-33 labels and the block-count inequality
+    check their working bytes up front."""
+
+    def test_over_budget_fails_fast(self):
+        p1, p2 = PolyPhase([0, sqrt_const(2)]), PolyPhase([0, sqrt_const(3)])
+        seq = SymbolSeq(np.zeros(10 ** 5, dtype=np.uint8), 2)
+        calls = [
+            (lambda: indicator_set(p1, p2, 10 ** 9), "indicator_set"),
+            (lambda: bracket_second_difference_labels(10 ** 9), "bracket_second_difference_labels"),
+            (lambda: block_count_inequality_check(seq, 2500, 2), "block_count_inequality_check"),
+        ]
+        for call, name in calls:
+            t0 = time.perf_counter()
+            with pytest.raises(ResourceBudgetError, match=rf"{name} for P=\d+.* needs about \d+ bytes.*budget"):
+                call()
+            assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("which", ["indicator", "labels"])
+    def test_budget_covers_the_measured_peak(self, which):
+        p1, p2 = PolyPhase([0, sqrt_const(2)]), PolyPhase([0, sqrt_const(3)])
+        call = {"indicator": lambda: indicator_set(p1, p2, 10 ** 5),
+                "labels": lambda: bracket_second_difference_labels(2 * 10 ** 5)}[which]
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with mock.patch.object(symbolic_blocks, "DEFAULT_BUDGET_BYTES", peak - 1):
+            with pytest.raises(ResourceBudgetError):
+                call()
 
 
 # ---------------------------------------------------------------------------
