@@ -15,6 +15,8 @@ import json
 import sys
 from pathlib import Path
 
+from numpy.lib import format as npy_format
+
 from ._util import atomic_write
 from .errors import ParseError, PrecisionError, ResourceBudgetError
 from .arrangements import (
@@ -143,14 +145,13 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
     print(f"  bytes={size} crc32={table.checksum:08x} "
           f"M({args.n})={mertens(table, args.n)}")
     if args.phi_out:
-        import numpy as np
-
         phi = sieve_phi(args.n)
-        buf = io.BytesIO()
-        np.save(buf, phi.values)
+        # np.save's bytes without its copy of the table: format 1.0 header, values
+        header = io.BytesIO()
+        npy_format.write_array_header_1_0(header, npy_format.header_data_from_array_1_0(phi.values))
         # np.save's naming: add .npy unless the name already ends in it
         out = args.phi_out if args.phi_out.endswith(".npy") else args.phi_out + ".npy"
-        atomic_write(out, buf.getvalue())
+        atomic_write(out, header.getvalue(), memoryview(phi.values).cast("B"))
         print(f"  phi values -> {out}")
     return EXIT_OK
 

@@ -9,9 +9,9 @@ how calls are scheduled across threads or processes.
 
 The k-th forward difference of f is
     (D^k f)(n) = sum_{l=0..k} (-1)^(k-l) C(k,l) f(n+l),
-its inverse (up to an initial value) is the running sum `sigma`, and the
-unique degree-<k polynomial through k window values is recovered by
-`lagrange_poly`.
+its inverse (up to an initial value) is the running sum `sigma`, and in
+Newton's forward-difference form `lagrange_poly` is sum_i (D^i f)(0) C(y, i)
+and `extend_y` solves D^k Y = g by k running sums.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, factorial, lcm
 from typing import Iterable, Sequence
 
 from .errors import WindowTooShortError
@@ -83,8 +83,6 @@ def diff(seq: Sequence[RationalLike], k: int) -> RationalSeq:
         raise WindowTooShortError(
             f"k-th difference needs window length > k ({k} >= {len(xs)})"
         )
-    if k == 0:
-        return xs
     weights = [(-1) ** (k - l) * comb(k, l) for l in range(k + 1)]
     return [
         sum((w * xs[n + l] for l, w in enumerate(weights)), Fraction(0))
@@ -107,32 +105,26 @@ def sigma(seq: Sequence[RationalLike], initial: RationalLike = 0) -> RationalSeq
 def lagrange_poly(values: Sequence[RationalLike]) -> RationalPoly:
     """The unique degree-<k polynomial q with q(j) = values[j], j = 0..k-1.
 
-    Built from the product form sum_j f(j) prod_{i != j} (y - i)/(j - i).
+    Built from the Newton form sum_{i<k} (D^i f)(0) C(y, i) on the values'
+    numerators over their common denominator d: integers over d (k-1)!.
     """
     vals = as_fractions(values)
     k = len(vals)
     if k == 0:
         raise ValueError("lagrange_poly needs at least one value")
-    total = [Fraction(0)] * k
-    for j, fj in enumerate(vals):
-        if fj == 0:
-            continue
-        num = [Fraction(1)]
-        den = 1
-        for i in range(k):
-            if i == j:
-                continue
-            # multiply num by (y - i)
-            nxt = [Fraction(0)] * (len(num) + 1)
-            for d, c in enumerate(num):
-                nxt[d] -= c * i
-                nxt[d + 1] += c
-            num = nxt
-            den *= j - i
-        scale = fj / den
-        for d, c in enumerate(num):
-            total[d] += scale * c
-    return RationalPoly.from_coeffs(total)
+    d = lcm(*(v.denominator for v in vals))
+    row = [v.numerator * (d // v.denominator) for v in vals]  # d f(0..k-1)
+    total = [0] * k  # coefficients times d (k-1)!
+    falling = [1]  # y(y-1)...(y-i+1), ascending degree
+    scale = factorial(k - 1)  # (k-1)!/i!
+    den = d * scale
+    for i in range(k):
+        for deg, c in enumerate(falling):
+            total[deg] += row[0] * scale * c  # row[0] = d (D^i f)(0)
+        row = [b - a for a, b in zip(row, row[1:])]
+        falling = [a - i * b for a, b in zip([0, *falling], [*falling, 0])]
+        scale //= i + 1
+    return RationalPoly.from_coeffs(Fraction(c, den) for c in total)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -234,11 +226,11 @@ def extend_y(
     g_vals: Sequence[RationalLike],
     m_len: int,
 ) -> RationalSeq:
-    """Forward solution Y of D^k Y(j) = g(j) with Y(0..k-1) = init.
+    """The solution Y of D^k Y(j) = g(j) with Y(0..k-1) = init, on 0..m_len-1.
 
-    The j-th unknown enters with coefficient C(k,k) = 1, so the linear
-    system is solved by forward substitution, never by matrix inversion.
-    With g = 0 this reproduces the Lagrange extension of the initial values.
+    D^i Y is the running sum `sigma` of D^(i+1) Y started at (D^i init)(0),
+    so Y is k running sums of g, never a linear solve.  With g = 0 this
+    reproduces the Lagrange extension of the initial values.
     """
     init = as_fractions(init)
     g = as_fractions(g_vals)
@@ -249,10 +241,7 @@ def extend_y(
         raise WindowTooShortError(
             f"need at least {m_len - k} g-values, got {len(g)}"
         )
-    if k == 0:
-        return g[: m_len]
-    y = list(init)
-    low_weights = [(-1) ** (k - l) * comb(k, l) for l in range(k)]
-    for n in range(m_len - k):
-        y.append(g[n] - sum((w * y[n + l] for l, w in enumerate(low_weights)), Fraction(0)))
-    return y[: m_len]
+    y = g[: m_len - k]
+    for i in reversed(range(k)):
+        y = sigma(y, diff(init, i)[0])
+    return y

@@ -43,7 +43,7 @@ from ._util import DEFAULT_BUDGET_BYTES, atomic_write
 from .errors import ResourceBudgetError
 from .fixedpoint import SCALE, FixedReal
 from .phases import CHUNK, Phase, PolyPhase
-from .sieves import MobiusTable, PhiTable, sieve_phi
+from .sieves import MobiusTable, sieve_phi
 
 #: documented accumulation tolerance for |average| identities
 SUM_TOLERANCE = 1e-12
@@ -316,7 +316,6 @@ def ap_correlation(
     s: int,
     h: int,
     n_max: int,
-    phi_table: PhiTable | None = None,
 ) -> ApCorrelation:
     """(1/N) sum_{n=1..N} |(1/h) sum_{l=1..h} w(n+ls) e(f(n+ls))|^2.
 
@@ -334,9 +333,7 @@ def ap_correlation(
         z = _terms(phase, a, a + m + h * s, weights.values)
         block_sums.append(float(np.sum(np.abs(_window_sums(z, h, s)) ** 2)))
     value = math.fsum(block_sums) / (h * h * n_max)
-    if phi_table is None or phi_table.n_max < s:
-        phi_table = sieve_phi(s)
-    comparison = (s / phi_table.value(s)) * math.log(math.log(h)) / math.log(h)
+    comparison = (s / sieve_phi(s).value(s)) * math.log(math.log(h)) / math.log(h)
     return ApCorrelation(value, comparison, s, h, n_max)
 
 

@@ -48,6 +48,7 @@ constant.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -336,9 +337,16 @@ class PowerPhase(Phase):
     """f(n) = n^(num/den) as floor(n^(num/den) 2^96) by exact integer roots:
     within one ulp, exact when den = 1."""
 
+    #: largest num and den: a root at 64/63 takes about 1 ms per n (one core of
+    #: a 2-core Xeon VM), and exponents such as 1/10^5 would never finish
+    _MAX_TERM = 64
+
     def __init__(self, num: int, den: int):
         if num < 1 or den < 1:
             raise ValueError("power exponent must be positive")
+        if max(num, den) > self._MAX_TERM:
+            raise ValueError(f"power exponent {num}/{den} needs num and den "
+                             f"<= {self._MAX_TERM}")
         self.num, self.den = num, den
 
     def describe(self) -> str:
@@ -460,15 +468,13 @@ class StageSchedule:
     """Breakpoints L_m + t*2^m, t = 0..(L_{m+1}-L_m)/2^m - 1, with L_0 = 0.
 
     Stage m covers [L_m, L_{m+1}) with piece gap 2^m, so gaps tend to
-    infinity.  Subclasses define the raw stage start; values are fixed up to
-    be strictly increasing and divisible by 2^m, and saturate to an
-    open-ended final stage once they leave the practical integer range.
+    infinity.  Subclasses define the raw stage start.  One finite table holds
+    the starts, each rounded up to a multiple of 2^m above the one before
+    (so L_m >= 2^m), and ends at the first raw start that is None or lands
+    past 2^62: the last stage is open-ended.
     """
 
     _CEILING = 1 << 62
-
-    def __init__(self) -> None:
-        self._starts: list[int | None] = [0]
 
     def _raw_stage_start(self, m: int) -> int | None:
         raise NotImplementedError
@@ -476,32 +482,24 @@ class StageSchedule:
     def describe(self) -> str:
         raise NotImplementedError
 
+    @functools.cached_property
+    def _starts(self) -> list[int]:
+        starts = [0]
+        while (raw := self._raw_stage_start(len(starts))) is not None:
+            step = 1 << len(starts)
+            start = -(-max(raw, starts[-1] + 1) // step) * step
+            if start > self._CEILING:
+                break
+            starts.append(start)
+        return starts
+
     def stage_start(self, m: int) -> int | None:
-        while len(self._starts) <= m:
-            i = len(self._starts)
-            prev = self._starts[-1]
-            if prev is None:
-                self._starts.append(None)
-                continue
-            raw = self._raw_stage_start(i)
-            if raw is None or raw > self._CEILING:
-                self._starts.append(None)
-                continue
-            step = 1 << i
-            while raw <= prev:
-                raw += step
-            self._starts.append(raw)
-        return self._starts[m]
+        return self._starts[m] if m < len(self._starts) else None
 
     def stage_of(self, n: int) -> int:
         if n < 0:
             raise ValueError("phase arguments are natural numbers")
-        m = 0
-        while True:
-            nxt = self.stage_start(m + 1)
-            if nxt is None or n < nxt:
-                return m
-            m += 1
+        return bisect.bisect_right(self._starts, n) - 1
 
     def piece_start(self, n: int) -> int:
         m = self.stage_of(n)
@@ -531,7 +529,6 @@ class LogPowerSchedule(StageSchedule):
             raise ValueError("tau must lie in (0, 1)")
         if m_target < 1 or c_const <= 0 or k < 1:
             raise ValueError("need m_target >= 1, c_const > 0, k >= 1")
-        super().__init__()
         self.tau, self.c_const, self.m_target, self.k = tau, c_const, m_target, k
 
     def _raw_stage_start(self, m: int) -> int | None:
@@ -552,12 +549,10 @@ class GeometricSchedule(StageSchedule):
     def __init__(self, base: int = 8):
         if base < 1:
             raise ValueError("base must be >= 1")
-        super().__init__()
         self.base = base
 
-    def _raw_stage_start(self, m: int) -> int | None:
-        v = self.base * 4 ** m
-        return v if v <= self._CEILING else None
+    def _raw_stage_start(self, m: int) -> int:
+        return self.base * 4 ** m
 
     def describe(self) -> str:
         return f"geom[base={self.base}]"
@@ -716,12 +711,22 @@ def parse_real_token(tok: str, where: str = "") -> Real:
         raise ParseError(f"unparseable real token {tok!r}{where}") from None
 
 
+#: concat specs may name concat specs as pieces, this many deep
+_MAX_CONCAT_DEPTH = 16
+
+
 def parse_phase(text: str, base_dir: Path | None = None) -> Phase:
     """Parse a compact phase description.
 
     Examples: "poly:1/2,1/3", "poly:0,sqrt2", "bracket:sqrt3,sqrt2",
-    "pow:3/2", "concat:@schedule.json".
+    "pow:3/2", "concat:@schedule.json" (a JSON object of int "breakpoints"
+    and phase-string "pieces").
     """
+    return _parse_phase(text, base_dir, 0)
+
+
+def _parse_phase(text: str, base_dir: Path | None, depth: int) -> Phase:
+    """parse_phase inside `depth` concat specs."""
     head, sep, rest = text.partition(":")
     if not sep:
         raise ParseError(f"phase {text!r} has no ':' separator")
@@ -751,11 +756,18 @@ def parse_phase(text: str, base_dir: Path | None = None) -> Phase:
         path = Path(rest[1:])
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
+        if depth >= _MAX_CONCAT_DEPTH:  # a cycle gets here too
+            raise ParseError(f"{path}: 'pieces' nest concat specs more than "
+                             f"{_MAX_CONCAT_DEPTH} deep")
         spec = json.loads(path.read_text())
         try:
             bps, texts = spec["breakpoints"], spec["pieces"]
         except (KeyError, TypeError):
             raise ParseError(
                 f"{path}: a concat spec needs 'breakpoints' and 'pieces'") from None
-        return ConcatPhase(bps, [parse_phase(t, base_dir) for t in texts])
+        if not isinstance(bps, list) or any(type(b) is not int for b in bps):
+            raise ParseError(f"{path}: 'breakpoints' must be a list of ints")
+        if not isinstance(texts, list) or any(type(t) is not str for t in texts):
+            raise ParseError(f"{path}: 'pieces' must be a list of phase strings")
+        return ConcatPhase(bps, [_parse_phase(t, base_dir, depth + 1) for t in texts])
     raise ParseError(f"unknown phase kind {head!r} in {text!r}")

@@ -28,8 +28,8 @@ concurrent readers; construction itself is single-writer, segment by
 segment.  A table's weight array is decoded once, cached and read-only.
 
 Cache file layout (bit-exact across platforms):
-    magic "MUSV" | version 0x01 | u64 LE n_max | payload ceil(n_max/4) bytes
-    | CRC-32 (IEEE) of payload, u32 LE
+    magic "MUSV" | version 0x02 | u64 LE n_max | payload ceil(n_max/4) bytes
+    | CRC-32 (IEEE) of every byte before it, u32 LE (version 1's left n_max out)
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .errors import (
 )
 
 MAGIC = b"MUSV"
-VERSION = 1
+VERSION = 2
 
 _DEFAULT_SEGMENT = 1 << 20
 #: the small primes pre-sieved from one period, with their top exponents
@@ -430,12 +430,9 @@ def m_estimate(g, t_grid: Sequence[float], x_max: int) -> tuple[float, float]:
 def save_cache(table: MobiusTable, path: str | Path) -> None:
     """Write the packed table; bit-exact and atomic (temp file + rename).
     The payload goes from the table's array to the file, with no copy."""
-    atomic_write(
-        path,
-        MAGIC + bytes([VERSION]) + struct.pack("<Q", table.n_max),
-        memoryview(table.packed),
-        struct.pack("<I", table.checksum),
-    )
+    header = MAGIC + bytes([VERSION]) + struct.pack("<Q", table.n_max)
+    crc = zlib.crc32(table.packed, zlib.crc32(header))
+    atomic_write(path, header, memoryview(table.packed), struct.pack("<I", crc))
 
 
 def load_cache(path: str | Path) -> MobiusTable:
@@ -462,7 +459,7 @@ def load_cache(path: str | Path) -> MobiusTable:
         )
     payload, crc_bytes = rest[:payload_len], rest[payload_len:]
     (crc_stored,) = struct.unpack("<I", crc_bytes)
-    crc_actual = zlib.crc32(payload) & 0xFFFFFFFF
+    crc_actual = zlib.crc32(payload, zlib.crc32(blob[:13]))
     if crc_stored != crc_actual:
         raise CacheChecksumError(
             f"{path}: CRC mismatch (stored {crc_stored:08x}, actual {crc_actual:08x})"

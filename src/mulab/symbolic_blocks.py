@@ -51,7 +51,7 @@ import numpy as np
 
 from . import _limbs
 from ._util import DEFAULT_BUDGET_BYTES, atomic_write
-from .errors import PrecisionError, ResourceBudgetError, WindowTooShortError
+from .errors import ParseError, PrecisionError, ResourceBudgetError, WindowTooShortError
 from .fixedpoint import FRAC_BITS, SCALE, FixedReal, sqrt_const
 from .phases import CHUNK, Phase, PolyPhase, frac_rep
 
@@ -103,14 +103,17 @@ def save_symbols(seq: SymbolSeq, data_path: str | Path) -> Path:
 def load_symbols(header_path: str | Path) -> SymbolSeq:
     header_path = Path(header_path)
     header = json.loads(header_path.read_text())
+    if not isinstance(header, dict):
+        raise ParseError(f"{header_path}: the header must be a JSON object")
+    for field, kind in (("length", int), ("alphabet_size", int), ("data", str)):
+        if type(header.get(field)) is not kind:
+            raise ParseError(f"{header_path}: the header needs {kind.__name__} {field!r}")
     data = (header_path.parent / header["data"]).read_bytes()
     arr = np.frombuffer(data, dtype=np.uint8)
     if arr.size != header["length"]:
-        raise ValueError(
-            f"{header_path}: header says {header['length']} symbols, "
-            f"file holds {arr.size}"
-        )
-    return SymbolSeq(arr.copy(), int(header["alphabet_size"]))
+        raise ParseError(f"{header_path}: 'length' is {header['length']}, "
+                         f"the data file holds {arr.size} symbols")
+    return SymbolSeq(arr.copy(), header["alphabet_size"])
 
 
 # ---------------------------------------------------------------------------

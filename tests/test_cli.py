@@ -1,11 +1,17 @@
 """labctl surface: exit codes, file outputs, determinism, config handling."""
 
+import io
 import json
+import tempfile
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mulab.cli import main
+from mulab.sieves import sieve_phi
 
 
 def run(argv):
@@ -20,7 +26,7 @@ class TestSieveCommand:
         out = tmp_path / "mu.bin"
         assert run(["sieve", "--n", "10000", "--out", str(out)]) == 0
         blob = out.read_bytes()
-        assert blob[:4] == b"MUSV" and blob[4] == 1
+        assert blob[:4] == b"MUSV" and blob[4] == 2
         text = capsys.readouterr().out
         assert "M(10000)=-23" in text
 
@@ -34,14 +40,15 @@ class TestSieveCommand:
         assert run(["sieve", "--n", "0", "--out", str(tmp_path / "x")]) == 2
 
     def test_phi_out_written_as_npy(self, tmp_path):
-        import numpy as np
-
-        from mulab.sieves import sieve_phi
-
         assert run(["sieve", "--n", "500", "--out", str(tmp_path / "mu.bin"),
                     "--phi-out", str(tmp_path / "phi")]) == 0
         assert np.array_equal(np.load(tmp_path / "phi.npy"),
                               sieve_phi(500).values)
+        # np.save's bytes, written without np.save's copy of the table
+        buf = io.BytesIO()
+        np.save(buf, sieve_phi(500).values)
+        assert (tmp_path / "phi.npy").read_bytes() == buf.getvalue()
+        assert np.load(tmp_path / "phi.npy").dtype == np.int64
 
     def test_lambda_table(self, tmp_path):
         out = tmp_path / "lam.bin"
@@ -101,7 +108,7 @@ class TestSumCommand:
         import zlib
 
         cache = tmp_path / "empty.bin"
-        cache.write_bytes(b"MUSV\x01" + struct.pack("<QI", 0, zlib.crc32(b"")))
+        cache.write_bytes(b"MUSV\x02" + struct.pack("<QI", 0, zlib.crc32(b"")))
         assert run(["sum", "--weights", str(cache), "--phase", "poly:0",
                     "--n", "1"]) == 3
         assert "a table needs n_max >= 1" in capsys.readouterr().err
@@ -296,3 +303,144 @@ class TestConfigFile:
         cfg.write_text("preset = example33\n")
         assert run(["experiment", "round-trips", "--config", str(cfg)]) == 2
         assert "unknown key 'preset'" in capsys.readouterr().err
+
+
+class TestMalformedInputs:
+    """Each malformed file exits 2 with a message naming the field."""
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"breakpoints": [0], "pieces": [5]}, "'pieces'"),
+        ({"breakpoints": [0], "pieces": "poly:1/2"}, "'pieces'"),
+        ({"breakpoints": None, "pieces": ["poly:1/2"]}, "'breakpoints'"),
+        ({"breakpoints": [0, 2.7], "pieces": ["poly:1/2", "poly:1/3"]}, "'breakpoints'"),
+        ({"breakpoints": [0, True], "pieces": ["poly:1/2", "poly:1/3"]}, "'breakpoints'"),
+        ({"breakpoints": ["0"], "pieces": ["poly:1/2"]}, "'breakpoints'"),
+        ({"breakpoints": [0], "pieces": ["concat:@spec.json"]}, "'pieces'"),
+    ], ids=["int_piece", "string_pieces", "null_breakpoints", "float_breakpoint",
+            "bool_breakpoint", "string_breakpoint", "self_cycle"])
+    def test_concat_spec(self, tmp_path, capsys, monkeypatch, spec, field):
+        monkeypatch.chdir(tmp_path)  # the cycle names spec.json relative to here
+        Path("spec.json").write_text(json.dumps(spec))
+        assert run(["sum", "--weights", "one:100", "--phase", "concat:@spec.json",
+                    "--n", "100"]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_concat_specs_nested_too_deep(self, tmp_path, capsys):
+        for i in range(40):
+            (tmp_path / f"s{i}.json").write_text(json.dumps(
+                {"breakpoints": [0], "pieces": [f"concat:@{tmp_path / f's{i + 1}.json'}"]}))
+        (tmp_path / "s40.json").write_text('{"breakpoints": [0], "pieces": ["poly:1/2"]}')
+        assert run(["sum", "--weights", "one:100", "--phase",
+                    f"concat:@{tmp_path / 's0.json'}", "--n", "100"]) == 2
+        assert "'pieces'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header, field", [
+        ({"length": 4, "alphabet_size": 2}, "'data'"),
+        ([4, 2, "seq.bin"], "JSON object"),
+        ({"length": 4, "alphabet_size": 2, "data": 5}, "'data'"),
+        ({"length": "4", "alphabet_size": 2, "data": "seq.bin"}, "'length'"),
+        ({"length": 4, "alphabet_size": 2.0, "data": "seq.bin"}, "'alphabet_size'"),
+    ], ids=["no_data", "list_header", "int_data", "string_length", "float_alphabet"])
+    def test_symbol_header(self, tmp_path, capsys, header, field):
+        (tmp_path / "seq.bin").write_bytes(bytes([0, 1, 1, 0]))
+        hdr = tmp_path / "seq.bin.json"
+        hdr.write_text(json.dumps(header))
+        assert run(["entropy", "--seq", str(hdr), "--jmax", "3"]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_power_exponent_above_64_is_refused_at_once(self, capsys):
+        t0 = time.perf_counter()
+        assert run(["sum", "--weights", "one:100", "--phase", "pow:7/100000",
+                    "--n", "100"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "needs num and den <= 64" in capsys.readouterr().err
+        assert run(["sum", "--weights", "one:100", "--phase", "pow:64/63", "--n", "100"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the loaders through labctl: a malformed file is a usage (2) or I/O
+# (3) error, never an internal one (5).  Where the input holds phases, exit 4
+# may also occur: the documented refusal of a well-formed phase beyond its
+# precision budget, such as bracket:99999999999999999999999,sqrt2 at n = 64.
+
+ALLOWED = {0, 2, 3}
+PHASE_ALLOWED = ALLOWED | {4}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+tokens = st.one_of(
+    st.sampled_from(["0", "1/2", "-3/7", "sqrt2", "sqrt0", "sqrt-1", "sqrt", "1e3",
+                     "inf", "nan", "1/0", "", " ", "2.5", "@", "@spec.json"]),
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.text(max_size=6),
+)
+phase_texts = st.one_of(
+    st.sampled_from(["poly:1/2,1/3", "poly:0,sqrt2", "pow:3/2",
+                     "bracket:sqrt3,sqrt2", "concat:@spec.json"]),
+    st.builds(lambda head, toks, sep: head + ":" + sep.join(toks),
+              st.sampled_from(["poly", "bracket", "pow", "concat", "table", ""]),
+              st.lists(tokens, max_size=4), st.sampled_from([",", "/"])),
+    st.text(max_size=12),
+)
+
+
+def fields(valid: dict):
+    """`valid` with each field kept, dropped or replaced by a random JSON value."""
+    return st.fixed_dictionaries({}, optional={
+        key: st.one_of(st.just(value), json_values) for key, value in valid.items()
+    }) | json_values
+
+
+def run_in_tempdir(files: dict, argv: list[str]) -> int:
+    with tempfile.TemporaryDirectory() as d:
+        for name, text in files.items():
+            (Path(d) / name).write_text(text)
+        return run([a.replace("{dir}", d) for a in argv])
+
+
+class TestLoaderFuzz:
+    @given(fields({"breakpoints": [0, 5], "pieces": ["poly:1/2", "pow:3/2"]}),
+           st.lists(phase_texts, max_size=3))
+    def test_concat_spec(self, spec, pieces):
+        if isinstance(spec, dict) and "pieces" not in spec:
+            spec["pieces"] = pieces
+        code = run_in_tempdir({"spec.json": json.dumps(spec)},
+                              ["sum", "--weights", "one:64", "--phase",
+                               "concat:@{dir}/spec.json", "--n", "64"])
+        assert code in PHASE_ALLOWED
+
+    @given(phase_texts)
+    def test_phase_text(self, text):
+        code = run_in_tempdir(
+            {"spec.json": '{"breakpoints": [0, 9], "pieces": ["poly:1/2", "pow:3/2"]}'},
+            ["sum", "--weights", "one:64", "--phase",
+             text.replace("@spec.json", "@{dir}/spec.json"), "--n", "64"])
+        assert code in PHASE_ALLOWED
+
+    @given(fields({"length": 4, "alphabet_size": 2, "data": "seq.bin",
+                   "schema_version": 1}))
+    def test_symbol_header(self, header):
+        with tempfile.TemporaryDirectory() as d:
+            (Path(d) / "seq.bin").write_bytes(bytes([0, 1, 1, 0]))
+            (Path(d) / "seq.bin.json").write_text(json.dumps(header))
+            code = run(["entropy", "--seq", str(Path(d) / "seq.bin.json"), "--jmax", "3"])
+        assert code in ALLOWED
+
+    @given(st.lists(fields({"normal": [1, "1/2"], "offset": "1/3"}), max_size=4)
+           | json_values, st.booleans())
+    def test_arrangement_json(self, hyperplanes, wrap):
+        doc = {"hyperplanes": hyperplanes} if wrap else hyperplanes
+        code = run_in_tempdir({"a.json": json.dumps(doc)},
+                              ["pieces", "--arrangement", "{dir}/a.json"])
+        assert code in ALLOWED
+
+    @given(st.lists(st.lists(tokens, max_size=8), max_size=4))
+    def test_arrangement_csv(self, rows):
+        text = "".join(",".join(row) + "\n" for row in rows)
+        code = run_in_tempdir({"a.csv": text}, ["pieces", "--arrangement", "{dir}/a.csv"])
+        assert code in ALLOWED

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mulab.errors import WindowTooShortError
 from mulab.exact_calculus import (
@@ -256,3 +257,34 @@ class TestExtendY:
     def test_insufficient_g(self):
         with pytest.raises(WindowTooShortError):
             extend_y([1, 2], [3], 5)
+
+
+# ints, "p/q" strings, Fractions and many zeros, as the calculus accepts them
+rational_like = st.one_of(
+    st.just(0),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-10 ** 4, 10 ** 4), st.integers(1, 10 ** 4)),
+    st.builds(F, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4)),
+)
+
+
+class TestNewtonFormProperties:
+    """Properties that fix each result uniquely, so no second form is needed
+    as an oracle."""
+
+    @given(st.lists(rational_like, min_size=1, max_size=8))
+    def test_lagrange_poly_interpolates_below_degree_k(self, values):
+        p = lagrange_poly(values)
+        assert p.degree < len(values)
+        assert all(type(c) is F for c in p.coeffs) and p.coeffs[-1:] != (0,)
+        assert p.window(len(values)) == [F(v) for v in values]
+
+    @given(st.lists(rational_like, max_size=8), st.lists(rational_like, max_size=12),
+           st.integers(0, 12))
+    def test_extend_y_keeps_init_and_has_k_th_difference_g(self, init, g, extra):
+        k, m_len = len(init), len(init) + min(extra, len(g))
+        y = extend_y(init, g, m_len)
+        assert len(y) == m_len and all(type(v) is F for v in y)
+        assert y[:k] == [F(v) for v in init]
+        if m_len > k:
+            assert diff(y, k) == [F(v) for v in g[: m_len - k]]

@@ -23,6 +23,7 @@ from mulab.phases import (
     LogPowerSchedule,
     ResidualReport,
     ScheduledLagrangeConcat,
+    StageSchedule,
     TablePhase,
     build_concatenation,
     concat_residual,
@@ -252,6 +253,113 @@ class TestSchedules:
         # consecutive gaps realize the stage gap of the left endpoint
         for b, a in zip(bps, bps[1:]):
             assert a - b == 1 << s.stage_of(b)
+
+
+class CollidingSchedule(StageSchedule):
+    """Raw starts that collide: 64 for stages 1..6, then saturated."""
+
+    def _raw_stage_start(self, m):
+        return 64 if m <= 6 else None
+
+    def describe(self):
+        return "colliding"
+
+
+class ZeroSchedule(StageSchedule):
+    """A raw start of 0 at every stage, which never saturates by itself."""
+
+    def _raw_stage_start(self, m):
+        return 0
+
+    def describe(self):
+        return "zero"
+
+
+def stage_starts(sched, limit=64):
+    """stage_start(0), stage_start(1), ... up to the first None, at most limit."""
+    out = []
+    for m in range(limit):
+        start = sched.stage_start(m)
+        if start is None:
+            break
+        out.append(start)
+    return out
+
+
+schedules = st.one_of(
+    st.builds(GeometricSchedule, st.one_of(st.integers(1, 64), st.integers(1, 1 << 62))),
+    st.builds(LogPowerSchedule, st.floats(0.55, 0.99), st.floats(1e-3, 1e3),
+              st.integers(1, 1000), st.integers(1, 6)),
+    st.builds(CollidingSchedule),
+)
+
+
+class TestScheduleEdges:
+    def test_geometric_base_near_the_ceiling(self):
+        s = GeometricSchedule(1 << 60)  # L_1 = 2^62 exactly, L_2 past it
+        assert stage_starts(s) == [0, 1 << 62]
+        assert s.stage_of((1 << 62) - 1) == 0 and s.stage_of(1 << 62) == 1
+        t = GeometricSchedule((1 << 60) + 1)  # L_1 already past 2^62
+        assert stage_starts(t) == [0]
+        assert t.stage_of(1 << 70) == 0 and t.piece_start(1 << 70) == 1 << 70
+
+    def test_log_power_saturates_at_stage_one(self):
+        s = LogPowerSchedule(tau=0.7, c_const=1e30, m_target=1, k=1)
+        assert s._raw_stage_start(1) is None  # the inner > 300 cut
+        assert stage_starts(s) == [0]
+        assert s.stage_of(10 ** 30) == 0 and s.piece_start(12345) == 12345
+
+    def test_stage_start_is_none_past_the_last_stage(self):
+        s = GeometricSchedule(8)
+        assert stage_starts(s)[-1] == 8 * 4 ** 29 == 1 << 61
+        assert s.stage_start(29) == 1 << 61
+        assert s.stage_start(30) is None and s.stage_start(1000) is None
+
+    def test_the_last_stage_is_open_past_2_62(self):
+        s = GeometricSchedule(8)
+        last, gap = 1 << 61, 1 << 29
+        for n in (1 << 62, (1 << 62) + 12345, (1 << 80) + 7):
+            assert s.stage_of(n) == 29
+            start = s.piece_start(n)
+            assert start <= n < start + gap and (start - last) % gap == 0
+        assert list(s.breakpoints(1 << 62, (1 << 62) + 3 * gap)) == [
+            (1 << 62) + i * gap for i in range(3)]
+
+    def test_colliding_raw_starts_are_fixed_up(self):
+        s = CollidingSchedule()
+        assert stage_starts(s) == [0, 64, 68, 72, 80, 96, 128]
+        assert s.stage_start(7) is None
+        assert [s.stage_of(n) for n in (63, 64, 67, 68, 127, 128, 10 ** 9)] == [
+            0, 1, 1, 2, 5, 6, 6]
+        assert s.piece_start(10 ** 9) == 128 + (10 ** 9 - 128) // 64 * 64
+
+    def test_fix_up_of_a_raw_start_that_never_saturates(self):
+        s = ZeroSchedule()
+        assert [s.stage_start(m) for m in range(63)] == [0] + [1 << m for m in range(1, 63)]
+        assert s.stage_of((1 << 62) - 1) == 61 and s.stage_of(1 << 62) == 62
+
+    def test_the_table_ends_at_the_ceiling_whatever_the_raw_starts(self):
+        s = ZeroSchedule()
+        assert s.stage_start(63) is None
+        assert s.stage_of(1 << 70) == 62
+
+    def test_negative_n_is_refused(self):
+        for s in (GeometricSchedule(8), CollidingSchedule()):
+            with pytest.raises(ValueError, match="natural numbers"):
+                s.stage_of(-1)
+            with pytest.raises(ValueError, match="natural numbers"):
+                s.piece_start(-1)
+
+    @given(schedules, st.one_of(st.integers(0, 10 ** 6), st.integers(0, 1 << 70)))
+    def test_starts_increase_divide_and_locate(self, s, n):
+        starts = stage_starts(s)
+        assert starts[0] == 0 and all(a < b for a, b in zip(starts, starts[1:]))
+        assert all(start % (1 << m) == 0 for m, start in enumerate(starts))
+        assert starts[-1] <= 1 << 62
+        m = s.stage_of(n)
+        assert m == max(i for i, start in enumerate(starts) if start <= n)
+        a = s.piece_start(n)
+        assert a <= n < a + (1 << m) and (a - starts[m]) % (1 << m) == 0
 
 
 class TestBuildConcatenation:

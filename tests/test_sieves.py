@@ -225,11 +225,8 @@ class TestPersistence:
         table = sieve_mobius(1000)
         path = tmp_path / "mu.bin"
         save_cache(table, path)
-        payload = table.packed.tobytes()
-        assert path.read_bytes() == (
-            b"MUSV\x01" + struct.pack("<Q", 1000) + payload
-            + struct.pack("<I", zlib.crc32(payload))
-        )
+        head = b"MUSV\x02" + struct.pack("<Q", 1000) + table.packed.tobytes()
+        assert path.read_bytes() == head + struct.pack("<I", zlib.crc32(head))
         assert [p.name for p in tmp_path.iterdir()] == ["mu.bin"]
         umask = os.umask(0)
         os.umask(umask)
@@ -257,7 +254,7 @@ class TestPersistence:
     def test_zero_n_max_is_format_error(self, tmp_path):
         # magic, version, n_max = 0 and the valid CRC of the empty payload
         path = tmp_path / "empty.bin"
-        path.write_bytes(b"MUSV\x01" + struct.pack("<QI", 0, zlib.crc32(b"")))
+        path.write_bytes(b"MUSV\x02" + struct.pack("<QI", 0, zlib.crc32(b"")))
         assert path.stat().st_size == 17
         with pytest.raises(CacheFormatError, match="n_max 0, a table needs n_max >= 1"):
             load_cache(path)
@@ -303,10 +300,29 @@ class TestPersistence:
         path = tmp_path / "mu.bin"
         save_cache(table, path)
         blob = bytearray(path.read_bytes())
-        blob[4] = 0x02
+        blob[4] = 0x03
         path.write_bytes(bytes(blob))
-        with pytest.raises(CacheVersionError, match="0x02.*0x01"):
+        with pytest.raises(CacheVersionError, match="0x03.*0x02"):
             load_cache(path)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 97, 98, 99, 100])
+    def test_every_truncation_bit_flip_and_version_is_refused(self, tmp_path, n_max):
+        # n_max of every residue mod 4: a flip of n_max's low bits can keep
+        # the payload length, so only the CRC over the header refuses it
+        path = tmp_path / "mu.bin"
+        save_cache(sieve_mobius(n_max), path)
+        blob = path.read_bytes()
+        bad = [blob[:cut] for cut in range(len(blob))]
+        bad += [blob[:4] + bytes([v]) + blob[5:] for v in range(256) if v != blob[4]]
+        for pos in range(len(blob)):
+            for bit in range(8):
+                flipped = bytearray(blob)
+                flipped[pos] ^= 1 << bit
+                bad.append(bytes(flipped))
+        for data in bad:
+            path.write_bytes(data)
+            with pytest.raises(CacheFormatError):
+                load_cache(path)
 
     def test_lambda_uses_same_container(self, tmp_path):
         lam = sieve_liouville(5000)
