@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
+
+from .errors import ParseError
 
 #: default working-memory budget of the measured layer's entry points (512 MiB)
 DEFAULT_BUDGET_BYTES = 1 << 29
@@ -29,3 +32,17 @@ def atomic_write(path: str | Path, *parts: str | bytes | memoryview) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_json(path: str | Path):
+    """The JSON document in a UTF-8 file.  Undecodable bytes, malformed JSON
+    and nesting past the recursion limit raise ParseError naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"{path}: not a JSON document ({exc})") from None
+
+
+def write_json(path: str | Path, doc) -> None:
+    """doc as indented JSON with sorted keys and a final newline, atomically."""
+    atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")

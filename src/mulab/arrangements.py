@@ -16,13 +16,13 @@ O'Rourke & Seidel, SIAM J. Comput. 1986).
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from ._util import read_json
 from .errors import ParseError, ResourceBudgetError
 
 SignVector = tuple[int, ...]
@@ -365,17 +365,23 @@ def load_arrangement_csv(path: str | Path) -> list[Hyperplane]:
     offset pair."""
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
+        rows = csv.reader(fh)
+        for row in rows:
             if not row or row[0].lstrip().startswith("#"):
                 continue
-            nums = [int(v) for v in row]
+            where = f"{path}: row {rows.line_num}"
+            try:
+                nums = [int(v) for v in row]
+            except ValueError:
+                raise ParseError(f"{where} holds a field that is not an integer: "
+                                 f"{row}") from None
             if len(nums) < 4 or len(nums) % 2:
-                raise ValueError(
-                    f"row needs k>=1 numerator/denominator pairs plus an "
+                raise ParseError(
+                    f"{where} needs k>=1 numerator/denominator pairs plus an "
                     f"offset pair, got {len(nums)} fields"
                 )
             if 0 in nums[1::2]:
-                raise ParseError(f"{path}: zero denominator in row {row}")
+                raise ParseError(f"{where} has a zero denominator: {row}")
             pairs = [
                 Fraction(nums[i], nums[i + 1]) for i in range(0, len(nums), 2)
             ]
@@ -384,16 +390,19 @@ def load_arrangement_csv(path: str | Path) -> list[Hyperplane]:
 
 
 def load_arrangement_json(path: str | Path) -> list[Hyperplane]:
-    spec = json.loads(Path(path).read_text(encoding="utf-8"))
-    out = []
+    spec = read_json(path)
+    out, field = [], "'hyperplanes'"
     try:
-        for entry in spec["hyperplanes"]:
+        for i, entry in enumerate(spec["hyperplanes"]):
+            field = f"hyperplanes[{i}].offset"
+            offset = Fraction(str(entry["offset"]))
+            field = f"hyperplanes[{i}].normal"  # a zero normal fails here too
             if not isinstance(entry["normal"], list):
                 raise TypeError("normal must be a JSON list")
             normal = tuple(Fraction(str(v)) for v in entry["normal"])
-            out.append(Hyperplane(normal, Fraction(str(entry["offset"]))))
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
-        raise ParseError(f"{path}: malformed arrangement ({exc!r})") from None
+            out.append(Hyperplane(normal, offset))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{path}: malformed arrangement at {field} ({exc!r})") from None
     return out
 
 

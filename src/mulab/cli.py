@@ -17,14 +17,14 @@ from pathlib import Path
 
 from numpy.lib import format as npy_format
 
-from ._util import atomic_write
+from ._util import atomic_write, write_json
 from .errors import ParseError, PrecisionError, ResourceBudgetError
 from .arrangements import (
     count_report,
     load_arrangement_csv,
     load_arrangement_json,
 )
-from .experiments import PRESETS, run_preset, write_json
+from .experiments import PRESETS, run_preset
 from .phases import parse_phase, parse_real_token
 from .phase_sums import (
     ap_correlation,
@@ -56,6 +56,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_PRECISION = 4
 EXIT_INTERNAL = 5
+
+#: `labctl experiment` flags that set the preset parameter of the same name
+_PRESET_FLAGS = ("n", "m", "k", "trials", "jmax", "p", "x", "h")
 
 
 def _load_config(path: str, parser: argparse.ArgumentParser) -> dict[str, object]:
@@ -92,7 +95,7 @@ def _load_config(path: str, parser: argparse.ArgumentParser) -> dict[str, object
                 + ", ".join(map(str, action.choices))
             )
         if isinstance(action, argparse._AppendAction):
-            value = [value]
+            value = [*values.get(key, []), value]
         values[key] = value
     return values
 
@@ -260,32 +263,13 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _coerce_scalar(raw: str) -> object:
-    try:
-        return int(raw)
-    except ValueError:
-        try:
-            return float(raw)
-        except ValueError:
-            return raw
-
-
-def _parse_override(text: str) -> tuple[str, object]:
-    if "=" not in text:
-        raise ParseError(f"--set expects key=value, got {text!r}")
-    key, _, raw = text.partition("=")
-    raw = raw.strip()
-    if "," in raw:
-        return key.strip(), tuple(_coerce_scalar(v) for v in raw.split(","))
-    return key.strip(), _coerce_scalar(raw)
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    overrides: dict[str, object] = {}
+    # values stay text: run_preset parses each as its default's type
+    overrides: dict[str, str] = {}
     for text in args.set or []:
-        key, value = _parse_override(text)
-        overrides[key] = value
-    for flag in ("n", "m", "k", "trials", "jmax", "p", "x", "h"):
+        key, _, value = text.partition("=")
+        overrides[key.strip()] = value
+    for flag in _PRESET_FLAGS:
         v = getattr(args, flag, None)
         if v is not None:
             overrides[flag] = v
@@ -383,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    for flag in ("n", "m", "k", "trials", "jmax", "p", "x", "h"):
-        p.add_argument(f"--{flag}", type=int, default=None)
+    for flag in _PRESET_FLAGS:
+        p.add_argument(f"--{flag}", default=None)
     p.set_defaults(run=_cmd_experiment)
 
     for sp in sub.choices.values():

@@ -1,6 +1,8 @@
 """Experiment presets: each runs one named desk-scale check end to end and
-returns a JSON-safe result dict.  The CLI wraps these; the acceptance test
-suite asserts on them.  All randomness flows through an explicit seed."""
+returns a dict of plain JSON values.  The CLI wraps these; the acceptance
+test suite asserts on them.  All randomness flows through an explicit seed.
+Each preset's defaults table fixes its parameters' types: `run_preset`
+converts every override to the type of its default, once."""
 
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import atomic_write
+from ._util import write_json
 from .errors import ParseError
 from . import exact_calculus as xc
 from .arrangements import (
@@ -64,26 +66,8 @@ from .symbolic_blocks import (
 DEFAULT_SEED = 1729
 
 
-def write_json(path: Path, doc: dict) -> None:
-    atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def _rand_fraction(rng: random.Random, num: int = 99, den: int = 12) -> Fraction:
     return Fraction(rng.randrange(-num, num + 1), rng.randrange(1, den + 1))
-
-
-def _mu_table(params: dict, n_max: int):
-    """The mu table of `params["mu_cache"]` if given, checked to cover n_max;
-    else a fresh sieve to n_max."""
-    cache = params.get("mu_cache")
-    if not cache:
-        return sieve_mobius(n_max)
-    table = load_cache(cache)
-    if table.n_max < n_max:
-        raise ValueError(
-            f"cache {cache} covers n <= {table.n_max}, need {n_max}"
-        )
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +321,7 @@ def run_pnt_trend(params: dict, out_dir: Path | None = None) -> dict:
     """Mertens decades plus decay of two mu-weighted phase averages."""
     n_max = params["n"]
     decades = [10 ** d for d in range(3, 15) if 10 ** d <= n_max]
-    table = _mu_table(params, n_max)
+    table = sieve_mobius(n_max)
     weights = weights_from_table(table)
     trace = mertens_trace(table, decades)
     ratios = [abs(m) / n for n, m in trace]
@@ -397,9 +381,7 @@ def run_ap_trend(params: dict, out_dir: Path | None = None) -> dict:
     """Arithmetic-progression correlation decreasing in the window length."""
     n_max, s = params["n"], params["s"]
     hs = params["hs"]
-    if isinstance(hs, int):
-        hs = (hs,)
-    weights = weights_from_table(_mu_table(params, n_max + max(hs) * s))
+    weights = weights_from_table(sieve_mobius(n_max + max(hs) * s))
     phase = PolyPhase([0])
     reports = [ap_correlation(weights, phase, s, h, n_max) for h in hs]
     values = [r.value for r in reports]
@@ -419,11 +401,8 @@ def run_ap_trend(params: dict, out_dir: Path | None = None) -> dict:
 def run_short_interval(params: dict, out_dir: Path | None = None) -> dict:
     """Short-interval sup-average over a coefficient grid (lower-bound
     surrogate for the sup over all degree-<k polynomials)."""
-    X, grid = params["x"], params["grid"]
-    hs = params["hs"]
-    if isinstance(hs, int):
-        hs = (hs,)
-    weights = weights_from_table(_mu_table(params, 2 * X + max(hs)))
+    X, grid, hs = params["x"], params["grid"], params["hs"]
+    weights = weights_from_table(sieve_mobius(2 * X + max(hs)))
     family = [
         PolyPhase([Fraction(a0, grid), Fraction(a1, grid)])
         for a0 in range(grid)
@@ -508,10 +487,20 @@ def run_concat_approx(params: dict, out_dir: Path | None = None) -> dict:
     }
 
 
+def _decay(phase, n_max: int, out_dir: Path | None, csv_name: str) -> dict:
+    """The mu-weighted average of e(phase) at N = n_max/100 and n_max: passed
+    when its modulus fell."""
+    weights = weights_from_table(sieve_mobius(n_max))
+    report = weighted_average(weights, phase, n_max, [n_max // 100, n_max])
+    mods = [m for _, m in report.moduli()]
+    if out_dir is not None:
+        report.write_csv(out_dir / csv_name)
+    return {"moduli": mods, "decayed": mods[-1] < mods[0], "passed": mods[-1] < mods[0]}
+
+
 def run_linear_drift(params: dict, out_dir: Path | None = None) -> dict:
     """mu against e(f) for f = c n + sqrt(n): the one-step difference tends
     to the constant c.  Representative choice, not canonical."""
-    n_max = params["n"]
     c = Fraction(params["c_num"], params["c_den"])
     c_fixed = FixedReal.from_fraction(c)
 
@@ -519,27 +508,16 @@ def run_linear_drift(params: dict, out_dir: Path | None = None) -> dict:
         return c_fixed.mul_int(n) + FixedReal.sqrt_int(n)
 
     phase = TablePhase(oracle=oracle, err_ulp=1, label=f"drift:{c}n+sqrt(n)")
-    weights = weights_from_table(_mu_table(params, n_max))
-    report = weighted_average(weights, phase, n_max, [n_max // 100, n_max])
-    mods = [m for _, m in report.moduli()]
-    if out_dir is not None:
-        report.write_csv(out_dir / "linear_drift_trace.csv")
-    return {"moduli": mods, "decayed": mods[-1] < mods[0], "passed": mods[-1] < mods[0]}
+    return _decay(phase, params["n"], out_dir, "linear_drift_trace.csv")
 
 
 def run_quadratic_rational(params: dict, out_dir: Path | None = None) -> dict:
     """mu against e(f) for f = (a/2q) n^2 + alpha n: second difference is the
     rational constant a/q, so e(one-step difference) has finitely many limit
     points.  Representative choice, not canonical."""
-    n_max = params["n"]
     a, q = params["a"], params["q"]
     phase = PolyPhase([0, sqrt_const(2), Fraction(a, 2 * q)])
-    weights = weights_from_table(_mu_table(params, n_max))
-    report = weighted_average(weights, phase, n_max, [n_max // 100, n_max])
-    mods = [m for _, m in report.moduli()]
-    if out_dir is not None:
-        report.write_csv(out_dir / "quadratic_rational_trace.csv")
-    return {"moduli": mods, "decayed": mods[-1] < mods[0], "passed": mods[-1] < mods[0]}
+    return _decay(phase, params["n"], out_dir, "quadratic_rational_trace.csv")
 
 
 def run_block_vs_interval(params: dict, out_dir: Path | None = None) -> dict:
@@ -555,7 +533,7 @@ def run_block_vs_interval(params: dict, out_dir: Path | None = None) -> dict:
     while bps[-1] < 2 * X:
         bps.append(bps[-1] + gap)
         gap += 1
-    weights = weights_from_table(_mu_table(params, max(bps[-1], 2 * X + h)))
+    weights = weights_from_table(sieve_mobius(max(bps[-1], 2 * X + h)))
     pieces = [family[rng.randrange(len(family))] for _ in bps]
     concat = ConcatPhase(bps, pieces)
     block_avg, _ = blockwise_abs_average(weights, concat, bps)
@@ -618,61 +596,67 @@ PRESETS: dict[str, tuple] = {
 }
 
 
+def _typed(default, value):
+    """value as the type of a preset's default.  Text is parsed (a tuple
+    default takes a comma list); any other value must have the type already,
+    save that an int may stand for a float and one item for a tuple."""
+    kind = type(default)
+    if kind is tuple:
+        if isinstance(value, str):
+            value = value.split(",")
+        elif not isinstance(value, tuple):
+            value = (value,)
+        return tuple(_typed(default[0], v) for v in value)
+    if isinstance(value, str) or type(value) is kind or (kind is float and type(value) is int):
+        return kind(value)
+    raise TypeError
+
+
 def run_preset(
     name: str,
     out_dir: str | Path | None = None,
     seed: int | None = None,
     overrides: dict | None = None,
 ) -> dict:
-    """Run a preset end to end and write its manifest; returns the manifest."""
+    """Run a preset end to end and write its manifest; returns the manifest
+    as written.  Each override, and the seed, takes its default's type."""
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise ParseError(f"unknown preset {name!r}; available: {known}")
     fn, defaults, summary = PRESETS[name]
     params = dict(defaults)
-    if seed is not None and "seed" in params:
-        params["seed"] = seed
-    for key, value in (overrides or {}).items():
+    given = {} if seed is None or "seed" not in params else {"seed": seed}
+    for key, value in {**given, **(overrides or {})}.items():
         if key not in params:
             allowed = ", ".join(sorted(params)) or "none"
             raise ParseError(
                 f"unknown parameter {key!r} for preset {name!r}; "
                 f"allowed: {allowed}"
             )
-        params[key] = value
+        try:
+            params[key] = _typed(params[key], value)
+        except (TypeError, ValueError, OverflowError):
+            default = defaults[key]
+            kind = (f"a comma list of {type(default[0]).__name__}"
+                    if isinstance(default, tuple) else type(default).__name__)
+            raise ParseError(f"preset {name!r}: parameter {key!r} must be "
+                             f"{kind}, got {value!r}") from None
     out_path = None
     if out_dir is not None:
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
-    results = fn(params, out_path)
-    manifest = {
+    manifest = json.loads(json.dumps({
         "schema_version": 1,
         "experiment": name,
         "summary": summary,
-        "parameters": {k: _jsonable(v) for k, v in params.items()},
-        "results": {k: _jsonable(v) for k, v in results.items()},
+        "parameters": params,
+        "results": fn(params, out_path),
         "versions": {
             "mulab": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
-    }
+    }))
     if out_path is not None:
         write_json(out_path / "manifest.json", manifest)
     return manifest
-
-
-def _jsonable(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, tuple):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, list):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    return v

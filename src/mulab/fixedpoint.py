@@ -41,12 +41,12 @@ class FixedReal:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_fraction(x: Fraction | int, label: str | None = None) -> "FixedReal":
+    def from_fraction(x: Fraction | int) -> "FixedReal":
         x = Fraction(x)
         q, r = divmod(x.numerator << FRAC_BITS, x.denominator)
         if 2 * r >= x.denominator:
             q += 1
-        return FixedReal(_guard(q), 0 if r == 0 else 1, label)
+        return FixedReal(_guard(q), 0 if r == 0 else 1)
 
     @staticmethod
     def sqrt_int(m: int) -> "FixedReal":
@@ -115,10 +115,8 @@ class FixedReal:
         return Fraction(self.mantissa, SCALE)
 
     def to_float(self) -> float:
-        m = self.mantissa
-        if abs(m) < 1 << 62:
-            return m / SCALE
-        return float(m) * 2.0 ** -FRAC_BITS
+        # int / int is correctly rounded at any size
+        return self.mantissa / SCALE
 
     def err_abs(self) -> float:
         return self.err_ulp * 2.0 ** -FRAC_BITS

@@ -30,16 +30,15 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from ._util import DEFAULT_BUDGET_BYTES, atomic_write
+from ._util import DEFAULT_BUDGET_BYTES, atomic_write, write_json
 from .errors import ResourceBudgetError
 from .fixedpoint import SCALE, FixedReal
 from .phases import CHUNK, Phase, PolyPhase
@@ -158,12 +157,6 @@ class SumReport:
     weights: str
     n_max: int
     rows: list[Checkpoint]
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def final(self) -> complex:
-        last = self.rows[-1]
-        return complex(last.real, last.imag)
 
     def moduli(self) -> list[tuple[int, float]]:
         return [(r.n, r.modulus) for r in self.rows]
@@ -178,7 +171,7 @@ class SumReport:
         atomic_write(path, buf.getvalue())
 
     def write_json(self, path: str | Path) -> None:
-        doc = {
+        write_json(path, {
             "schema_version": 1,
             "phase": self.phase,
             "weights": self.weights,
@@ -189,9 +182,7 @@ class SumReport:
                  "modulus": r.modulus}
                 for r in self.rows
             ],
-            **self.meta,
-        }
-        atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        })
 
 
 def checkpoint_grid(n_max: int, count: int) -> list[int]:
@@ -396,7 +387,9 @@ def dirichlet_approx(
     ||t theta_j|| = 1/q is returned (the pigeonhole guarantee is <= 1/q).
 
     The certificate is re-checkable: nearest[j] is the closest integer to
-    t*theta_j and max_err the largest |t theta_j - nearest[j]|.
+    t*theta_j and max_err the largest |t theta_j - nearest[j]|.  Each t is
+    decided on integers: with theta_j = num/unit and e = |t num - a unit|,
+    t is strict when e q < unit for every j and weak when e q <= unit.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
@@ -417,31 +410,27 @@ def dirichlet_approx(
             fr = Fraction(th)
             reps.append((fr.numerator, fr.denominator))
 
-    def distances(t: int) -> tuple[bool, bool, list[int], Fraction]:
-        ok_strict, ok_weak = True, True
-        nearest = []
-        worst = Fraction(0)
+    boundary: DirichletWitness | None = None
+    for t in range(1, limit + 1):
+        nearest, strict = [], True
+        worst_e, worst_unit = 0, 1  # the largest e/unit so far
         for num, unit in reps:
             v = t * num
             a = (2 * v + unit) // (2 * unit)  # nearest integer
-            err = Fraction(abs(v - a * unit), unit)
-            nearest.append(a)
-            if err > worst:
-                worst = err
-            if err * q > 1:
-                ok_strict = ok_weak = False
+            e = abs(v - a * unit)
+            if e * q > unit:
                 break
-            if err * q == 1:
-                ok_strict = False
-        return ok_strict, ok_weak, nearest, worst
-
-    boundary: DirichletWitness | None = None
-    for t in range(1, limit + 1):
-        ok_strict, ok_weak, nearest, worst = distances(t)
-        if ok_strict:
-            return DirichletWitness(t, nearest, float(worst), True)
-        if ok_weak and boundary is None:
-            boundary = DirichletWitness(t, nearest, float(worst), False)
+            strict = strict and e * q < unit
+            nearest.append(a)
+            if e * worst_unit > worst_e * unit:
+                worst_e, worst_unit = e, unit
+        else:
+            # int / int rounds once, as float(Fraction(e, unit)) does
+            wit = DirichletWitness(t, nearest, worst_e / worst_unit, strict)
+            if strict:
+                return wit
+            if boundary is None:
+                boundary = wit
     if boundary is not None:
         return boundary
     raise ArithmeticError(

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +58,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import _limbs
+from ._util import read_json
 from .errors import ParseError, PrecisionError
 from .exact_calculus import frac_part, lagrange_coeff
 from .fixedpoint import FRAC_BITS, SCALE, FixedReal, iroot, sqrt_const
@@ -119,12 +119,12 @@ class Phase:
     def err_bound(self, n: int) -> float:
         return self.err_ulp_at(n) * 2.0 ** -FRAC_BITS
 
-    def check_range(self, n: int, budget: float = RANGE_BUDGET) -> None:
+    def check_range(self, n: int) -> None:
         bound = self.err_bound(n)
-        if bound > budget:
+        if bound > RANGE_BUDGET:
             raise PrecisionError(
                 f"{self.describe()}: error bound {bound:.3e} at n={n} "
-                f"exceeds budget {budget:.3e}"
+                f"exceeds budget {RANGE_BUDGET:.3e}"
             )
 
     def describe(self) -> str:
@@ -160,13 +160,13 @@ def _ints(nums: np.ndarray) -> np.ndarray:
     return _limbs.to_ints(nums) if nums.ndim == 2 else nums
 
 
-def eval_phase(phase: Phase, n: int, budget: float = RANGE_BUDGET) -> tuple[float, float]:
+def eval_phase(phase: Phase, n: int) -> tuple[float, float]:
     """({f(n)} as float in [0,1), certified error bound).
 
     Exact-rational phases report a bound of 0.0 (the only loss is the final
     conversion to float).  Raises PrecisionError outside the certified range.
     """
-    phase.check_range(n, budget)
+    phase.check_range(n)
     v = phase.frac(n)
     return (v.to_float() if isinstance(v, FixedReal) else float(v)), phase.err_bound(n)
 
@@ -759,7 +759,7 @@ def _parse_phase(text: str, base_dir: Path | None, depth: int) -> Phase:
         if depth >= _MAX_CONCAT_DEPTH:  # a cycle gets here too
             raise ParseError(f"{path}: 'pieces' nest concat specs more than "
                              f"{_MAX_CONCAT_DEPTH} deep")
-        spec = json.loads(path.read_text())
+        spec = read_json(path)
         try:
             bps, texts = spec["breakpoints"], spec["pieces"]
         except (KeyError, TypeError):

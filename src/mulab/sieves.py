@@ -205,22 +205,21 @@ def _segment_bytes(n_max: int, segment_size: int) -> int:
             + _ROOT_BYTES_PER_N * math.isqrt(n_max) + _FIXED_BYTES)
 
 
-def _check_budget(label, table_bytes, n_max, segment_size, memory_budget=None) -> None:
+def _check_budget(label, table_bytes, n_max, segment_size) -> None:
     """Refuse a sieve past the float quotient's exact range, or one whose
     table plus working bytes exceed the budget."""
     if n_max >= 1 << 53:
         raise ValueError(
             f"{label} sieve for n_max={n_max}: n_max must be below 2^53, where "
             f"the leftover prime is an exact float64 quotient")
-    budget = DEFAULT_BUDGET_BYTES if memory_budget is None else memory_budget
     segment_bytes = _segment_bytes(n_max, segment_size)
     need = table_bytes + segment_bytes
-    if need > budget:
+    if need > DEFAULT_BUDGET_BYTES:
         raise ResourceBudgetError(
             f"{label} sieve for n_max={n_max} needs {need} bytes ({table_bytes} "
             f"for the table, {segment_bytes} for one segment, the period tiles "
-            f"and the base primes), over the {budget}-byte budget; lower n_max "
-            f"or raise the budget"
+            f"and the base primes), over the {DEFAULT_BUDGET_BYTES}-byte budget; "
+            f"lower n_max"
         )
 
 
@@ -306,12 +305,12 @@ def _multiplicative_segments(n_max: int, segment_size: int, ratio, dtype):
         yield lo, vals
 
 
-def _segmented_pack(n_max, segment_size, memory_budget, ratio, label) -> MobiusTable:
+def _segmented_pack(n_max, segment_size, ratio, label) -> MobiusTable:
     """Packed table of a {-1, 0, +1}-valued multiplicative f."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     segment_size = max(4, (segment_size // 4) * 4)  # whole bytes of codes
-    _check_budget(label, (n_max + 3) // 4, n_max, segment_size, memory_budget)
+    _check_budget(label, (n_max + 3) // 4, n_max, segment_size)
     out = np.empty((n_max + 3) // 4, dtype=np.uint8)
     for lo, vals in _multiplicative_segments(n_max, segment_size, ratio, np.int8):
         codes = vals.view(np.uint8)  # the buffer is refilled for the next segment
@@ -322,24 +321,16 @@ def _segmented_pack(n_max, segment_size, memory_budget, ratio, label) -> MobiusT
     return MobiusTable(n_max, out, label)
 
 
-def sieve_mobius(
-    n_max: int,
-    segment_size: int = _DEFAULT_SEGMENT,
-    memory_budget: int | None = None,
-) -> MobiusTable:
+def sieve_mobius(n_max: int, segment_size: int = _DEFAULT_SEGMENT) -> MobiusTable:
     """Exact mu on [1, n_max]: 0 on non-squarefree n, else (-1)^(#prime factors)."""
     mu_ratio = lambda p, e: -1 if e == 1 else 0
-    return _segmented_pack(n_max, segment_size, memory_budget, mu_ratio, "mu")
+    return _segmented_pack(n_max, segment_size, mu_ratio, "mu")
 
 
-def sieve_liouville(
-    n_max: int,
-    segment_size: int = _DEFAULT_SEGMENT,
-    memory_budget: int | None = None,
-) -> MobiusTable:
+def sieve_liouville(n_max: int, segment_size: int = _DEFAULT_SEGMENT) -> MobiusTable:
     """Exact lambda on [1, n_max]: completely multiplicative, lambda(p) = -1."""
     lambda_ratio = lambda p, e: -1
-    return _segmented_pack(n_max, segment_size, memory_budget, lambda_ratio, "lambda")
+    return _segmented_pack(n_max, segment_size, lambda_ratio, "lambda")
 
 
 @dataclass

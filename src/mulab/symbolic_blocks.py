@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _limbs
-from ._util import DEFAULT_BUDGET_BYTES, atomic_write
+from ._util import DEFAULT_BUDGET_BYTES, atomic_write, read_json, write_json
 from .errors import ParseError, PrecisionError, ResourceBudgetError, WindowTooShortError
 from .fixedpoint import FRAC_BITS, SCALE, FixedReal, sqrt_const
 from .phases import CHUNK, Phase, PolyPhase, frac_rep
@@ -96,13 +95,13 @@ def save_symbols(seq: SymbolSeq, data_path: str | Path) -> Path:
         "data": data_path.name,
     }
     hdr = data_path.with_suffix(data_path.suffix + ".json")
-    atomic_write(hdr, json.dumps(header, indent=2, sort_keys=True) + "\n")
+    write_json(hdr, header)
     return hdr
 
 
 def load_symbols(header_path: str | Path) -> SymbolSeq:
     header_path = Path(header_path)
-    header = json.loads(header_path.read_text())
+    header = read_json(header_path)
     if not isinstance(header, dict):
         raise ParseError(f"{header_path}: the header must be a JSON object")
     for field, kind in (("length", int), ("alphabet_size", int), ("data", str)):

@@ -348,6 +348,39 @@ class TestMalformedInputs:
         assert run(["entropy", "--seq", str(hdr), "--jmax", "3"]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blob", [b"[" * 100000 + b"]" * 100000, b"\xff\xfe{}",
+                                      b'{"breakpoints": '],
+                             ids=["too_deep", "not_utf8", "truncated"])
+    @pytest.mark.parametrize("name, argv", [
+        ("spec.json", ["sum", "--weights", "one:100", "--phase", "concat:@{path}",
+                       "--n", "100"]),
+        ("a.json", ["pieces", "--arrangement", "{path}"]),
+        ("seq.bin.json", ["entropy", "--seq", "{path}", "--jmax", "3"]),
+    ], ids=["concat_spec", "arrangement", "symbol_header"])
+    def test_json_that_does_not_decode(self, tmp_path, capsys, name, argv, blob):
+        path = tmp_path / name
+        path.write_bytes(blob)
+        assert run([a.replace("{path}", str(path)) for a in argv]) == 2
+        assert f"{path}: not a JSON document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hyperplanes, field", [
+        ([{"normal": [True], "offset": 0}], "hyperplanes[0].normal"),
+        ([{"normal": [1], "offset": 0}, {"normal": [1], "offset": "x"}],
+         "hyperplanes[1].offset"),
+        ([{"normal": [0, "0/5"], "offset": 1}], "hyperplanes[0].normal"),
+    ], ids=["bool_in_normal", "text_offset", "zero_normal"])
+    def test_arrangement_scalar(self, tmp_path, capsys, hyperplanes, field):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"hyperplanes": hyperplanes}))
+        assert run(["pieces", "--arrangement", str(path)]) == 2
+        assert f"{path}: malformed arrangement at {field}" in capsys.readouterr().err
+
+    def test_arrangement_csv_row(self, tmp_path, capsys):
+        path = tmp_path / "a.csv"
+        path.write_text("# crossing lines\n1,1,0,1,0,1\n1,x,0,1,0,1\n")
+        assert run(["pieces", "--arrangement", str(path)]) == 2
+        assert f"{path}: row 3 holds a field that is not an integer" in capsys.readouterr().err
+
     def test_power_exponent_above_64_is_refused_at_once(self, capsys):
         t0 = time.perf_counter()
         assert run(["sum", "--weights", "one:100", "--phase", "pow:7/100000",

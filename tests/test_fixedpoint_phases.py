@@ -1,6 +1,7 @@
 """Fixed-point arithmetic and phase evaluation against a 384-bit mpmath
 reference; parsing, schedules, and concatenation builders."""
 
+import inspect
 import math
 import random
 from fractions import Fraction as F
@@ -45,6 +46,16 @@ class TestFixedReal:
         v = FixedReal.from_fraction(F(1, 3))
         assert v.err_ulp == 1
         assert abs(v.to_fraction() - F(1, 3)) <= F(1, SCALE)
+
+    signed = st.integers(-(1 << 191) + 1, (1 << 191) - 1)
+    # 54 significant bits ending in 1: exactly halfway between two doubles
+    halfway = st.builds(lambda hi, shift, sign: sign * ((2 * hi + 1) << shift),
+                        st.integers(1 << 52, (1 << 53) - 1), st.integers(0, 137),
+                        st.sampled_from((1, -1)))
+
+    @given(signed | halfway)
+    def test_to_float_is_correctly_rounded(self, m):
+        assert FixedReal(m).to_float() == float(F(m, SCALE))
 
     def test_sqrt2_squares_back(self):
         s2 = sqrt_const(2)
@@ -602,3 +613,10 @@ def test_concat_residual_reports_the_first_maximum():
     concat = build_concatenation(poly, 2, 10, schedule=GeometricSchedule(8))
     assert concat_residual(poly, concat, [9, 5, 200, 2]) == ResidualReport(0.0, 9, 4)
     assert concat_residual(poly, concat, []) == ResidualReport(-1.0, -1, 0)
+
+
+def test_precision_budget_is_not_a_parameter():
+    # every caller reads RANGE_BUDGET; no caller set its own
+    assert list(inspect.signature(Phase.check_range).parameters) == ["self", "n"]
+    assert list(inspect.signature(eval_phase).parameters) == ["phase", "n"]
+    assert list(inspect.signature(FixedReal.from_fraction).parameters) == ["x"]

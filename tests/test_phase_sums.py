@@ -3,6 +3,7 @@ cancellation identities at the documented tolerance, and the brute-force
 approximation witness with an independently re-checked certificate."""
 
 import cmath
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -16,10 +17,12 @@ from hypothesis import given, strategies as st
 
 from mulab import phase_sums
 from mulab.errors import PrecisionError, ResourceBudgetError
-from mulab.fixedpoint import FixedReal, sqrt_const
+from mulab.fixedpoint import SCALE, FixedReal, sqrt_const
 from mulab.phases import BracketPhase, ConcatPhase, PolyPhase, power_phase
 from mulab.phase_sums import (
     SUM_TOLERANCE,
+    DirichletWitness,
+    SumReport,
     ap_correlation,
     blockwise_abs_average,
     checkpoint_grid,
@@ -263,6 +266,23 @@ class TestDirichlet:
     def test_budget(self):
         with pytest.raises(ResourceBudgetError):
             dirichlet_approx([F(1, 3)] * 10, 8, budget=1000)
+
+    @given(st.lists(st.fractions(-3, 3, max_denominator=40)
+                    | st.integers(-(1 << 97), 1 << 97).map(FixedReal),
+                    min_size=1, max_size=3),
+           st.integers(2, 6))
+    def test_matches_a_fraction_scan(self, thetas, q):
+        xs = [F(th.mantissa, SCALE) if isinstance(th, FixedReal) else th for th in thetas]
+        expected = None
+        for t in range(1, q ** len(xs) + 1):
+            nearest = [math.floor(t * x + F(1, 2)) for x in xs]
+            worst = max(abs(t * x - a) for x, a in zip(xs, nearest))
+            if worst < F(1, q):
+                expected = DirichletWitness(t, nearest, float(worst), True)
+                break
+            if worst == F(1, q) and expected is None:
+                expected = DirichletWitness(t, nearest, float(worst), False)
+        assert dirichlet_approx(thetas, q) == expected
 
 
 class TestConcatInSums:
@@ -522,3 +542,10 @@ class TestShiftCorrelationStream:
         for shift, n in ((-1, 10), (1, 0)):
             with pytest.raises(ValueError):
                 phase_shift_correlation(PolyPhase([0]), shift, n)
+
+
+def test_sum_report_holds_only_what_is_read():
+    # `meta` was never set and `final` never read
+    assert [f.name for f in dataclasses.fields(SumReport)] == [
+        "phase", "weights", "n_max", "rows"]
+    assert not hasattr(SumReport, "final")

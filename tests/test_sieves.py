@@ -1,6 +1,7 @@
 """Sieve tables against a trial-division oracle, Mertens sums, pretentious
 distance, and the packed cache format (including corruption handling)."""
 
+import inspect
 import random
 import struct
 import tracemalloc
@@ -396,13 +397,17 @@ class TestWeights:
 class TestBudget:
     def test_budget_error_mentions_remedy(self):
         with pytest.raises(ResourceBudgetError, match="budget"):
-            sieve_mobius(10 ** 9, memory_budget=1000)
+            sieve_mobius(3 * 10 ** 9)
 
-    def test_budget_counts_the_working_segment(self):
+    def test_budget_counts_the_working_segment(self, monkeypatch):
+        import mulab.sieves
+
         # the 250-byte packed table fits in 1000 bytes, its segment does not
-        sieve_mobius(1000, memory_budget=10 ** 5)
+        monkeypatch.setattr(mulab.sieves, "DEFAULT_BUDGET_BYTES", 10 ** 5)
+        sieve_mobius(1000)
+        monkeypatch.setattr(mulab.sieves, "DEFAULT_BUDGET_BYTES", 1000)
         with pytest.raises(ResourceBudgetError, match="for one segment"):
-            sieve_mobius(1000, memory_budget=1000)
+            sieve_mobius(1000)
 
     def test_phi_over_default_budget_fails_fast(self):
         import time
@@ -546,11 +551,8 @@ class TestSieveBudget:
             tracemalloc.stop()
         assert peak <= table_bytes(n_max) + _segment_bytes(n_max, _DEFAULT_SEGMENT)
 
-    @pytest.mark.parametrize("call", [
-        lambda n: sieve_mobius(n, memory_budget=10 ** 30),
-        lambda n: sieve_liouville(n, memory_budget=10 ** 30),
-        sieve_phi,
-    ], ids=["mu", "lambda", "phi"])
+    @pytest.mark.parametrize("call", [sieve_mobius, sieve_liouville, sieve_phi],
+                             ids=["mu", "lambda", "phi"])
     def test_n_max_past_2_53_is_refused_fast(self, call):
         import time
 
@@ -559,3 +561,9 @@ class TestSieveBudget:
             with pytest.raises(ValueError, match="below 2\\^53"):
                 call(n)
         assert time.perf_counter() - start < 1.0
+
+
+def test_the_sieves_take_no_budget_parameter():
+    # the 512 MiB default is the only budget; tests patch the module constant
+    for sieve in (sieve_mobius, sieve_liouville, sieve_phi):
+        assert list(inspect.signature(sieve).parameters) == ["n_max", "segment_size"]
