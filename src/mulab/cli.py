@@ -36,6 +36,7 @@ from .phase_sums import (
     weights_from_table,
 )
 from .sieves import (
+    _DEFAULT_SEGMENT,
     load_cache,
     mertens,
     save_cache,
@@ -234,7 +235,7 @@ def _cmd_dirichlet(args: argparse.Namespace) -> int:
     ]
     wit = dirichlet_approx(thetas, args.q, args.budget)
     print(f"t={wit.t} nearest={wit.nearest} max_err={wit.max_err:.10f} "
-          f"(<= 1/{args.q}{'' if wit.strict else ', boundary case'})")
+          f"(< 1/{args.q})")
     return EXIT_OK
 
 
@@ -313,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--out")
     p.add_argument("--fn", choices=("mu", "lambda"), default="mu")
-    p.add_argument("--segment-size", type=int, default=1 << 20)
+    p.add_argument("--segment-size", type=int, default=_DEFAULT_SEGMENT)
     p.add_argument("--phi-out", default=None)
     p.set_defaults(run=_cmd_sieve)
 

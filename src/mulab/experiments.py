@@ -487,6 +487,13 @@ def run_concat_approx(params: dict, out_dir: Path | None = None) -> dict:
     }
 
 
+def _nonzero(name: str, params: dict, key: str) -> None:
+    """Refuse a zero denominator among a preset's parameters."""
+    if params[key] == 0:
+        raise ParseError(f"preset {name!r}: parameter {key!r} must be nonzero, "
+                         f"it is a denominator")
+
+
 def _decay(phase, n_max: int, out_dir: Path | None, csv_name: str) -> dict:
     """The mu-weighted average of e(phase) at N = n_max/100 and n_max: passed
     when its modulus fell."""
@@ -501,6 +508,7 @@ def _decay(phase, n_max: int, out_dir: Path | None, csv_name: str) -> dict:
 def run_linear_drift(params: dict, out_dir: Path | None = None) -> dict:
     """mu against e(f) for f = c n + sqrt(n): the one-step difference tends
     to the constant c.  Representative choice, not canonical."""
+    _nonzero("linear-drift", params, "c_den")
     c = Fraction(params["c_num"], params["c_den"])
     c_fixed = FixedReal.from_fraction(c)
 
@@ -515,6 +523,7 @@ def run_quadratic_rational(params: dict, out_dir: Path | None = None) -> dict:
     """mu against e(f) for f = (a/2q) n^2 + alpha n: second difference is the
     rational constant a/q, so e(one-step difference) has finitely many limit
     points.  Representative choice, not canonical."""
+    _nonzero("quadratic-rational", params, "q")
     a, q = params["a"], params["q"]
     phase = PolyPhase([0, sqrt_const(2), Fraction(a, 2 * q)])
     return _decay(phase, params["n"], out_dir, "quadratic_rational_trace.csv")
@@ -625,7 +634,7 @@ def run_preset(
         raise ParseError(f"unknown preset {name!r}; available: {known}")
     fn, defaults, summary = PRESETS[name]
     params = dict(defaults)
-    given = {} if seed is None or "seed" not in params else {"seed": seed}
+    given = {} if seed is None else {"seed": seed}
     for key, value in {**given, **(overrides or {})}.items():
         if key not in params:
             allowed = ", ".join(sorted(params)) or "none"

@@ -376,20 +376,18 @@ class DirichletWitness:
     t: int
     nearest: list[int]
     max_err: float
-    strict: bool  # whether max_j ||t theta_j|| < 1/q strictly
 
 
 def dirichlet_approx(
     thetas: Sequence, q: int, budget: int = 10 ** 7
 ) -> DirichletWitness:
     """Smallest t in [1, q^L] with max_j ||t theta_j|| < 1/q (strict), by
-    brute-force scan; if no strict witness exists the smallest boundary case
-    ||t theta_j|| = 1/q is returned (the pigeonhole guarantee is <= 1/q).
+    brute-force scan.
 
     The certificate is re-checkable: nearest[j] is the closest integer to
     t*theta_j and max_err the largest |t theta_j - nearest[j]|.  Each t is
     decided on integers: with theta_j = num/unit and e = |t num - a unit|,
-    t is strict when e q < unit for every j and weak when e q <= unit.
+    t is a witness when e q < unit for every j.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
@@ -410,29 +408,22 @@ def dirichlet_approx(
             fr = Fraction(th)
             reps.append((fr.numerator, fr.denominator))
 
-    boundary: DirichletWitness | None = None
+    # the scan always returns: of the q^L + 1 points ({t theta_j})_j for
+    # t = 0..q^L, two share one of the q^L half-open boxes of side 1/q
+    # (pigeonhole), so their difference t <= q^L has every ||t theta_j||
+    # strictly below 1/q
     for t in range(1, limit + 1):
-        nearest, strict = [], True
+        nearest = []
         worst_e, worst_unit = 0, 1  # the largest e/unit so far
         for num, unit in reps:
             v = t * num
             a = (2 * v + unit) // (2 * unit)  # nearest integer
             e = abs(v - a * unit)
-            if e * q > unit:
+            if e * q >= unit:
                 break
-            strict = strict and e * q < unit
             nearest.append(a)
             if e * worst_unit > worst_e * unit:
                 worst_e, worst_unit = e, unit
         else:
             # int / int rounds once, as float(Fraction(e, unit)) does
-            wit = DirichletWitness(t, nearest, worst_e / worst_unit, strict)
-            if strict:
-                return wit
-            if boundary is None:
-                boundary = wit
-    if boundary is not None:
-        return boundary
-    raise ArithmeticError(
-        "no witness within the pigeonhole range; this cannot happen"
-    )
+            return DirichletWitness(t, nearest, worst_e / worst_unit)

@@ -9,19 +9,28 @@ Reads decode whole bytes through one 256 x 4 table of signed values (and
 Mertens sums whole bytes through the 256 sums of its rows), a chunk of
 bytes at a time, and refuse a chunk holding a code 11.
 
-mu, lambda and phi come from one segmented kernel for a multiplicative f,
-given by the integer ratios f(p^e) / f(p^(e-1)): -1 then 0 for mu, -1 for
-lambda, p - 1 then p for phi.  The prime powers 2^4, 3^2, 5^2, 7^2 and
-their divisors are pre-sieved once, over one period of 176,400 = 2^4 3^2
-5^2 7^2 (no larger than n_max + 1): a tile of f over those powers and a
-tile of the product of the powers stripped.  Each segment starts from the
-two tiles at offset lo mod 176,400.  Every other prime power p^e <= n_max
-then multiplies the values at its multiples by the ratio and the product
-by p; a zero ratio ends that prime's powers.  The quotient q = n / product
-is 1 or one prime above sqrt(n_max), whose f(q) is the last factor.  It is
-taken in float64, exact because the product divides n and both are below
-2^53; the sieves refuse n_max >= 2^53 up front.  mu and lambda pack their
-values to codes arithmetically, four to a byte.
+All three sieves walk [1, n_max] in segments and pre-sieve the prime powers
+2^4, 3^2, 5^2, 7^2 and their divisors once, over one period of 176,400 =
+2^4 3^2 5^2 7^2 (no larger than n_max + 1): each segment starts from a tile
+at offset lo mod 176,400.
+
+mu and lambda build each segment as one signed product s, int32 (int64 once
+n_max >= 2^31).  Each sieved prime power p^e dividing n multiplies s by -p;
+mu stops at p and sets s to 0 at the multiples of p^2, lambda goes on for
+every power of p up to n_max.  Every prime up to sqrt(n_max) is sieved, so
+n = |s| q where q is 1 or one prime above sqrt(n_max), and for mu s = 0
+exactly when a square divides n.  The value is 0 where s = 0, else sign(s)
+flipped exactly when 0 < |s| < n: one integer compare decides the leftover
+prime.  The values go to codes and are packed four to a byte, a chunk of a
+segment at a time.
+
+phi keeps the ratio kernel: a tile of phi over the tiled powers and one of
+their product, then every other prime power p^e <= n_max multiplies the
+values at its multiples by phi(p^e) / phi(p^(e-1)) (p - 1, then p) and the
+product by p.  The quotient q = n / product is 1 or one prime above
+sqrt(n_max), whose phi(q) = q - 1 is the last factor.  It is taken in
+float64, exact because the product divides n and both are below 2^53; all
+three sieves refuse n_max >= 2^53 up front.
 
 Tables are immutable after construction and safe to share across
 concurrent readers; construction itself is single-writer, segment by
@@ -60,15 +69,18 @@ _DEFAULT_SEGMENT = 1 << 20
 #: the small primes pre-sieved from one period, with their top exponents
 _TILED = ((2, 4), (3, 2), (5, 2), (7, 2))
 _PERIOD = math.prod(p ** e for p, e in _TILED)  # 176,400
-#: entries per pass over the leftover quotients, small enough to stay in cache
+#: entries per pass over the leftover primes, small enough to stay in cache
 _QUOTIENT_CHUNK = 1 << 16
 # working bytes of a sieve, as tracemalloc measures them: per entry of a
-# segment, the values and the product of the stripped powers (int64 at
-# worst; mu's int8 values, codes and packing take less); per entry of a
-# quotient pass, the float64 quotient, f(q) - 1, the factor in the values'
-# dtype and numpy's cast buffers; per entry of the period, the two tiles (int32 at worst); per
-# integer up to sqrt(n_max), the prime mask and the base primes' powers (about
-# 100 bytes a prime); and a fixed part for Python objects and array headers
+# segment, mu's and lambda's signed product (4 bytes, 8 from n_max = 2^31 on)
+# or phi's values and product of the stripped powers (8 + 8 at worst); per
+# entry of a quotient pass, phi's float64 quotient, the factor and numpy's
+# cast buffers (8 + 8 + 8), or mu's and lambda's n and |s| beside their
+# compare's mask (8 + 8 + 1 at worst; the codes and packing take less); per
+# entry of the period, the tiles (phi's two int32 tiles, mu's and lambda's
+# one); per integer up to sqrt(n_max), the prime mask and the base primes'
+# powers (about 100 bytes a prime); and a fixed part for Python objects and
+# array headers
 _SEGMENT_BYTES_PER_N = 8 + 8
 _QUOTIENT_BYTES_PER_N = 8 + 8 + 8
 _TILE_BYTES_PER_N = 4 + 4
@@ -206,12 +218,13 @@ def _segment_bytes(n_max: int, segment_size: int) -> int:
 
 
 def _check_budget(label, table_bytes, n_max, segment_size) -> None:
-    """Refuse a sieve past the float quotient's exact range, or one whose
-    table plus working bytes exceed the budget."""
+    """Refuse a sieve past phi's exact float quotient, the one range limit of
+    all three sieves, or one whose table plus working bytes exceed the
+    budget."""
     if n_max >= 1 << 53:
         raise ValueError(
             f"{label} sieve for n_max={n_max}: n_max must be below 2^53, where "
-            f"the leftover prime is an exact float64 quotient")
+            f"phi's leftover prime is an exact float64 quotient")
     segment_bytes = _segment_bytes(n_max, segment_size)
     need = table_bytes + segment_bytes
     if need > DEFAULT_BUDGET_BYTES:
@@ -223,17 +236,14 @@ def _check_budget(label, table_bytes, n_max, segment_size) -> None:
         )
 
 
-def _apply_powers(vals, prod, lo, p, pe, e, stop, ratio):
+def _apply_powers(vals, prod, lo, p, pe, e, stop):
     """From p^e on, for each power of p below stop: multiply vals by
-    ratio(p, e) and prod by p at the multiples of p^e, where vals[i] and
-    prod[i] stand for n = lo + i.  Return the (p^e, e) that comes next, or
-    None once a ratio is 0 (the higher powers then change nothing)."""
+    phi(p^e) / phi(p^(e-1)) (p - 1, then p) and prod by p at the multiples
+    of p^e, where vals[i] and prod[i] stand for n = lo + i.  Return the
+    (p^e, e) that comes next."""
     while pe < stop:
-        r = ratio(p, e)
         first = -lo % pe  # offset of the first multiple of p^e
-        vals[first::pe] *= r
-        if r == 0:
-            return None
+        vals[first::pe] *= p - 1 if e == 1 else p
         prod[first::pe] *= p
         pe, e = pe * p, e + 1
     return pe, e
@@ -249,22 +259,18 @@ def _tile_into(dst: np.ndarray, tile: np.ndarray, start: int) -> None:
         i += k
 
 
-def _segment_filler(n_max: int, size: int, ratio, dtype):
-    """fill(vals, lo) writes f(n) for n in [lo, lo + len(vals)) into vals,
-    for the multiplicative f on [1, n_max] with ratio(p, e) = f(p^e) /
-    f(p^(e-1)), so ratio(q, 1) = f(q) (see the module docstring).  vals has
-    the given dtype and at most size entries."""
-    # f over the tiled powers, and their product, for n mod _PERIOD; each
-    # tile entry is at most _PERIOD in absolute value, so it fits int32
-    tile_dtype = dtype if np.dtype(dtype).itemsize <= 4 else np.int32
-    tile_vals = np.ones(min(_PERIOD, n_max + 1), dtype=tile_dtype)
+def _segment_filler(n_max: int, size: int):
+    """fill(vals, lo) writes phi(n) for n in [lo, lo + len(vals)) into the
+    int64 array vals, of at most size entries (see the module docstring)."""
+    # phi over the tiled powers, and their product, for n mod _PERIOD; each
+    # tile entry is at most _PERIOD, so it fits int32
+    tile_vals = np.ones(min(_PERIOD, n_max + 1), dtype=np.int32)
     tile_prod = np.ones(tile_vals.size, dtype=np.int32)
     powers = []  # (p, p^e, e): where each prime's powers go on per segment
     for p, top in _TILED:
         nxt = _apply_powers(tile_vals, tile_prod, 0, p, p, 1,
-                            min(p ** (top + 1), n_max + 1), ratio)
-        if nxt is not None:
-            powers.append((p, *nxt))
+                            min(p ** (top + 1), n_max + 1))
+        powers.append((p, *nxt))
     tiled = {p for p, _ in _TILED}
     powers += [(p, p, 1) for p in primes_up_to(math.isqrt(n_max)).tolist()
                if p not in tiled]
@@ -276,61 +282,92 @@ def _segment_filler(n_max: int, size: int, ratio, dtype):
         _tile_into(vals, tile_vals, lo % _PERIOD)
         _tile_into(prod, tile_prod, lo % _PERIOD)
         for p, pe, e in powers:
-            _apply_powers(vals, prod, lo, p, pe, e, hi, ratio)
+            _apply_powers(vals, prod, lo, p, pe, e, hi)
         # prod divides n and both are below 2^53, so the quotient is exact:
         # 1, or the one prime factor of n above sqrt(n_max)
         for a in range(0, vals.size, _QUOTIENT_CHUNK):
             b = min(a + _QUOTIENT_CHUNK, vals.size)
             q = np.arange(lo + a, lo + b, dtype=np.float64)
             q /= prod[a:b]
-            # 1 + [q > 1] (f(q) - 1): f(q) for a prime q, 1 for q = 1
-            factor = (q > 1).astype(vals.dtype)
-            np.multiply(factor, ratio(q, 1) - 1, out=factor, casting="unsafe")
+            # 1 + [q > 1] (q - 2): phi(q) = q - 1 for a prime q, 1 for q = 1
+            factor = (q > 1).astype(np.int64)
+            np.multiply(factor, q - 2, out=factor, casting="unsafe")
             factor += 1
             vals[a:b] *= factor
 
     return fill
 
 
-def _multiplicative_segments(n_max: int, segment_size: int, ratio, dtype):
-    """Yield (lo, f on [lo, lo + len)) over [1, n_max] for the multiplicative f
-    with ratio(p, e) = f(p^e) / f(p^(e-1)) (see _segment_filler).  The values
-    are a view of one buffer that the next segment overwrites."""
-    size = min(segment_size, n_max)
-    fill = _segment_filler(n_max, size, ratio, dtype)
-    buf = np.empty(size, dtype=dtype)
+def _signed_segments(n_max: int, segment_size: int, squarefree: bool):
+    """Yield (lo, s) over [1, n_max], where s[i] is the signed product for
+    n = lo + i (see the module docstring): mu's when squarefree, else
+    lambda's.  s is a view of one buffer that the next segment overwrites."""
+    # the product over the tiled powers for n mod _PERIOD: at most _PERIOD
+    # in absolute value, so int32; a power past the tile only meets index 0
+    tile = np.ones(min(_PERIOD, n_max + 1), dtype=np.int32)
+    powers = []  # (p, p^e): the first power of p each segment multiplies by
+    for p, top in _TILED:
+        for pe in (p ** e for e in range(1, top + 1)):
+            if squarefree and pe > p:
+                tile[::pe] = 0
+                break
+            tile[::pe] *= -p
+        if not squarefree:
+            powers.append((p, p ** (top + 1)))
+    tiled = {p for p, _ in _TILED}
+    powers += [(p, p) for p in primes_up_to(math.isqrt(n_max)).tolist()
+               if p not in tiled]
+    buf = np.empty(min(segment_size, n_max),
+                   dtype=np.int32 if n_max < 1 << 31 else np.int64)
     for lo in range(1, n_max + 1, segment_size):
-        vals = buf[: min(segment_size, n_max + 1 - lo)]
-        fill(vals, lo)
-        yield lo, vals
+        s = buf[: min(segment_size, n_max + 1 - lo)]
+        hi = lo + s.size
+        _tile_into(s, tile, lo % _PERIOD)
+        for p, pe in powers:
+            if squarefree:
+                s[-lo % p :: p] *= -p
+                s[-lo % (p * p) :: p * p] = 0
+                continue
+            while pe < hi:
+                s[-lo % pe :: pe] *= -p
+                pe *= p
+        yield lo, s
 
 
-def _segmented_pack(n_max, segment_size, ratio, label) -> MobiusTable:
-    """Packed table of a {-1, 0, +1}-valued multiplicative f."""
+def _codes(s: np.ndarray, lo: int) -> np.ndarray:
+    """The 2-bit codes (0, 1 for +1, 2 for -1) of the signed products s for
+    n = lo + i: 0 where s = 0, else sign(s), flipped where |s| < n."""
+    flip = np.abs(s) < np.arange(lo, lo + s.size, dtype=s.dtype)
+    flip ^= s < 0
+    codes = (s != 0).view(np.uint8)
+    codes <<= flip.view(np.uint8)
+    return codes
+
+
+def _segmented_pack(n_max, segment_size, label, squarefree) -> MobiusTable:
+    """Packed table of mu (squarefree) or lambda."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     segment_size = max(4, (segment_size // 4) * 4)  # whole bytes of codes
     _check_budget(label, (n_max + 3) // 4, n_max, segment_size)
     out = np.empty((n_max + 3) // 4, dtype=np.uint8)
-    for lo, vals in _multiplicative_segments(n_max, segment_size, ratio, np.int8):
-        codes = vals.view(np.uint8)  # the buffer is refilled for the next segment
-        codes &= 3  # 0 -> 0, 1 -> 1, -1 -> 3
-        codes -= codes >> 1  # -1 -> 2
-        b0 = (lo - 1) // 4
-        out[b0 : b0 + (codes.size + 3) // 4] = _pack_codes(codes)
+    for lo, s in _signed_segments(n_max, segment_size, squarefree):
+        # _QUOTIENT_CHUNK is a multiple of 4: each chunk fills whole bytes
+        for a in range(0, s.size, _QUOTIENT_CHUNK):
+            chunk = s[a : a + _QUOTIENT_CHUNK]
+            b0 = (lo + a - 1) // 4
+            out[b0 : b0 + (chunk.size + 3) // 4] = _pack_codes(_codes(chunk, lo + a))
     return MobiusTable(n_max, out, label)
 
 
 def sieve_mobius(n_max: int, segment_size: int = _DEFAULT_SEGMENT) -> MobiusTable:
     """Exact mu on [1, n_max]: 0 on non-squarefree n, else (-1)^(#prime factors)."""
-    mu_ratio = lambda p, e: -1 if e == 1 else 0
-    return _segmented_pack(n_max, segment_size, mu_ratio, "mu")
+    return _segmented_pack(n_max, segment_size, "mu", squarefree=True)
 
 
 def sieve_liouville(n_max: int, segment_size: int = _DEFAULT_SEGMENT) -> MobiusTable:
     """Exact lambda on [1, n_max]: completely multiplicative, lambda(p) = -1."""
-    lambda_ratio = lambda p, e: -1
-    return _segmented_pack(n_max, segment_size, lambda_ratio, "lambda")
+    return _segmented_pack(n_max, segment_size, "lambda", squarefree=False)
 
 
 @dataclass
@@ -350,8 +387,7 @@ def sieve_phi(n_max: int, segment_size: int = _DEFAULT_SEGMENT) -> PhiTable:
         raise ValueError("n_max and segment_size must be >= 1")
     _check_budget("phi", 8 * (n_max + 1), n_max, segment_size)
     out = np.zeros(n_max + 1, dtype=np.int64)
-    phi_ratio = lambda p, e: p - 1 if e == 1 else p
-    fill = _segment_filler(n_max, min(segment_size, n_max), phi_ratio, np.int64)
+    fill = _segment_filler(n_max, min(segment_size, n_max))
     for lo in range(1, n_max + 1, segment_size):
         fill(out[lo : lo + segment_size], lo)  # the table's own slice
     return PhiTable(n_max, out)

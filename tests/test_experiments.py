@@ -123,3 +123,22 @@ def test_seed_is_typed_like_an_override():
         run_preset("value-bound", seed=1.5, overrides={"trials": 5})
     assert run_preset("value-bound", seed="7",
                       overrides={"trials": 5})["parameters"]["seed"] == 7
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["linear-drift", "--set", "c_den=0"], "preset 'linear-drift': parameter 'c_den'"),
+    (["quadratic-rational", "--set", "q=0"],
+     "preset 'quadratic-rational': parameter 'q'"),
+], ids=["linear_drift_c_den", "quadratic_rational_q"])
+def test_zero_denominator_exits_2_naming_the_key(capsys, argv, message):
+    assert main(["experiment", *argv, "--n", "2000"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_seed_for_a_preset_without_one_exits_2(tmp_path, capsys):
+    assert main(["experiment", "example33", "--n", "500", "--seed", "5",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "unknown parameter 'seed' for preset 'example33'" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+    with pytest.raises(ParseError, match="unknown parameter 'seed'"):
+        run_preset("example33", seed=5, overrides={"n": 500})

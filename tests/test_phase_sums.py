@@ -267,6 +267,16 @@ class TestDirichlet:
         with pytest.raises(ResourceBudgetError):
             dirichlet_approx([F(1, 3)] * 10, 8, budget=1000)
 
+    def test_every_witness_is_strict(self):
+        # no boundary fallback: the pigeonhole witness is always strict
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(DirichletWitness)] == \
+            ["t", "nearest", "max_err"]
+        for q in (2, 3, 4):  # theta = 1/q: ||t theta|| = 1/q at t = 1 and q - 1
+            wit = dirichlet_approx([F(1, q)], q)
+            assert (wit.t, wit.nearest, wit.max_err) == (q, [1], 0.0)
+
     @given(st.lists(st.fractions(-3, 3, max_denominator=40)
                     | st.integers(-(1 << 97), 1 << 97).map(FixedReal),
                     min_size=1, max_size=3),
@@ -278,10 +288,9 @@ class TestDirichlet:
             nearest = [math.floor(t * x + F(1, 2)) for x in xs]
             worst = max(abs(t * x - a) for x, a in zip(xs, nearest))
             if worst < F(1, q):
-                expected = DirichletWitness(t, nearest, float(worst), True)
+                expected = DirichletWitness(t, nearest, float(worst))
                 break
-            if worst == F(1, q) and expected is None:
-                expected = DirichletWitness(t, nearest, float(worst), False)
+        assert expected is not None  # pigeonhole: a strict witness always exists
         assert dirichlet_approx(thetas, q) == expected
 
 

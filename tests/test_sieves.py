@@ -21,7 +21,9 @@ from mulab.errors import (
 )
 from mulab.sieves import (
     MobiusTable,
-    _multiplicative_segments,
+    _codes,
+    _segment_filler,
+    _signed_segments,
     load_cache,
     m_estimate,
     mertens,
@@ -33,6 +35,7 @@ from mulab.sieves import (
     sieve_mobius,
     sieve_phi,
 )
+import sieve_oracle
 
 
 def factorize(n):
@@ -357,16 +360,20 @@ class TestSegments:
             assert lam.value(n) == lambda_oracle(n)
             assert phi.value(n) == phi_oracle(n)
 
-    @pytest.mark.parametrize("ratio,dtype,oracle", [
-        (lambda p, e: -1 if e == 1 else 0, np.int8, mu_oracle),
-        (lambda p, e: -1, np.int8, lambda_oracle),
-        (lambda p, e: p - 1 if e == 1 else p, np.int64, phi_oracle),
+    @pytest.mark.parametrize("squarefree,oracle", [
+        (True, mu_oracle), (False, lambda_oracle), (None, phi_oracle),
     ], ids=["mu", "lambda", "phi"])
-    def test_int64_remainder_above_2_31(self, ratio, dtype, oracle):
-        # n_max >= 2^31 keeps the remainder in int64; only the first segment
+    def test_int64_remainder_above_2_31(self, squarefree, oracle):
+        # n_max >= 2^31 keeps the product in int64; only the first segment
         # is built, and it must hold the small-n values
-        lo, vals = next(_multiplicative_segments(2 ** 31 + 5, 1000, ratio, dtype))
-        assert lo == 1
+        n_max = 2 ** 31 + 5
+        if squarefree is None:
+            vals = np.empty(1000, dtype=np.int64)
+            _segment_filler(n_max, 1000)(vals, 1)
+        else:
+            lo, s = next(_signed_segments(n_max, 1000, squarefree))
+            assert lo == 1 and s.dtype == np.int64 and s.size == 1000
+            vals = np.array([0, 1, -1])[_codes(s, lo)]
         assert vals.tolist() == [oracle(n) for n in range(1, 1001)]
 
 
@@ -500,6 +507,44 @@ class TestTiledKernel:
             assert phi.value(n) == phi_oracle(n)
 
 
+class TestSignedProduct:
+    # the signed-product kernel against the ratio kernel it replaced: the
+    # packed bytes, not only the values, must be the same
+    @given(st.one_of(
+        st.tuples(st.integers(1, 4 * 10 ** 5), st.just(1 << 20)),
+        st.integers(4, 64).flatmap(lambda size: st.tuples(
+            st.integers(1, 256 * size), st.just(size)))))
+    @settings(max_examples=40)
+    @example((PERIOD - 1, 1 << 20))
+    @example((PERIOD, 1 << 20))
+    @example((PERIOD + 1, 1 << 20))
+    @example((PERIOD + 1, 64))
+    @example((4 * 10 ** 5, 1 << 20))
+    def test_packed_bytes_equal_the_ratio_kernel(self, case):
+        n_max, size = case
+        assert raw_table(sieve_mobius(n_max, size)) == \
+            raw_table(sieve_oracle.pack_mobius(n_max, size))
+        assert raw_table(sieve_liouville(n_max, size)) == \
+            raw_table(sieve_oracle.pack_liouville(n_max, size))
+
+    @pytest.mark.parametrize("squarefree,oracle", [(True, mu_oracle),
+                                                   (False, lambda_oracle)],
+                             ids=["mu", "lambda"])
+    def test_the_product_is_the_sieved_part_of_n(self, squarefree, oracle):
+        # |s| is n over its one prime above sqrt(n_max), if any; mu's s is 0
+        # exactly on the non-squarefree n
+        n_max = 5000
+        (lo, s), = _signed_segments(n_max, 1 << 20, squarefree)
+        for n, v in zip(range(lo, n_max + 1), s.tolist()):
+            f = factorize(n)
+            if squarefree and max(f.values(), default=1) > 1:
+                assert v == 0, n
+                continue
+            big = [p for p in f if p * p > n_max]
+            assert abs(v) == n // (big[0] if big else 1), n
+            assert (-1 if v < 0 else 1) * (-1) ** len(big) == oracle(n), n
+
+
 class TestByteDecode:
     @pytest.mark.parametrize("n_max", [1000, 1001, 1002, 1003])
     def test_values_weights_and_sums_at_every_residue(self, monkeypatch, n_max):
@@ -536,8 +581,9 @@ class TestByteDecode:
 class TestSieveBudget:
     @pytest.mark.parametrize("sieve,table_bytes", [
         (sieve_mobius, lambda n: (n + 3) // 4),
+        (sieve_liouville, lambda n: (n + 3) // 4),
         (sieve_phi, lambda n: 8 * (n + 1)),
-    ], ids=["mu", "phi"])
+    ], ids=["mu", "lambda", "phi"])
     def test_peak_within_the_budget_figure(self, sieve, table_bytes):
         import tracemalloc
         from mulab.sieves import _DEFAULT_SEGMENT, _segment_bytes
