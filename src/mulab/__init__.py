@@ -18,6 +18,7 @@ from .fixedpoint import FixedReal, iroot, sqrt_const
 from .sieves import (
     MobiusTable,
     PhiTable,
+    euler_phi,
     load_cache,
     m_estimate,
     mertens,

@@ -3,13 +3,27 @@
 from __future__ import annotations
 
 import json
+import math
 import os
+from fractions import Fraction
 from pathlib import Path
 
 from .errors import ParseError
 
 #: default working-memory budget of the measured layer's entry points (512 MiB)
 DEFAULT_BUDGET_BYTES = 1 << 29
+
+
+def over_lcm(values) -> tuple[list[int], int]:
+    """(nums, d): integer numerators over one common denominator, with
+    values[i] = nums[i] / d exactly and d the lcm of the values'
+    denominators (1 when there are none).  A value that is neither an int
+    nor a Fraction goes through Fraction() first, so "p/q" strings work and
+    a bad value raises what Fraction() raises."""
+    fs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    dens = [f.denominator for f in fs]  # read once: a property on Fraction
+    d = math.lcm(*dens)
+    return [f.numerator * (d // q) for f, q in zip(fs, dens)], d
 
 
 def atomic_write(path: str | Path, *parts: str | bytes | memoryview) -> None:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._util import read_json
+from ._util import over_lcm, read_json
 from .errors import ParseError, ResourceBudgetError
 
 SignVector = tuple[int, ...]
@@ -74,12 +74,11 @@ def classify_point(point: Sequence, arr: Sequence[Hyperplane]) -> SignVector:
 def _classify(point: Sequence, rows) -> SignVector:
     """The signs of the integer rows (a, c) at the point, over one common
     denominator of its coordinates."""
-    pt = [Fraction(x) for x in point]
+    u, den = over_lcm(point)
     for row in rows:
-        if len(row) != len(pt) + 1:
-            raise ValueError(f"point has dimension {len(pt)}, hyperplane {len(row) - 1}")
-    den = math.lcm(*(x.denominator for x in pt))
-    return _signs(rows, [x.numerator * (den // x.denominator) for x in pt], den)
+        if len(row) != len(u) + 1:
+            raise ValueError(f"point has dimension {len(u)}, hyperplane {len(row) - 1}")
+    return _signs(rows, u, den)
 
 
 def _value(row, u, den) -> int:
@@ -94,12 +93,8 @@ def _signs(rows, u, den) -> SignVector:
 
 def _int_rows(arr: Sequence[Hyperplane]) -> list[tuple[tuple[int, ...], int]]:
     """Clear denominators per hyperplane: (a, c) ints with a.x = c the plane."""
-    rows = []
-    for h in arr:
-        scale = math.lcm(*(f.denominator for f in (*h.normal, h.offset)))
-        rows.append((tuple(f.numerator * (scale // f.denominator) for f in h.normal),
-                     h.offset.numerator * (scale // h.offset.denominator)))
-    return rows
+    rows = [over_lcm((*h.normal, h.offset))[0] for h in arr]
+    return [(tuple(row[:-1]), row[-1]) for row in rows]
 
 
 def _checked_dim(arr: Sequence[Hyperplane]) -> int:

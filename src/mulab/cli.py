@@ -181,7 +181,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
         seq = load_symbols(args.seq)
         label = args.seq
     elif args.p1 and args.p2:
-        if not args.length:
+        if args.length is None:
             raise ParseError("--length is required with --p1/--p2")
         # the block counts' budget, before the indicator scan it would follow
         _check_budget("entropy_curve", args.length, 2, args.jmax)

@@ -1,11 +1,15 @@
 """Exact-rational difference calculus.
 
-Everything in this module works on plain sequences of `fractions.Fraction`
-and performs no rounding anywhere; it is the oracle layer the floating-point
-modules are tested against.  Sequences are windows indexed from 0; the
-absolute position of the window is the caller's bookkeeping.  Every
-function is pure on immutable inputs: results are bit-identical no matter
-how calls are scheduled across threads or processes.
+Everything in this module is exact and performs no rounding anywhere; it
+is the oracle layer the floating-point modules are tested against.  Inputs
+are ints, `fractions.Fraction`s or anything `Fraction()` accepts; each
+function turns its window into integer numerators over one common
+denominator (`_util.over_lcm`), works on those integers, and builds
+`Fraction`s only for its outputs, reduced once there.  Sequences are
+windows indexed from 0; the absolute position of the window is the
+caller's bookkeeping.  Every function is pure on immutable inputs: results
+are bit-identical no matter how calls are scheduled across threads or
+processes.
 
 The k-th forward difference of f is
     (D^k f)(n) = sum_{l=0..k} (-1)^(k-l) C(k,l) f(n+l),
@@ -19,9 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
-from typing import Iterable, Sequence
+from itertools import accumulate
+from math import comb, factorial
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
+from ._util import over_lcm
 from .errors import WindowTooShortError
 
 RationalLike = Fraction | int | str
@@ -70,24 +77,37 @@ class RationalPoly:
         return [self(n) for n in range(length)]
 
 
+@lru_cache(maxsize=64)
+def _weights(k: int) -> tuple[int, ...]:
+    """The closed binomial weights (-1)^(k-l) C(k, l), l = 0..k."""
+    return tuple((-1) ** (k - l) * comb(k, l) for l in range(k + 1))
+
+
+def _differences(nums: list[int], k: int) -> Iterator[int]:
+    """(D^k u)(n) for n = 0..len(nums)-k-1 of the integer row u, lazily."""
+    w = _weights(k)
+    return (sum(map(mul, w, nums[n : n + k + 1])) for n in range(len(nums) - k))
+
+
+def _heads(nums: list[int]) -> list[int]:
+    """The Newton heads (D^i u)(0), i = 0..len(nums)-1, of the integer row u."""
+    return [sum(map(mul, _weights(i), nums)) for i in range(len(nums))]
+
+
 def diff(seq: Sequence[RationalLike], k: int) -> RationalSeq:
     """k-th difference of a window, by the closed binomial formula.
 
     Returns the length-(J-k) sequence; agrees exactly with k applications
     of the one-step difference.
     """
-    xs = as_fractions(seq)
+    nums, d = over_lcm(seq)
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k >= len(xs):
+    if k >= len(nums):
         raise WindowTooShortError(
-            f"k-th difference needs window length > k ({k} >= {len(xs)})"
+            f"k-th difference needs window length > k ({k} >= {len(nums)})"
         )
-    weights = [(-1) ** (k - l) * comb(k, l) for l in range(k + 1)]
-    return [
-        sum((w * xs[n + l] for l, w in enumerate(weights)), Fraction(0))
-        for n in range(len(xs) - k)
-    ]
+    return [Fraction(v, d) for v in _differences(nums, k)]
 
 
 def sigma(seq: Sequence[RationalLike], initial: RationalLike = 0) -> RationalSeq:
@@ -96,10 +116,8 @@ def sigma(seq: Sequence[RationalLike], initial: RationalLike = 0) -> RationalSeq
     g(0) = initial and g(n+1) = g(n) + f(n), so the output has one more
     entry than the input and diff(sigma(f, c), 1) == f exactly.
     """
-    out = [Fraction(initial)]
-    for v in seq:
-        out.append(out[-1] + Fraction(v))
-    return out
+    nums, d = over_lcm([initial, *seq])
+    return [Fraction(v, d) for v in accumulate(nums)]
 
 
 def lagrange_poly(values: Sequence[RationalLike]) -> RationalPoly:
@@ -108,20 +126,17 @@ def lagrange_poly(values: Sequence[RationalLike]) -> RationalPoly:
     Built from the Newton form sum_{i<k} (D^i f)(0) C(y, i) on the values'
     numerators over their common denominator d: integers over d (k-1)!.
     """
-    vals = as_fractions(values)
-    k = len(vals)
+    nums, d = over_lcm(values)
+    k = len(nums)
     if k == 0:
         raise ValueError("lagrange_poly needs at least one value")
-    d = lcm(*(v.denominator for v in vals))
-    row = [v.numerator * (d // v.denominator) for v in vals]  # d f(0..k-1)
     total = [0] * k  # coefficients times d (k-1)!
     falling = [1]  # y(y-1)...(y-i+1), ascending degree
     scale = factorial(k - 1)  # (k-1)!/i!
     den = d * scale
-    for i in range(k):
+    for i, head in enumerate(_heads(nums)):  # head = d (D^i f)(0)
         for deg, c in enumerate(falling):
-            total[deg] += row[0] * scale * c  # row[0] = d (D^i f)(0)
-        row = [b - a for a, b in zip(row, row[1:])]
+            total[deg] += head * scale * c
         falling = [a - i * b for a, b in zip([0, *falling], [*falling, 0])]
         scale //= i + 1
     return RationalPoly.from_coeffs(Fraction(c, den) for c in total)
@@ -202,17 +217,11 @@ def frac_diff_equivalence(xs: Sequence[RationalLike], k: int) -> tuple[bool, boo
     Both are decided in exact integer arithmetic on a common denominator;
     the two booleans are provably always equal.
     """
-    vals = [x if isinstance(x, Fraction) else Fraction(x) for x in xs]
-    J = len(vals)
+    a, d = over_lcm(xs)  # x_i scaled by d
+    J = len(a)
     if not J > k >= 0:
         raise ValueError(f"need len(xs) > k >= 0, got J={J}, k={k}")
-    d = lcm(*(x.denominator for x in vals))
-    a = [(x.numerator * (d // x.denominator)) % d for x in vals]  # {x_i} scaled by d
-    weights = [(-1) ** (k - l) * comb(k, l) for l in range(k + 1)]
-    cond1 = all(
-        sum(w * a[n + l] for l, w in enumerate(weights)) % d == 0
-        for n in range(J - k)
-    )
+    cond1 = all(v % d == 0 for v in _differences(a, k))
     # n < k is the interpolation-node range where (ii) holds identically
     cond2 = all(
         (sum(a[j] * lagrange_coeff(n, j, k) for j in range(k)) - a[n]) % d == 0
@@ -232,16 +241,15 @@ def extend_y(
     so Y is k running sums of g, never a linear solve.  With g = 0 this
     reproduces the Lagrange extension of the initial values.
     """
-    init = as_fractions(init)
-    g = as_fractions(g_vals)
+    nums, d = over_lcm([*init, *g_vals])
     k = len(init)
     if m_len < k:
         raise ValueError(f"m_len must be >= k = {k}")
-    if len(g) < m_len - k:
+    if len(nums) < m_len:
         raise WindowTooShortError(
-            f"need at least {m_len - k} g-values, got {len(g)}"
+            f"need at least {m_len - k} g-values, got {len(nums) - k}"
         )
-    y = g[: m_len - k]
-    for i in reversed(range(k)):
-        y = sigma(y, diff(init, i)[0])
-    return y
+    y = nums[k:m_len]
+    for head in reversed(_heads(nums[:k])):
+        y = accumulate(y, initial=head)
+    return [Fraction(v, d) for v in y]

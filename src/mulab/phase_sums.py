@@ -42,7 +42,7 @@ from ._util import DEFAULT_BUDGET_BYTES, atomic_write, write_json
 from .errors import ResourceBudgetError
 from .fixedpoint import SCALE, FixedReal
 from .phases import CHUNK, Phase, PolyPhase
-from .sieves import MobiusTable, sieve_phi
+from .sieves import MobiusTable, euler_phi
 
 #: documented accumulation tolerance for |average| identities
 SUM_TOLERANCE = 1e-12
@@ -324,7 +324,7 @@ def ap_correlation(
         z = _terms(phase, a, a + m + h * s, weights.values)
         block_sums.append(float(np.sum(np.abs(_window_sums(z, h, s)) ** 2)))
     value = math.fsum(block_sums) / (h * h * n_max)
-    comparison = (s / sieve_phi(s).value(s)) * math.log(math.log(h)) / math.log(h)
+    comparison = (s / euler_phi(s)) * math.log(math.log(h)) / math.log(h)
     return ApCorrelation(value, comparison, s, h, n_max)
 
 

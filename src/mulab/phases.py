@@ -17,7 +17,8 @@ polynomial and the bracket product a (3, count) uint64 array of num's
   {alpha n}, plus 2^95, shifted right by 96 and taken mod 2^96: rounded
   half up as `frac(n)` rounds, with a negative beta in two's complement
 * power n^(a/b): iroot(n^a 2^(96 b), b) over an object array, masked
-  (126-bit roots, so it stays on Python ints)
+  (126-bit roots, so it stays on Python ints); its `check_range` refuses a
+  range whose roots would take more than `POWER_TIME_BUDGET_S`
 * concatenation, piece i (any phase) on [N_i, N_{i+1}): each piece's kernel
   on its part of the range, over the lcm of the pieces' units
 * interpolating concatenation of a source phase at schedule breakpoints:
@@ -58,8 +59,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import _limbs
-from ._util import read_json
-from .errors import ParseError, PrecisionError
+from ._util import over_lcm, read_json
+from .errors import ParseError, PrecisionError, ResourceBudgetError
 from .exact_calculus import frac_part, lagrange_coeff
 from .fixedpoint import FRAC_BITS, SCALE, FixedReal, iroot, sqrt_const
 
@@ -67,6 +68,10 @@ Real = Fraction | FixedReal
 
 #: default certified-precision requirement for {f(n)}
 RANGE_BUDGET = 2.0 ** -30
+
+#: seconds of exact roots that `PowerPhase.check_range` lets a range take,
+#: as estimated by `PowerPhase._root_seconds`
+POWER_TIME_BUDGET_S = 60.0
 
 #: n per batch for every consumer of frac_units/frac_chunk.  It bounds the
 #: batch's arrays: 24 bytes per n for the limbs, 48 for an object array of
@@ -166,7 +171,7 @@ def eval_phase(phase: Phase, n: int) -> tuple[float, float]:
     Exact-rational phases report a bound of 0.0 (the only loss is the final
     conversion to float).  Raises PrecisionError outside the certified range.
     """
-    phase.check_range(n)
+    Phase.check_range(phase, n)  # precision only: one n is not a range
     v = phase.frac(n)
     return (v.to_float() if isinstance(v, FixedReal) else float(v)), phase.err_bound(n)
 
@@ -191,8 +196,7 @@ class PolyPhase(Phase):
         self.coeffs: tuple[Real, ...] = tuple(cs) if cs else (Fraction(0),)
         self.rational = all(isinstance(c, Fraction) for c in self.coeffs)
         if self.rational:
-            self.unit = math.lcm(*(c.denominator for c in self.coeffs))
-            scaled = [int(c * self.unit) for c in self.coeffs]
+            scaled, self.unit = over_lcm(self.coeffs)
         else:
             self._fixed = tuple(
                 c if isinstance(c, FixedReal) else FixedReal.from_fraction(c)
@@ -361,6 +365,30 @@ class PowerPhase(Phase):
 
     def err_ulp_at(self, n: int) -> int:
         return 0 if self.den == 1 or n == 0 else 1
+
+    def _root_seconds(self, n: int) -> float:
+        """Estimated seconds of one root near n: 1.2e-8 (den b)^0.85, b the
+        radicand's bits; 0 when den = 1, as no root is taken.  Fitted to
+        `_numerators` times at 189 points (num 1-64, den 2-64, n = 2^8,
+        2^20, 2^30; one core of a 2-core Xeon VM): 170 of them took at most
+        the estimate, none more than 1.7 times it."""
+        if self.den == 1:
+            return 0.0
+        bits = self.num * int(n).bit_length() + FRAC_BITS * self.den
+        return 1.2e-8 * (self.den * bits) ** 0.85
+
+    def check_range(self, n: int) -> None:
+        """The precision check, then ResourceBudgetError before any root
+        when the n roots of a range up to n would take more than
+        POWER_TIME_BUDGET_S seconds by `_root_seconds`."""
+        super().check_range(n)
+        per_n = self._root_seconds(n)
+        if n * per_n > POWER_TIME_BUDGET_S:
+            raise ResourceBudgetError(
+                f"{self.describe()} up to n={n} needs about {n * per_n:.0f} s of "
+                f"exact roots ({per_n * 1e6:.3g} us per n), over "
+                f"the {POWER_TIME_BUDGET_S:.0f} s budget; lower n or the "
+                f"exponent's terms")
 
     def _numerators(self, start: int, count: int) -> np.ndarray:
         """iroot(n^num 2^(96 den), den) mod 2^96, in place over an object

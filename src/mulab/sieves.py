@@ -381,6 +381,25 @@ class PhiTable:
         return int(self.values[n])
 
 
+def euler_phi(n: int) -> int:
+    """phi(n) for one n >= 1 by trial division over the primes up to
+    isqrt(n): no table, so phi(s) costs isqrt(s) bytes of prime sieve
+    instead of the s + 1 entries of `sieve_phi(s)`."""
+    if n < 1:
+        raise ValueError(f"phi needs n >= 1, got {n}")
+    out = rest = n
+    for p in primes_up_to(math.isqrt(n)).tolist():
+        if p * p > rest:
+            break
+        if rest % p == 0:
+            out -= out // p
+            while rest % p == 0:
+                rest //= p
+    if rest > 1:  # no prime up to sqrt(rest) divides it, so rest is prime
+        out -= out // rest
+    return out
+
+
 def sieve_phi(n_max: int, segment_size: int = _DEFAULT_SEGMENT) -> PhiTable:
     """Euler phi on [1, n_max]: multiplicative, phi(p^e) = p^(e-1) (p - 1)."""
     if n_max < 1 or segment_size < 1:

@@ -5,6 +5,7 @@ Fourier-Motzkin oracle."""
 
 import inspect
 import json
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -341,11 +342,36 @@ class TestIntegerSigns:
         assert classify_point(on, arr)[0] == 0
         assert classify_point(on, arr) == fraction_signs(on, arr)
 
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+           st.lists(st.builds(F, st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                              st.integers(1, 10 ** 6)), min_size=6, max_size=6),
+           st.lists(st.builds(F, st.integers(-99, 99), st.integers(1, 10 ** 12)),
+                    min_size=4, max_size=4))
+    def test_rows_and_signs_unchanged_on_rescaled_planes(self, k, m, seed, factors, coords):
+        arr = rand_arrangement(random.Random(seed), m, k, span=4)
+        scaled = [Hyperplane(tuple(r * a for a in h.normal), r * h.offset)
+                  for h, r in zip(arr, factors)]
+        assert mulab.arrangements._int_rows(scaled) == per_plane_lcm_rows(scaled)
+        pt = tuple(coords[:k])
+        flips = [1 if r > 0 else -1 for r in factors]
+        assert classify_point(pt, scaled) == fraction_signs(pt, scaled) == tuple(
+            s * f for s, f in zip(fraction_signs(pt, arr), flips))
+
     def test_mixed_dimensions_and_ints(self):
         with pytest.raises(ValueError, match="dimension"):
             classify_point((1, 2), [hyperplane((1, 0), 0), hyperplane((1, 0, 0), 0)])
         assert classify_point((), []) == ()
         assert classify_point((3, F(1, 2)), [Hyperplane((1, 2), 4)]) == (0,)
+
+
+def per_plane_lcm_rows(arr):
+    """(a, c) per plane: its Fractions times the lcm of their denominators."""
+    rows = []
+    for h in arr:
+        scale = math.lcm(*(f.denominator for f in (*h.normal, h.offset)))
+        rows.append((tuple(f.numerator * (scale // f.denominator) for f in h.normal),
+                     h.offset.numerator * (scale // h.offset.denominator)))
+    return rows
 
 
 def locate_block_pieces_by_fractions(points, arr):

@@ -156,6 +156,12 @@ class TestEntropyCommand:
         assert run(["entropy", "--seq", str(hdr), "--jmax", "5000"]) == 4
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length", ["0", "-3"])
+    def test_indicator_length_below_one_exits_2(self, capsys, length):
+        assert run(["entropy", "--p1", "poly:0,sqrt2", "--p2", "poly:0,sqrt3",
+                    "--length", length, "--jmax", "4"]) == 2
+        assert "P must be >= 1" in capsys.readouterr().err
+
     def test_indicator_over_the_entropy_budget_exits_4_before_scanning(self, capsys):
         t0 = time.perf_counter()
         assert run(["entropy", "--p1", "poly:0,sqrt2", "--p2", "poly:0,sqrt3",
@@ -388,6 +394,15 @@ class TestMalformedInputs:
         assert time.perf_counter() - t0 < 1.0
         assert "needs num and den <= 64" in capsys.readouterr().err
         assert run(["sum", "--weights", "one:100", "--phase", "pow:64/63", "--n", "100"]) == 0
+
+    def test_power_over_its_time_budget_exits_4_at_once(self, capsys):
+        t0 = time.perf_counter()
+        assert run(["sum", "--weights", "one:1000000", "--phase", "pow:64/63",
+                    "--n", "1000000"]) == 4
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "pow:64/63 up to n=1000000 needs about" in err
+        assert "over the 60 s budget" in err
 
 
 # ---------------------------------------------------------------------------

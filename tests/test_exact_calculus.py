@@ -1,6 +1,7 @@
 """Exact difference-calculus identities, checked against independent oracles:
 the one-step difference iterated by hand, the signed double-binomial closed
-form, and literal evaluation of both sides of the reconstruction identity."""
+form, literal evaluation of both sides of the reconstruction identity, and
+the `Fraction` bodies in `exact_oracle` for the integer form."""
 
 import math
 import random
@@ -9,6 +10,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+import exact_oracle as oracle
+from mulab._util import over_lcm
 from mulab.errors import WindowTooShortError
 from mulab.exact_calculus import (
     RationalPoly,
@@ -288,3 +291,96 @@ class TestNewtonFormProperties:
         assert y[:k] == [F(v) for v in init]
         if m_len > k:
             assert diff(y, k) == [F(v) for v in g[: m_len - k]]
+
+
+class TestOverLcm:
+    def test_empty(self):
+        assert over_lcm([]) == ([], 1)
+
+    def test_ints_strings_and_fractions(self):
+        assert over_lcm([3, "1/4", F(-5, 6), "-7/10", True]) == ([180, 15, -50, -42, 60], 60)
+
+    def test_negative_and_large_denominators(self):
+        big = 10 ** 12 + 39  # prime
+        nums, d = over_lcm([F(1, -3), F(2, big), "5", -4])
+        assert d == 3 * big and nums == [-big, 6, 5 * d, -4 * d]
+
+    @given(st.lists(st.fractions(max_denominator=10 ** 12), max_size=8))
+    def test_numerators_over_the_lcm_of_the_denominators(self, values):
+        nums, d = over_lcm(values)
+        assert d == math.lcm(*(v.denominator for v in values))
+        assert all(type(n) is int for n in nums) and [F(n, d) for n in nums] == values
+
+    def test_bad_values_raise_what_fraction_raises(self):
+        for bad, exc in (("x", ValueError), ("1/0", ZeroDivisionError), (None, TypeError)):
+            with pytest.raises(exc):
+                over_lcm([1, bad])
+
+
+# inputs of the differential tests: ints, "p/q" strings, zeros and Fractions
+# with denominators up to 10^12
+oracle_value = st.one_of(
+    st.just(0),
+    st.integers(-10 ** 9, 10 ** 9),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)),
+    st.builds(F, st.integers(-10 ** 15, 10 ** 15), st.integers(1, 10 ** 12)),
+)
+# what Fraction() refuses, and what the calculus must refuse the same way
+bad_value = st.sampled_from(["x", "1/0", "", None, [1], float("nan")])
+window = st.lists(oracle_value, max_size=12)
+
+
+def outcome(fn, *args):
+    """repr of the result, or the type of the exception raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+def with_bad(values, bad, at):
+    values = list(values)
+    values.insert(at % (len(values) + 1), bad)
+    return values
+
+
+class TestIntegerFormAgainstFractionOracle:
+    """The integer form equals the Fraction bodies in `exact_oracle` down to
+    repr, and raises the same exception types on the same bad inputs."""
+
+    @given(window, st.integers(-2, 8))
+    def test_diff(self, xs, k):
+        assert outcome(diff, xs, k) == outcome(oracle.diff, xs, k)
+
+    @given(window, oracle_value)
+    def test_sigma(self, xs, c):
+        assert outcome(sigma, xs, c) == outcome(oracle.sigma, xs, c)
+
+    @given(st.lists(oracle_value, max_size=8))
+    def test_lagrange_poly(self, xs):
+        assert outcome(lagrange_poly, xs) == outcome(oracle.lagrange_poly, xs)
+
+    @given(window, st.integers(-2, 8))
+    def test_frac_diff_equivalence(self, xs, k):
+        assert (outcome(frac_diff_equivalence, xs, k)
+                == outcome(oracle.frac_diff_equivalence, xs, k))
+
+    @given(st.lists(oracle_value, max_size=8), window, st.integers(-2, 20))
+    def test_extend_y(self, init, g, m_len):
+        assert outcome(extend_y, init, g, m_len) == outcome(oracle.extend_y, init, g, m_len)
+
+    @given(window, bad_value, st.integers(0, 12), st.integers(0, 8), st.integers(0, 12))
+    def test_bad_values_raise_the_same_types(self, xs, bad, at, k, m_len):
+        ys = with_bad(xs, bad, at)
+        pairs = [
+            (diff, oracle.diff, (ys, k)),
+            (sigma, oracle.sigma, (ys, 0)),
+            (sigma, oracle.sigma, (xs, bad)),
+            (lagrange_poly, oracle.lagrange_poly, (ys,)),
+            (frac_diff_equivalence, oracle.frac_diff_equivalence, (ys, k)),
+            (extend_y, oracle.extend_y, (ys, xs, m_len)),
+            (extend_y, oracle.extend_y, (xs[:k], ys, m_len)),
+        ]
+        for new, old, args in pairs:
+            got = outcome(new, *args)
+            assert isinstance(got, type) and got is outcome(old, *args), new.__name__

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mulab.errors import ParseError, PrecisionError
+from mulab.errors import ParseError, PrecisionError, ResourceBudgetError
 from mulab.exact_calculus import lagrange_coeff
 from mulab.fixedpoint import FRAC_BITS, SCALE, FixedReal, iroot, sqrt_const
 from mulab.phases import (
@@ -140,6 +140,18 @@ class TestPolyPhase:
     def test_trailing_zero_trim(self):
         assert PolyPhase([F(1, 2), 0, 0]).degree == 0
 
+    @given(st.lists(st.one_of(st.integers(-10 ** 20, 10 ** 20),
+                              st.fractions(max_denominator=10 ** 12)),
+                    min_size=1, max_size=6))
+    def test_rational_unit_and_scaled_coefficients(self, coeffs):
+        """unit is the lcm of the denominators, _scaled the coefficients
+        times unit, mod unit."""
+        p = PolyPhase(coeffs)
+        unit = math.lcm(*(F(c).denominator for c in p.coeffs))
+        assert p.unit == p.period == unit
+        assert p._scaled == [int(c * unit) % unit for c in p.coeffs]
+        assert all(type(c) is int for c in p._scaled)
+
 
 class TestBracketPhase:
     def test_value_at_one(self):
@@ -188,6 +200,27 @@ class TestPowerPhase:
     def test_integer_exponent_exact(self):
         p = power_phase(2, 1)
         assert p.frac(123).frac_mantissa() == 0
+
+    def test_time_budget_refuses_before_any_root(self, monkeypatch):
+        p = PowerPhase(64, 63)
+        monkeypatch.setattr(PowerPhase, "_numerators", None)  # no root may run
+        with pytest.raises(ResourceBudgetError, match=r"needs about \d+ s .* 60 s budget"):
+            p.check_range(10 ** 6)
+        p.check_range(1000)  # 7.5e-1 s by the estimate
+        PowerPhase(64, 1).check_range(10 ** 12)  # den = 1 takes no roots
+
+    def test_one_n_is_not_a_range(self):
+        got, err = eval_phase(PowerPhase(64, 63), 10 ** 6)
+        true = mpmath.frac(mpmath.power(10 ** 6, mpmath.mpf(64) / 63))
+        assert abs(got - float(true)) <= err + 1e-15
+
+    def test_the_presets_sizes_are_within_the_budget(self):
+        """pnt-trend averages pow:3/2 over its n; concat-approx samples it
+        near its stage starts (about 1e5)."""
+        from mulab.experiments import PRESETS, run_preset
+        power_phase(3, 2).check_range(PRESETS["pnt-trend"][1]["n"])
+        power_phase(3, 2).check_range(2 * 10 ** 7)  # the limit the README states
+        assert run_preset("concat-approx")["results"]["passed"]
 
 
 class TestParsing:

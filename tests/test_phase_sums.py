@@ -36,6 +36,7 @@ from mulab.phase_sums import (
     weighted_average,
     zero_weights,
 )
+from mulab.sieves import sieve_phi
 
 mpmath.mp.prec = 256
 
@@ -197,6 +198,11 @@ class TestApCorrelation:
         assert rep.comparison == pytest.approx(
             2.0 * math.log(math.log(10)) / math.log(10)
         )
+
+    @pytest.mark.parametrize("s", [1, 6, 97, 210, 1024])
+    def test_comparison_equals_the_phi_table_value(self, s):
+        rep = ap_correlation(unit_weights(10 + 3 * s), PolyPhase([0]), s, 3, 10)
+        assert rep.comparison == (s / sieve_phi(s).value(s)) * math.log(math.log(3)) / math.log(3)
 
     def test_h_minimum(self):
         with pytest.raises(ValueError):

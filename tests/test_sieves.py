@@ -24,6 +24,7 @@ from mulab.sieves import (
     _codes,
     _segment_filler,
     _signed_segments,
+    euler_phi,
     load_cache,
     m_estimate,
     mertens,
@@ -175,6 +176,18 @@ class TestLiouvillePhi:
         for _ in range(10 ** 4):
             n = rng.randrange(1, 10 ** 6)
             assert phi.value(n) == phi_oracle(n)
+
+    def test_euler_phi_equals_the_table(self):
+        phi = sieve_phi(10 ** 4)
+        assert [euler_phi(n) for n in range(1, 10 ** 4 + 1)] == phi.values[1:].tolist()
+
+    def test_euler_phi_large(self):
+        assert euler_phi(10 ** 9 + 7) == 10 ** 9 + 6  # prime
+        assert euler_phi(2 ** 40) == 2 ** 39
+        assert euler_phi(10 ** 7) == 4 * 10 ** 6  # 2^7 5^7
+        assert euler_phi(2 * (10 ** 6 + 3) ** 2) == (10 ** 6 + 3) * (10 ** 6 + 2)
+        with pytest.raises(ValueError):
+            euler_phi(0)
 
 
 class TestPretentious:
