@@ -20,7 +20,8 @@ polynomial and the bracket product a (3, count) uint64 array of num's
   (126-bit roots, so it stays on Python ints); its `check_range` refuses a
   range whose roots would take more than `POWER_TIME_BUDGET_S`
 * concatenation, piece i (any phase) on [N_i, N_{i+1}): each piece's kernel
-  on its part of the range, over the lcm of the pieces' units
+  on its part of the range, over the lcm of the pieces' units; its
+  `check_range(n)` runs each piece's at the last n that piece covers
 * interpolating concatenation of a source phase at schedule breakpoints:
   the Newton form sum_{i<k} (D^i y)(0) C(n - N_i, i) mod the unit on the
   source's node numerators y, exact because D^k vanishes on a piece
@@ -466,6 +467,16 @@ class ConcatPhase(Phase):
 
     def err_ulp_at(self, n: int) -> int:
         return self._piece(n).err_ulp_at(n)
+
+    def check_range(self, n: int) -> None:
+        """Each piece's own check_range at the last n it covers in [0, n],
+        so that a piece's budgets (a power's time budget, say) hold on the
+        part of the range it evaluates."""
+        ends = [b - 1 for b in self.breakpoints[1:]] + [n]
+        for piece, lo, last in zip(self.pieces, self.breakpoints, ends):
+            if lo > n:
+                break
+            piece.check_range(min(last, n))
 
     def _numerators(self, start: int, count: int) -> np.ndarray:
         """Each piece's kernel on its part of the range, re-expressed over

@@ -25,8 +25,14 @@ label explicitly.
 Scans are pure functions of the immutable prefix; counting unions over
 disjoint start ranges commute, so callers may shard long prefixes.
 
-The comparison-set indicator reads both phases' `frac_units` ints and
-takes the sign of their difference, and its tie test, from the difference's
+The comparison-set indicator screens each batch with floats first: both
+phases' `frac_chunk` values are correctly rounded, so their difference f is
+within 3 2^-54 of {p1} - {p2}, and where every |f| and every
+||f| - window| (window = 2^-tie_bits rounded up to the common unit) exceed
+2^-50, f decides the symbols and the ties.  Any other batch, such as the
+one holding n = 0 where both fractional parts are 0, falls back to the
+exact compare: both phases' `frac_units` ints over their common unit, the
+sign of their difference, and its tie test, from the difference's
 correctly rounded float; the few n where that float cannot decide the tie
 are checked on the ints.  The example-33 labels read {sqrt2 n} from the
 limb kernel of `PolyPhase([0, sqrt2])` (`_limbs`): the orderings come from
@@ -410,6 +416,10 @@ def quantize_gn(y_values: Sequence, N: int) -> SymbolSeq:
 _INDICATOR_BATCH_BYTES = 16 << 20
 _LABEL_BATCH_BYTES = 4 << 20
 
+#: the float screen of `indicator_set`: above this, |f| and ||f| - window|
+#: exceed the 4 2^-54 error of f and window combined
+_SCREEN = 2.0 ** -50
+
 
 def _check_bytes(what: str, P: int, batch_bytes: int) -> None:
     """Raise ResourceBudgetError unless one byte per n for P symbols plus
@@ -445,6 +455,7 @@ def indicator_set(
     if P < 1:
         raise ValueError("P must be >= 1")
     for ph in (p1, p2):
+        ph.check_range(P - 1)
         bound = ph.err_bound(P - 1)
         if bound > 2.0 ** -tie_bits:
             need = FRAC_BITS + math.ceil(math.log2(bound / 2.0 ** -tie_bits))
@@ -454,35 +465,58 @@ def indicator_set(
                 f"about {need} fractional bits would be required"
             )
     _check_bytes("indicator_set", P, _INDICATOR_BATCH_BYTES)
+    # {p1} - {p2} = d / unit exactly; |d| / unit < 2^-tie_bits holds
+    # exactly when |d| < gap = ceil(unit / 2^tie_bits), as d is an integer
+    unit = math.lcm(p1.unit, p2.unit)
+    gap = -(-unit >> tie_bits)
+    window = gap / unit  # correctly rounded, as int / int is
     syms = np.empty(P, dtype=np.uint8)
     ties: list[int] = []
     tie_count = 0
     for start in range(0, P, CHUNK):
         cnt = min(CHUNK, P - start)
-        u1, d = _numerator_array(p1, start, cnt)
-        u2, b = _numerator_array(p2, start, cnt)
-        # {p1} - {p2} = d / unit exactly; |d| / unit < 2^-tie_bits holds
-        # exactly when |d| < gap = ceil(unit / 2^tie_bits), as d is an integer
-        unit = math.lcm(u1, u2)
-        gap = -(-unit >> tie_bits)
-        if u1 != unit:
-            d *= unit // u1
-        if u2 != unit:
-            b *= unit // u2
-        d -= b
-        # float(d) rounds d correctly, so it has d's sign, and |d| < gap can
-        # hold only where |float(d)| <= float(gap); those few are checked
-        # on the ints
-        df = d.astype(np.float64)
-        syms[start : start + cnt] = df < 0
-        near = np.flatnonzero(np.abs(df) <= float(gap))
-        tied = near[np.abs(d[near]) < gap]
+        below, tied = (_screened_chunk(p1, p2, start, cnt, window)
+                       or _exact_chunk(p1, p2, start, cnt, unit, gap))
+        syms[start : start + cnt] = below
         tie_count += tied.size
         ties.extend((tied[: 64 - len(ties)] + start).tolist())
     report = IndicatorReport(
         P, tie_count, ties, tie_bits, p1.describe(), p2.describe()
     )
     return SymbolSeq(syms, 2), report
+
+
+def _screened_chunk(p1: Phase, p2: Phase, start: int, cnt: int, window: float):
+    """(symbols, tie offsets) of a chunk from floats, or None where they
+    cannot decide it.  Each frac_chunk value lies within 2^-54 of its
+    fraction and the subtraction rounds once more, so f is within 3 2^-54 of
+    {p1} - {p2}, and window within 2^-54 of gap / unit: wherever |f| and
+    ||f| - window| exceed _SCREEN, f has the sign of {p1} - {p2} and
+    |f| < window exactly when the tie holds."""
+    f = p1.frac_chunk(start, cnt) - p2.frac_chunk(start, cnt)
+    af = np.abs(f)
+    if (af > _SCREEN).all() and (np.abs(af - window) > _SCREEN).all():
+        return f < 0, np.flatnonzero(af < window)
+    return None
+
+
+def _exact_chunk(p1: Phase, p2: Phase, start: int, cnt: int, unit: int,
+                 gap: int) -> tuple[np.ndarray, np.ndarray]:
+    """(symbols, tie offsets) of a chunk from the exact numerator difference
+    d over the common unit: the sign of d, and ties |d| < gap."""
+    u1, d = _numerator_array(p1, start, cnt)
+    u2, b = _numerator_array(p2, start, cnt)
+    if u1 != unit:
+        d *= unit // u1
+    if u2 != unit:
+        b *= unit // u2
+    d -= b
+    # float(d) rounds d correctly, so it has d's sign, and |d| < gap can
+    # hold only where |float(d)| <= float(gap); those few are checked
+    # on the ints
+    df = d.astype(np.float64)
+    near = np.flatnonzero(np.abs(df) <= float(gap))
+    return df < 0, near[np.abs(d[near]) < gap]
 
 
 def _numerator_array(phase: Phase, start: int, count: int) -> tuple[int, np.ndarray]:

@@ -169,6 +169,14 @@ class TestEntropyCommand:
         assert time.perf_counter() - t0 < 1.0
         assert "entropy_curve for P=10000000" in capsys.readouterr().err
 
+    def test_indicator_checks_each_phase_range_before_scanning(self, capsys):
+        # the power's time budget reaches the indicator: about 783 s of roots
+        t0 = time.perf_counter()
+        assert run(["entropy", "--p1", "pow:64/63", "--p2", "poly:0,sqrt2",
+                    "--length", "1000000", "--jmax", "4"]) == 4
+        assert time.perf_counter() - t0 < 1.0
+        assert "pow:64/63 up to n=999999 needs about" in capsys.readouterr().err
+
 
 class TestPiecesCommand:
     def test_crossing_lines_report(self, tmp_path, capsys):
@@ -403,6 +411,16 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert "pow:64/63 up to n=1000000 needs about" in err
         assert "over the 60 s budget" in err
+
+    def test_power_piece_of_a_concat_over_its_time_budget_exits_4_at_once(
+            self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"breakpoints": [0, 10], "pieces": ["poly:0", "pow:64/63"]}))
+        t0 = time.perf_counter()
+        assert run(["sum", "--weights", "one:1000000", "--phase", f"concat:@{spec}",
+                    "--n", "1000000"]) == 4
+        assert time.perf_counter() - t0 < 1.0
+        assert "pow:64/63 up to n=1000000 needs about" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

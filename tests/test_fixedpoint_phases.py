@@ -209,6 +209,18 @@ class TestPowerPhase:
         p.check_range(1000)  # 7.5e-1 s by the estimate
         PowerPhase(64, 1).check_range(10 ** 12)  # den = 1 takes no roots
 
+    def test_a_concat_checks_each_piece_up_to_its_last_n(self, monkeypatch):
+        monkeypatch.setattr(PowerPhase, "_numerators", None)  # no root may run
+        c = ConcatPhase([0, 10], [PolyPhase([0]), PowerPhase(64, 63)])
+        with pytest.raises(ResourceBudgetError, match="pow:64/63 up to n=1000000 needs"):
+            c.check_range(10 ** 6)
+        c.check_range(1000)
+        # a power piece that ends at n = 999 is checked there, not at n
+        ConcatPhase([0, 1000], [PowerPhase(64, 63), PolyPhase([0])]).check_range(10 ** 9)
+        with pytest.raises(PrecisionError):  # each piece's precision, as before
+            ConcatPhase([0, 10], [PolyPhase([0]), PolyPhase([0, sqrt_const(2)])]
+                        ).check_range(1 << 70)
+
     def test_one_n_is_not_a_range(self):
         got, err = eval_phase(PowerPhase(64, 63), 10 ** 6)
         true = mpmath.frac(mpmath.power(10 ** 6, mpmath.mpf(64) / 63))
@@ -583,6 +595,28 @@ class TestBatchKernels:
             want.append(value - (value.numerator // value.denominator))
         assert_kernel_matches(concat, start, count, want)
         assert all(F(*frac_rep(concat.frac(n))) == w for n, w in zip(range(start, start + 3), want))
+
+    # the indicator's float screen rests on frac_chunk being the correctly
+    # rounded num / unit for every shape; int / int rounds correctly
+    ROUNDED_CASES = {
+        "power": PowerPhase(5, 3),
+        "table": TablePhase(lambda n: F(n * n, 7) + sqrt_const(2).mul_int(n).to_fraction(),
+                            label="table"),
+        "concat below 2^53": ConcatPhase([0, 20], [PolyPhase([F(1, 3), F(2, 7)]),
+                                                   PolyPhase([F(1, 11), F(4, 13)])]),
+        "concat between 2^53 and 2^63": ConcatPhase(
+            [0, 20], [PolyPhase([F(1, 3 ** 20), F(2, 7)]), PolyPhase([F(5, 2 ** 20)])]),
+        "concat above 2^63": ConcatPhase(
+            [0, 20], [PolyPhase([F(1, 3)]), PolyPhase([0, sqrt_const(2)])]),
+        "rational poly above 2^53": PolyPhase([F(1, 3 ** 34 + 2), F(7, 3 ** 34 + 2)]),
+    }
+
+    @pytest.mark.parametrize("name", ROUNDED_CASES)
+    @given(start=st.integers(0, 200), count=st.integers(1, 60))
+    def test_frac_chunk_is_correctly_rounded(self, name, start, count):
+        phase = self.ROUNDED_CASES[name]
+        unit, nums = phase.frac_units(start, count)
+        assert phase.frac_chunk(start, count).tolist() == [num / unit for num in nums]
 
     def test_only_phase_defines_the_derived_methods(self):
         shapes = (PolyPhase, BracketPhase, PowerPhase, TablePhase, ConcatPhase,

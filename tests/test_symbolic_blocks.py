@@ -10,14 +10,17 @@ from fractions import Fraction as F
 from unittest import mock
 
 import mpmath
+import numerator_oracle
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mulab import _limbs, symbolic_blocks
 from mulab.errors import PrecisionError, ResourceBudgetError, WindowTooShortError
 from mulab.fixedpoint import SCALE, FixedReal, sqrt_const
-from mulab.phases import PolyPhase, TablePhase, frac_rep
+from mulab.phases import (
+    BracketPhase, ConcatPhase, PolyPhase, PowerPhase, TablePhase, frac_rep,
+)
 from mulab.symbolic_blocks import (
     SymbolSeq,
     block_count_inequality_check,
@@ -364,6 +367,90 @@ def _bracket_labels_reference(P):
     rep = symbolic_blocks.Example33Report(
         P, tuple(counts), worst / SCALE, worst_n, ties, ties == 0)
     return labels, rep
+
+
+# ---------------------------------------------------------------------------
+# the indicator's float screen against the exact int compare of the oracle
+
+fixed_reals = st.one_of(
+    st.builds(FixedReal, st.integers(-(1 << 100), 1 << 100)),
+    st.builds(lambda m, q: sqrt_const(m).mul_int(q), st.sampled_from((2, 3, 5)),
+              st.integers(-3, 3)),
+)
+# units below and above 2^53, where int64 numerators stop converting exactly
+rational_polys = st.one_of(
+    st.builds(PolyPhase, st.lists(small_rationals, min_size=1, max_size=3)),
+    st.builds(lambda u, a, b: PolyPhase([F(a, u), F(b, u)]),
+              st.integers(3 ** 34, 3 ** 34 + 400), st.integers(-60, 60), st.integers(1, 60)),
+)
+base_shapes = st.one_of(
+    st.builds(PolyPhase, st.lists(fixed_reals, min_size=1, max_size=3)),
+    rational_polys,
+    st.builds(BracketPhase, fixed_reals, fixed_reals),
+    st.builds(PowerPhase, st.integers(1, 6), st.integers(1, 4)),
+    st.builds(lambda a, q: TablePhase(lambda n: F(a * n * n, q), label=f"table:{a}/{q}"),
+              st.integers(-20, 20), st.integers(1, 40)),
+)
+shapes = st.one_of(
+    base_shapes,
+    st.builds(lambda b, x, y: ConcatPhase([0, b], [x, y]), st.integers(1, 60),
+              base_shapes, base_shapes),
+)
+
+
+def _same_as_oracle(p1, p2, P, tie_bits):
+    seq, rep = indicator_set(p1, p2, P, tie_bits)
+    want_seq, want_rep = numerator_oracle.indicator_set(p1, p2, P, tie_bits)
+    assert seq.symbols.tobytes() == want_seq.symbols.tobytes()
+    assert (rep.tie_count, rep.tie_positions) == (want_rep.tie_count, want_rep.tie_positions)
+
+
+class TestFloatScreen:
+    @settings(max_examples=300)
+    @given(shapes, st.one_of(shapes, st.none()), st.integers(1, 150),
+           st.integers(1, 95), st.integers(1, 12))
+    def test_matches_the_oracle_for_every_shape(self, p1, p2, P, tie_bits, chunk):
+        p2 = p1 if p2 is None else p2  # identical phases tie everywhere
+        with mock.patch.object(symbolic_blocks, "CHUNK", chunk):
+            if max(p.err_bound(P - 1) for p in (p1, p2)) > 2.0 ** -tie_bits:
+                with pytest.raises(PrecisionError):
+                    indicator_set(p1, p2, P, tie_bits)
+                return
+            _same_as_oracle(p1, p2, P, tie_bits)
+
+    @pytest.mark.parametrize("bits", [96, 110])
+    @pytest.mark.parametrize("target", ["screen", "window"])
+    def test_constants_one_ulp_from_the_screen_and_the_window(self, bits, target):
+        # pairs of constants 2^-50 or `window` apart, give or take one ulp of
+        # the representation (2^-96 or 2^-110) or, where the representation
+        # holds it, of the float, either way round
+        unit = 1 << bits
+        base = F(1, 2) + F(12345, unit)
+        with mock.patch.object(symbolic_blocks, "CHUNK", 7):
+            for tie_bits in range(1, 96):
+                at = F(1, 1 << 50) if target == "screen" else F(-(-unit >> tie_bits), unit)
+                for ulp in {F(1, unit), F(math.ulp(float(at)))}:
+                    for offset in (-1, 0, 1):
+                        other = base + at + offset * ulp
+                        if (other * unit).denominator != 1:
+                            continue  # a float ulp finer than the representation
+                        p1, p2 = (PolyPhase([c if bits == 110 else FixedReal(int(c * unit))])
+                                  for c in (base, other))
+                        _same_as_oracle(p1, p2, 30, tie_bits)
+                        _same_as_oracle(p2, p1, 30, tie_bits)
+
+    def test_a_decided_chunk_never_reads_frac_units(self):
+        p1, p2 = PolyPhase([0, sqrt_const(2)]), PolyPhase([0, sqrt_const(3)])
+        calls = []
+        for p in (p1, p2):
+            def spy(start, count, _inner=p.frac_units):
+                calls.append(start)
+                return _inner(start, count)
+            p.frac_units = spy
+        with mock.patch.object(symbolic_blocks, "CHUNK", 8):
+            _same_as_oracle(p1, p2, 80, 64)
+        # n = 0, where both fractional parts are 0, holds the one undecided chunk
+        assert calls == [0, 0]
 
 
 class TestQuantizeExactInputs:
