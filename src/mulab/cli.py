@@ -2,9 +2,10 @@
 
 Subcommands: sieve, sum, entropy, pieces, dirichlet, correlate, experiment.
 Exit codes: 0 success, 2 usage, 3 I/O, 4 precision/resource, 5 internal.
-All flags are long-form; a `--config` file (one `key = value` per line,
-strictly validated against the command's flags) supplies defaults that
-explicit flags override.
+All flags are long-form.  A `--config` file holds one `key = value` per
+line, each key one of the command's flags; the lines enter the parse as
+`--key=value` arguments right after the subcommand name, so argparse reads
+them as it reads the flags, and the command line's own flags win.
 """
 
 from __future__ import annotations
@@ -59,16 +60,17 @@ EXIT_PRECISION = 4
 EXIT_INTERNAL = 5
 
 #: `labctl experiment` flags that set the preset parameter of the same name
-_PRESET_FLAGS = ("n", "m", "k", "trials", "jmax", "p", "x", "h")
+_PRESET_FLAGS = ("seed", "n", "m", "k", "trials", "jmax", "p", "x", "h")
 
 
-def _load_config(path: str, parser: argparse.ArgumentParser) -> dict[str, object]:
-    """Values of a `key = value` file, typed and checked like the flags."""
-    actions = {
-        a.dest: a for a in parser._actions
+def _config_args(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """The lines of a `key = value` file as `--flag=value` arguments of
+    `parser`, each key checked against its flags."""
+    flags = {
+        a.dest: a.option_strings[0] for a in parser._actions
         if a.option_strings and a.dest not in ("help", "config")
     }
-    values: dict[str, object] = {}
+    args: list[str] = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -77,28 +79,27 @@ def _load_config(path: str, parser: argparse.ArgumentParser) -> dict[str, object
             raise ParseError(f"{path}:{lineno}: expected 'key = value'")
         key, _, text = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in actions:
+        if key not in flags:
             raise ParseError(
                 f"{path}:{lineno}: unknown key {key!r}; allowed: "
-                + ", ".join(sorted(actions))
+                + ", ".join(sorted(flags))
             )
-        action = actions[key]
-        text = text.strip()
-        try:
-            value = action.type(text) if action.type else text
-        except ValueError:
-            raise ParseError(
-                f"{path}:{lineno}: bad value {text!r} for {key!r}"
-            ) from None
-        if action.choices is not None and value not in action.choices:
-            raise ParseError(
-                f"{path}:{lineno}: {key!r} must be one of "
-                + ", ".join(map(str, action.choices))
-            )
-        if isinstance(action, argparse._AppendAction):
-            value = [*values.get(key, []), value]
-        values[key] = value
-    return values
+        args.append(f"{flags[key]}={text.strip()}")
+    return args
+
+
+def _with_config(argv: list[str], commands: dict[str, argparse.ArgumentParser]) -> list[str]:
+    """argv with its `--config` file's arguments right after the subcommand
+    name, ahead of the command line's own, so that those still win."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:  # no path after --config: the full parse says so
+        return argv
+    if not path or argv[0] not in commands:
+        return argv
+    return [argv[0], *_config_args(path, commands[argv[0]]), *argv[1:]]
 
 
 def _resolve_weights(spec: str, needed: int):
@@ -274,7 +275,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         v = getattr(args, flag, None)
         if v is not None:
             overrides[flag] = v
-    manifest = run_preset(args.preset, args.out_dir, args.seed, overrides)
+    manifest = run_preset(args.preset, args.out_dir, overrides)
     results = manifest["results"]
     print(f"experiment {args.preset}: "
           f"{'PASS' if results.get('passed', True) else 'FAIL'}")
@@ -291,7 +292,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """labctl's parser, and its subcommands' parsers by name."""
     parser = argparse.ArgumentParser(
         prog="labctl",
         description="experiments on weighted exponential sums, block "
@@ -299,31 +301,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    required = {
-        "sieve": ("n", "out"),
-        "sum": ("weights", "phase", "n"),
-        "entropy": ("jmax",),
-        "pieces": ("arrangement",),
-        "dirichlet": ("theta", "q"),
-        "correlate": ("mode", "phase", "n"),
-        "experiment": (),
-    }
-    parser.set_defaults(_required=required)
-
     p = sub.add_parser("sieve", help="build and persist a packed value table")
-    p.add_argument("--n", type=int)
-    p.add_argument("--out")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--out", required=True)
     p.add_argument("--fn", choices=("mu", "lambda"), default="mu")
     p.add_argument("--segment-size", type=int, default=_DEFAULT_SEGMENT)
     p.add_argument("--phi-out", default=None)
     p.set_defaults(run=_cmd_sieve)
 
     p = sub.add_parser("sum", help="weighted average of a phase")
-    p.add_argument("--weights",
+    p.add_argument("--weights", required=True,
                    help="cache path or mu:N / lambda:N / one:N, "
                         "optionally %%q,a residue mask")
-    p.add_argument("--phase")
-    p.add_argument("--n", type=int)
+    p.add_argument("--phase", required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--checkpoints", type=int, default=20)
     p.add_argument("--out-csv", default=None)
     p.add_argument("--out-json", default=None)
@@ -334,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", default=None, help="phase for 1_{ {p1} < {p2} }")
     p.add_argument("--p2", default=None)
     p.add_argument("--length", type=int, default=None)
-    p.add_argument("--jmax", type=int)
+    p.add_argument("--jmax", type=int, required=True)
     p.add_argument("--threshold", type=int, default=2)
     p.add_argument("--tail-start", type=int, default=0)
     p.add_argument("--out-csv", default=None)
@@ -342,31 +333,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_entropy)
 
     p = sub.add_parser("pieces", help="count pieces of an arrangement")
-    p.add_argument("--arrangement")
+    p.add_argument("--arrangement", required=True)
     p.add_argument("--out-json", default=None)
     p.set_defaults(run=_cmd_pieces)
 
     p = sub.add_parser("dirichlet", help="simultaneous approximation witness")
-    p.add_argument("--theta")
-    p.add_argument("--q", type=int)
+    p.add_argument("--theta", required=True)
+    p.add_argument("--q", type=int, required=True)
     p.add_argument("--budget", type=int, default=10 ** 7)
     p.set_defaults(run=_cmd_dirichlet)
 
     p = sub.add_parser("correlate", help="correlation functionals")
-    p.add_argument("--mode", choices=("ap", "shift"))
-    p.add_argument("--phase")
+    p.add_argument("--mode", choices=("ap", "shift"), required=True)
+    p.add_argument("--phase", required=True)
     p.add_argument("--weights", default=None)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--h", type=int, default=10)
     p.add_argument("--shift", type=int, default=1)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--out-json", default=None)
     p.set_defaults(run=_cmd_correlate)
 
     p = sub.add_parser("experiment", help="run a named preset")
     p.add_argument("preset", choices=sorted(PRESETS))
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     for flag in _PRESET_FLAGS:
         p.add_argument(f"--{flag}", default=None)
@@ -375,25 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in sub.choices.values():
         sp.add_argument("--config", default=None,
                         help="key = value defaults file")
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if args.config:
-            # config values become the subcommand's defaults, so explicit
-            # flags parsed afterwards still win
-            sub = parser._subparsers._group_actions[0].choices[args.command]
-            sub.set_defaults(**_load_config(args.config, sub))
-            args = parser.parse_args(argv)
-        for dest in args._required[args.command]:
-            if getattr(args, dest, None) is None:
-                raise ParseError(
-                    f"--{dest.replace('_', '-')} is required "
-                    f"(flag or config file)"
-                )
+        args = parser.parse_args(_with_config(argv, commands))
         return args.run(args)
     except ValueError as exc:  # ParseError, json.JSONDecodeError, bad arguments
         print(f"error: {exc}", file=sys.stderr)

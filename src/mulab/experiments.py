@@ -426,17 +426,17 @@ def run_round_trips(params: dict, out_dir: Path | None = None) -> dict:
     rng = random.Random(params["seed"])
     n = params["n"]
     table = sieve_mobius(n)
-    out_dir = Path(out_dir) if out_dir is not None else Path(tempfile.mkdtemp())
-    cache = out_dir / "roundtrip_mu.bin"
-    save_cache(table, cache)
-    loaded = load_cache(cache)
-    cache_ok = (
-        loaded.n_max == table.n_max
-        and np.array_equal(loaded.packed, table.packed)
-        and loaded.checksum == table.checksum
-    )
-    save_cache(table, cache)  # rewrite: byte-identical file
-    cache_ok = cache_ok and load_cache(cache).checksum == table.checksum
+    with tempfile.TemporaryDirectory() as scratch:
+        cache = Path(scratch if out_dir is None else out_dir) / "roundtrip_mu.bin"
+        save_cache(table, cache)
+        loaded = load_cache(cache)
+        cache_ok = (
+            loaded.n_max == table.n_max
+            and np.array_equal(loaded.packed, table.packed)
+            and loaded.checksum == table.checksum
+        )
+        save_cache(table, cache)  # rewrite: byte-identical file
+        cache_ok = cache_ok and load_cache(cache).checksum == table.checksum
 
     k = 3
     poly = PolyPhase([Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11)])
@@ -624,18 +624,16 @@ def _typed(default, value):
 def run_preset(
     name: str,
     out_dir: str | Path | None = None,
-    seed: int | None = None,
     overrides: dict | None = None,
 ) -> dict:
     """Run a preset end to end and write its manifest; returns the manifest
-    as written.  Each override, and the seed, takes its default's type."""
+    as written.  Each override, the seed included, takes its default's type."""
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise ParseError(f"unknown preset {name!r}; available: {known}")
     fn, defaults, summary = PRESETS[name]
     params = dict(defaults)
-    given = {} if seed is None else {"seed": seed}
-    for key, value in {**given, **(overrides or {})}.items():
+    for key, value in (overrides or {}).items():
         if key not in params:
             allowed = ", ".join(sorted(params)) or "none"
             raise ParseError(

@@ -24,7 +24,8 @@ polynomial and the bracket product a (3, count) uint64 array of num's
   `check_range(n)` runs each piece's at the last n that piece covers
 * interpolating concatenation of a source phase at schedule breakpoints:
   the Newton form sum_{i<k} (D^i y)(0) C(n - N_i, i) mod the unit on the
-  source's node numerators y, exact because D^k vanishes on a piece
+  source's node numerators y, exact because D^k vanishes on a piece; its
+  `check_range(n)` also runs the source's at n + k - 1
 * table: a value oracle n -> Real (e.g. linear drift), the one shape
   evaluated per n, {oracle(n)} rounded half up to 2^-96
 
@@ -625,6 +626,13 @@ class ScheduledLagrangeConcat(Phase):
         return sum(self.source.err_ulp_at(a + l) * abs(lagrange_coeff(n - a, l, k))
                    for l in range(k))
 
+    def check_range(self, n: int) -> None:
+        """The precision check, then the source's own check_range over the
+        nodes that a range up to n reads, so that the source's budgets (a
+        power's time budget, say) hold."""
+        super().check_range(n)
+        self.source.check_range(n + self.k - 1)
+
     def describe(self) -> str:
         src = self.source.describe()
         return f"concat[deg<{self.k},{self.schedule.describe()},src={src}]"
@@ -694,7 +702,8 @@ def concat_residual(source: Phase, concat: Phase, ns: Sequence[int]) -> Residual
     """max over sampled n of ||source(n) - concat(n)||, exact on representations.
 
     The concatenation side comes from its batch kernel, one call per run of
-    samples that lie close together."""
+    samples that lie close together.  No samples is a ValueError: a maximum
+    over nothing would read as a pass."""
     worst, arg = -1.0, -1
     count = 0
     for run in _runs(ns):
@@ -705,6 +714,8 @@ def concat_residual(source: Phase, concat: Phase, ns: Sequence[int]) -> Residual
             count += 1
             if d > worst:
                 worst, arg = d, n
+    if not count:
+        raise ValueError("concat_residual needs at least one sample")
     return ResidualReport(worst, arg, count)
 
 

@@ -318,6 +318,44 @@ class TestConfigFile:
         assert run(["experiment", "round-trips", "--config", str(cfg)]) == 2
         assert "unknown key 'preset'" in capsys.readouterr().err
 
+    def test_config_without_a_path_is_the_commands_usage_error(self, capsys):
+        assert run(["sum", "--config"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: labctl sum ")
+        assert "argument --config: expected one argument" in err
+
+    # (command, config lines that run it alone, the flags it requires)
+    FROM_CONFIG = [
+        ("sieve", {"n": "100", "out": "{dir}/mu.bin"}, ("n", "out")),
+        ("sum", {"weights": "one:100", "phase": "poly:0", "n": "100"},
+         ("weights", "phase", "n")),
+        ("entropy", {"jmax": "4", "p1": "poly:0,sqrt2", "p2": "poly:0,sqrt3",
+                     "length": "200"}, ("jmax",)),
+        ("pieces", {"arrangement": "{dir}/lines.csv"}, ("arrangement",)),
+        ("dirichlet", {"theta": "1/3", "q": "3"}, ("theta", "q")),
+        ("correlate", {"mode": "shift", "phase": "poly:0,1/2", "n": "64"},
+         ("mode", "phase", "n")),
+    ]
+
+    @pytest.mark.parametrize("command, lines, required", FROM_CONFIG,
+                             ids=[case[0] for case in FROM_CONFIG])
+    def test_required_flags_come_from_the_config_alone(
+            self, tmp_path, capsys, command, lines, required):
+        (tmp_path / "lines.csv").write_text("1,1,0,1,0,1\n0,1,1,1,0,1\n")
+        cfg = tmp_path / "run.cfg"
+
+        def run_with(keys):
+            cfg.write_text("".join(f"{key} = {value.format(dir=tmp_path)}\n"
+                                   for key, value in keys.items()))
+            return run([command, "--config", str(cfg)])
+
+        assert run_with(lines) == 0
+        for flag in required:
+            capsys.readouterr()
+            assert run_with({k: v for k, v in lines.items() if k != flag}) == 2
+            err = capsys.readouterr().err
+            assert f"the following arguments are required: --{flag}" in err
+
 
 class TestMalformedInputs:
     """Each malformed file exits 2 with a message naming the field."""

@@ -1,6 +1,7 @@
 """Preset plumbing that the acceptance criteria do not reach."""
 
 import json
+import tempfile
 
 import pytest
 
@@ -120,9 +121,9 @@ def test_api_takes_an_int_for_a_float_and_one_item_for_a_tuple():
 
 def test_seed_is_typed_like_an_override():
     with pytest.raises(ParseError, match="'seed' must be int"):
-        run_preset("value-bound", seed=1.5, overrides={"trials": 5})
-    assert run_preset("value-bound", seed="7",
-                      overrides={"trials": 5})["parameters"]["seed"] == 7
+        run_preset("value-bound", overrides={"seed": 1.5, "trials": 5})
+    assert run_preset("value-bound",
+                      overrides={"seed": "7", "trials": 5})["parameters"]["seed"] == 7
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -141,4 +142,26 @@ def test_seed_for_a_preset_without_one_exits_2(tmp_path, capsys):
     assert "unknown parameter 'seed' for preset 'example33'" in capsys.readouterr().err
     assert not (tmp_path / "manifest.json").exists()
     with pytest.raises(ParseError, match="unknown parameter 'seed'"):
-        run_preset("example33", seed=5, overrides={"n": 500})
+        run_preset("example33", overrides={"seed": 5, "n": 500})
+
+
+def test_round_trips_without_an_out_dir_leaves_no_temporary_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert run_preset("round-trips", overrides={"n": 2000})["results"]["passed"]
+    assert main(["experiment", "round-trips", "--n", "2000"]) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_concat_approx_over_no_samples_exits_2(capsys):
+    with pytest.raises(ValueError, match="at least one sample"):
+        run_preset("concat-approx", overrides={"span": 0})
+    assert main(["experiment", "concat-approx", "--set", "span=0"]) == 2
+    assert "at least one sample" in capsys.readouterr().err
+
+
+def test_seed_flag_wins_over_set_and_is_typed_by_the_preset(tmp_path, capsys):
+    assert main(["experiment", "value-bound", "--trials", "5", "--seed", "7",
+                 "--set", "seed=9", "--out-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["parameters"]["seed"] == 7
+    assert main(["experiment", "value-bound", "--trials", "5", "--seed", "abc"]) == 2
+    assert "parameter 'seed' must be int, got 'abc'" in capsys.readouterr().err

@@ -4,6 +4,7 @@ reference; parsing, schedules, and concatenation builders."""
 import inspect
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import mpmath
@@ -33,6 +34,7 @@ from mulab.phases import (
     parse_phase,
     power_phase,
 )
+from mulab.phase_sums import unit_weights, weighted_average
 
 mpmath.mp.prec = 384
 
@@ -220,6 +222,15 @@ class TestPowerPhase:
         with pytest.raises(PrecisionError):  # each piece's precision, as before
             ConcatPhase([0, 10], [PolyPhase([0]), PolyPhase([0, sqrt_const(2)])]
                         ).check_range(1 << 70)
+
+    def test_an_interpolating_concat_checks_its_source(self, monkeypatch):
+        monkeypatch.setattr(PowerPhase, "_numerators", None)  # no root may run
+        c = build_concatenation(PowerPhase(64, 63), 2, 10)
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceBudgetError, match="pow:64/63 up to n=1000001 needs"):
+            weighted_average(unit_weights(10 ** 6), c, 10 ** 6)
+        assert time.perf_counter() - t0 < 1.0
+        c.check_range(1000)  # the source's nodes up to n + k - 1 = 1001
 
     def test_one_n_is_not_a_range(self):
         got, err = eval_phase(PowerPhase(64, 63), 10 ** 6)
@@ -661,10 +672,14 @@ def test_concat_residual_matches_the_per_n_maximum(runs):
     samples = [lo + i * step for lo, size, step in runs for i in range(size)]
     src = power_phase(3, 2)
     concat = build_concatenation(src, 2, 10, schedule=GeometricSchedule(4))
+    if not samples:
+        with pytest.raises(ValueError, match="at least one sample"):
+            concat_residual(src, concat, samples)
+        return
     dists = [(abs(src.frac(n).frac_mantissa() - concat.frac(n).frac_mantissa()), n)
              for n in samples]
     dists = [(min(d, SCALE - d) / SCALE, n) for d, n in dists]
-    worst, arg = max(dists, key=lambda d: d[0], default=(-1.0, -1))  # first on ties
+    worst, arg = max(dists, key=lambda d: d[0])  # first on ties
     assert concat_residual(src, concat, samples) == ResidualReport(worst, arg, len(samples))
 
 
@@ -679,7 +694,8 @@ def test_concat_residual_reports_the_first_maximum():
     poly = PolyPhase([F(1, 3), F(-2, 7)])
     concat = build_concatenation(poly, 2, 10, schedule=GeometricSchedule(8))
     assert concat_residual(poly, concat, [9, 5, 200, 2]) == ResidualReport(0.0, 9, 4)
-    assert concat_residual(poly, concat, []) == ResidualReport(-1.0, -1, 0)
+    with pytest.raises(ValueError, match="at least one sample"):
+        concat_residual(poly, concat, [])  # a maximum over nothing is no pass
 
 
 def test_precision_budget_is_not_a_parameter():
