@@ -5,7 +5,9 @@ Exit codes: 0 success, 2 usage, 3 I/O, 4 precision/resource, 5 internal.
 All flags are long-form.  A `--config` file holds one `key = value` per
 line, each key one of the command's flags; the lines enter the parse as
 `--key=value` arguments right after the subcommand name, so argparse reads
-them as it reads the flags, and the command line's own flags win.
+them as it reads the flags, and the command line's own flags win.  The
+file's path is read with the command's own option strings, so an
+abbreviation of `--config` resolves as the command's parser resolves it.
 """
 
 from __future__ import annotations
@@ -88,16 +90,31 @@ def _config_args(path: str, parser: argparse.ArgumentParser) -> list[str]:
     return args
 
 
+class _PreParser(argparse.ArgumentParser):
+    """A parser that raises where argparse would print usage and exit."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _with_config(argv: list[str], commands: dict[str, argparse.ArgumentParser]) -> list[str]:
     """argv with its `--config` file's arguments right after the subcommand
-    name, ahead of the command line's own, so that those still win."""
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("--config")
-    try:
-        path = pre.parse_known_args(argv)[0].config
-    except argparse.ArgumentError:  # no path after --config: the full parse says so
+    name, ahead of the command line's own, so that those still win.  The
+    path is found by a parser with the subcommand's option strings, so an
+    abbreviation means what it means to the subcommand; any error there is
+    left to the full parse to report."""
+    if not argv or argv[0] not in commands:
         return argv
-    if not path or argv[0] not in commands:
+    pre = _PreParser(add_help=False)
+    for action in commands[argv[0]]._actions:
+        if action.option_strings:
+            pre.add_argument(*action.option_strings, dest=action.dest,
+                             **({"action": "store_true"} if action.nargs == 0 else {}))
+    try:
+        path = pre.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:
+        return argv
+    if not path:
         return argv
     return [argv[0], *_config_args(path, commands[argv[0]]), *argv[1:]]
 
@@ -150,7 +167,7 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
     print(f"  bytes={size} crc32={table.checksum:08x} "
           f"M({args.n})={mertens(table, args.n)}")
     if args.phi_out:
-        phi = sieve_phi(args.n)
+        phi = sieve_phi(args.n, segment_size=args.segment_size)
         # np.save's bytes without its copy of the table: format 1.0 header, values
         header = io.BytesIO()
         npy_format.write_array_header_1_0(header, npy_format.header_data_from_array_1_0(phi.values))

@@ -9,28 +9,48 @@ Reads decode whole bytes through one 256 x 4 table of signed values (and
 Mertens sums whole bytes through the 256 sums of its rows), a chunk of
 bytes at a time, and refuse a chunk holding a code 11.
 
-All three sieves walk [1, n_max] in segments and pre-sieve the prime powers
-2^4, 3^2, 5^2, 7^2 and their divisors once, over one period of 176,400 =
-2^4 3^2 5^2 7^2 (no larger than n_max + 1): each segment starts from a tile
-at offset lo mod 176,400.
+All three sieves sieve the odd n only.  A segment of segment_size n holds
+its odd n = 2t + 1 at index t - t0, and the multiples of an odd prime power
+p^e fall every p^e-th index from ((p^e - 1)/2 - t0) mod p^e on.  The odd
+prime powers 3^2, 5^2, 7^2 and their divisors are pre-sieved once, over the
+11,025 odd residues of 3^2 5^2 7^2 (t mod 11,025; no more than the odd
+n <= n_max): each segment starts from that tile at offset t0 mod 11,025.
+The prime 2 is not sieved: the even n = 2k take their values from k, which
+is final before they are written, by three rules:
+    phi(2k) = phi(k), doubled when k is even;
+    lambda(2k) = -lambda(k);
+    mu(2k) = -mu(k) for odd k, 0 for even k.
+Every segment after the first reads its k = n / 2 from earlier segments;
+the first fills its even n in doubling blocks [L, 2L), which read [L/2, L).
 
-mu and lambda build each segment as one signed product s, int32 (int64 once
-n_max >= 2^31).  Each sieved prime power p^e dividing n multiplies s by -p;
-mu stops at p and sets s to 0 at the multiples of p^2, lambda goes on for
-every power of p up to n_max.  Every prime up to sqrt(n_max) is sieved, so
-n = |s| q where q is 1 or one prime above sqrt(n_max), and for mu s = 0
-exactly when a square divides n.  The value is 0 where s = 0, else sign(s)
-flipped exactly when 0 < |s| < n: one integer compare decides the leftover
-prime.  The values go to codes and are packed four to a byte, a chunk of a
-segment at a time.
+mu and lambda build each segment as one signed product s over its odd n,
+int32 (int64 once n_max >= 2^31).  Each sieved prime power p^e dividing n
+multiplies s by -p; mu stops at p and sets s to 0 at the multiples of p^2,
+lambda goes on for every power of p up to n_max.  Every odd prime up to
+sqrt(n_max) is sieved, so an odd n = |s| q where q is 1 or one prime above
+sqrt(n_max), and for mu s = 0 exactly when a square divides n.  The value
+is 0 where s = 0, else sign(s) flipped exactly when 0 < |s| < n: one
+integer compare decides the leftover prime.  The odd n's codes go straight
+into the table, two to a byte (n = 4c + 1 and 4c + 3 of byte c), a chunk
+of a segment at a time.  Then one 256-entry lookup per function maps each
+byte c of the table (the codes of k = 4c + 1..4c + 4) to the codes of their
+n = 2k, which are OR-ed into bytes 2c and 2c + 1.  Byte 0 reads itself
+(lambda(4) = -lambda(2), and lambda(8) = -lambda(4) in byte 1), so bytes 0
+and 1 take that step three times.  Each segment starts at an even byte, so
+segment_size is rounded up to a multiple of 8.
 
-phi keeps the ratio kernel: a tile of phi over the tiled powers and one of
-their product, then every other prime power p^e <= n_max multiplies the
-values at its multiples by phi(p^e) / phi(p^(e-1)) (p - 1, then p) and the
-product by p.  The quotient q = n / product is 1 or one prime above
-sqrt(n_max), whose phi(q) = q - 1 is the last factor.  It is taken in
-float64, exact because the product divides n and both are below 2^53; all
-three sieves refuse n_max >= 2^53 up front.
+phi keeps, over the odd n of a segment, the int32 values (int64 from
+n_max = 2^31 on) of phi over the sieved prime powers and their product: a
+tile of each over the tiled powers, then every other odd prime power
+p^e <= n_max multiplies the values at its multiples by
+phi(p^e) / phi(p^(e-1)) (p - 1, then p) and the product by p.  The quotient
+q = n / product is 1 or one prime above sqrt(n_max), whose phi(q) = q - 1
+is the last factor: one float64 pass takes q, then q - [q > 1], times the
+values, into the table's odd entries.  It is exact because the product
+divides n and phi(n) <= n < 2^53; all three sieves refuse n_max >= 2^53
+up front.  The even entries are then copied from n / 2 and doubled where
+n / 2 is even.  Each segment starts at an odd n, so segment_size is rounded
+up to an even number.  Every sieve refuses segment_size < 1.
 
 Tables are immutable after construction and safe to share across
 concurrent readers; construction itself is single-writer, segment by
@@ -66,23 +86,26 @@ MAGIC = b"MUSV"
 VERSION = 2
 
 _DEFAULT_SEGMENT = 1 << 20
-#: the small primes pre-sieved from one period, with their top exponents
-_TILED = ((2, 4), (3, 2), (5, 2), (7, 2))
-_PERIOD = math.prod(p ** e for p, e in _TILED)  # 176,400
-#: entries per pass over the leftover primes, small enough to stay in cache
+#: the odd primes pre-sieved from one tile, with their top exponents
+_TILED = ((3, 2), (5, 2), (7, 2))
+#: the tile's length: t mod _PERIOD for the odd n = 2t + 1
+_PERIOD = math.prod(p ** e for p, e in _TILED)  # 11,025
+#: odd n per pass over the leftover primes, small enough to stay in cache
 _QUOTIENT_CHUNK = 1 << 16
-# working bytes of a sieve, as tracemalloc measures them: per entry of a
-# segment, mu's and lambda's signed product (4 bytes, 8 from n_max = 2^31 on)
-# or phi's values and product of the stripped powers (8 + 8 at worst); per
-# entry of a quotient pass, phi's float64 quotient, the factor and numpy's
-# cast buffers (8 + 8 + 8), or mu's and lambda's n and |s| beside their
-# compare's mask (8 + 8 + 1 at worst; the codes and packing take less); per
-# entry of the period, the tiles (phi's two int32 tiles, mu's and lambda's
+# working bytes of a sieve, as tracemalloc measures them: per odd n of a
+# segment, phi's values and product of the sieved powers (4 + 4), or mu's
+# and lambda's signed product (4) beside the even n's looked-up codes (one
+# uint16 per two table bytes, half a byte), twice that from n_max = 2^31 on,
+# where they are int64; per odd n of a quotient pass, phi's float64 quotient
+# and numpy's cast buffers (8 + 8), or mu's and lambda's n and |s| beside
+# their compare's masks (8 + 8 + 4 at worst; the codes and their packing take
+# less); per entry of the tile, phi's two int32 tiles (mu's and lambda's
 # one); per integer up to sqrt(n_max), the prime mask and the base primes'
 # powers (about 100 bytes a prime); and a fixed part for Python objects and
-# array headers
-_SEGMENT_BYTES_PER_N = 8 + 8
-_QUOTIENT_BYTES_PER_N = 8 + 8 + 8
+# array headers.  The two 256-entry lookup tables of the even n's codes are
+# built at import: the output table is written in place, with no copy.
+_SEGMENT_BYTES_PER_N = 4 + 4
+_QUOTIENT_BYTES_PER_N = 8 + 8 + 4
 _TILE_BYTES_PER_N = 4 + 4
 _ROOT_BYTES_PER_N = 16
 _FIXED_BYTES = 1 << 14
@@ -92,6 +115,22 @@ _FIXED_BYTES = 1 << 14
 _BYTE_VALUES = np.array([[(0, 1, -1, 0)[b >> k & 3] for k in (0, 2, 4, 6)]
                          for b in range(256)], dtype=np.int8)
 _BYTE_SUMS = np.array([sum(row) for row in _BYTE_VALUES.tolist()], dtype=np.int8)
+
+
+def _even_codes(squarefree: bool) -> np.ndarray:
+    """Per packed byte c (the codes of k = 4c + 1..4c + 4), the codes of
+    n = 2k at their places in bytes 2c and 2c + 1, read as one little-endian
+    uint16: the low byte and the high byte are the two byte lookup tables.
+    2k = 8c + 2 + 2j sits at bit 2 + 4j.  Its code is k's negated (1 and 2
+    swap), and for mu 0 when k is even."""
+    # neg[j, b]: the negated code of k = 4c + 1 + j in byte b
+    neg = np.array([0, 2, 1, 3], dtype="<u2")[
+        np.arange(256) >> np.arange(0, 8, 2)[:, None] & 3]
+    return sum(neg[j] << 2 + 4 * j for j in range(4) if not (squarefree and j % 2))
+
+
+#: _even_codes for mu (True) and lambda (False)
+_EVEN_CODES = {squarefree: _even_codes(squarefree) for squarefree in (True, False)}
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -104,20 +143,6 @@ def primes_up_to(n: int) -> np.ndarray:
         if mask[p]:
             mask[p * p :: p] = False
     return np.flatnonzero(mask).astype(np.int64)
-
-
-def _pack_codes(codes: np.ndarray) -> np.ndarray:
-    """Pack 2-bit codes four to a byte, entry i at bits 2*(i % 4)."""
-    if codes.size % 4:
-        codes = np.concatenate([codes, np.zeros(4 - codes.size % 4, dtype=np.uint8)])
-    # each group of four codes read as one little-endian uint32: code k sits
-    # at bit 8k and moves to bit 2k
-    word = codes.view("<u4")
-    packed = word >> 6
-    packed |= word
-    packed |= word >> 12
-    packed |= word >> 18
-    return packed.astype(np.uint8)
 
 
 def _reserved(packed: np.ndarray) -> np.ndarray:
@@ -209,11 +234,12 @@ class MobiusTable:
 
 def _segment_bytes(n_max: int, segment_size: int) -> int:
     """Working bytes of a sieve beside its table: one segment, one quotient
-    pass, the period tiles and the base primes."""
-    size = min(segment_size, n_max)
-    return (_SEGMENT_BYTES_PER_N * size
-            + _QUOTIENT_BYTES_PER_N * min(_QUOTIENT_CHUNK, size)
-            + _TILE_BYTES_PER_N * min(_PERIOD, n_max + 1)
+    pass, the tile and the base primes."""
+    odd = (min(segment_size, n_max) + 1) // 2  # the odd n of one segment
+    wide = 1 if n_max < 1 << 31 else 2  # int64 segments from 2^31 on
+    return (wide * _SEGMENT_BYTES_PER_N * odd
+            + _QUOTIENT_BYTES_PER_N * min(_QUOTIENT_CHUNK, odd)
+            + _TILE_BYTES_PER_N * min(_PERIOD, (n_max + 1) // 2)
             + _ROOT_BYTES_PER_N * math.isqrt(n_max) + _FIXED_BYTES)
 
 
@@ -230,19 +256,19 @@ def _check_budget(label, table_bytes, n_max, segment_size) -> None:
     if need > DEFAULT_BUDGET_BYTES:
         raise ResourceBudgetError(
             f"{label} sieve for n_max={n_max} needs {need} bytes ({table_bytes} "
-            f"for the table, {segment_bytes} for one segment, the period tiles "
+            f"for the table, {segment_bytes} for one segment, the tile "
             f"and the base primes), over the {DEFAULT_BUDGET_BYTES}-byte budget; "
             f"lower n_max"
         )
 
 
-def _apply_powers(vals, prod, lo, p, pe, e, stop):
+def _apply_powers(vals, prod, t0, p, pe, e, stop):
     """From p^e on, for each power of p below stop: multiply vals by
     phi(p^e) / phi(p^(e-1)) (p - 1, then p) and prod by p at the multiples
-    of p^e, where vals[i] and prod[i] stand for n = lo + i.  Return the
-    (p^e, e) that comes next."""
+    of p^e, where vals[i] and prod[i] stand for the odd n = 2 (t0 + i) + 1.
+    Return the (p^e, e) that comes next."""
     while pe < stop:
-        first = -lo % pe  # offset of the first multiple of p^e
+        first = (pe // 2 - t0) % pe  # 2t + 1 = 0 mod p^e at t = (p^e - 1) / 2
         vals[first::pe] *= p - 1 if e == 1 else p
         prod[first::pe] *= p
         pe, e = pe * p, e + 1
@@ -259,114 +285,150 @@ def _tile_into(dst: np.ndarray, tile: np.ndarray, start: int) -> None:
         i += k
 
 
-def _segment_filler(n_max: int, size: int):
-    """fill(vals, lo) writes phi(n) for n in [lo, lo + len(vals)) into the
-    int64 array vals, of at most size entries (see the module docstring)."""
-    # phi over the tiled powers, and their product, for n mod _PERIOD; each
+def _base_primes(n_max: int) -> list[int]:
+    """The odd primes up to sqrt(n_max) that the tile leaves to each segment."""
+    skip = {2, *(p for p, _ in _TILED)}
+    return [p for p in primes_up_to(math.isqrt(n_max)).tolist() if p not in skip]
+
+
+def _phi_segments(n_max: int, segment_size: int):
+    """Yield (lo, vals, prod) over the odd n of [1, n_max], segment_size n
+    (an even number) at a time, where vals[i] is phi of the sieved part of
+    the odd n = lo + 2i and prod[i] is that part (see the module docstring).
+    Both are views of buffers that the next segment overwrites."""
+    odd = (n_max + 1) // 2
+    # phi over the tiled powers, and their product, for t mod _PERIOD; each
     # tile entry is at most _PERIOD, so it fits int32
-    tile_vals = np.ones(min(_PERIOD, n_max + 1), dtype=np.int32)
+    tile_vals = np.ones(min(_PERIOD, odd), dtype=np.int32)
     tile_prod = np.ones(tile_vals.size, dtype=np.int32)
     powers = []  # (p, p^e, e): where each prime's powers go on per segment
     for p, top in _TILED:
         nxt = _apply_powers(tile_vals, tile_prod, 0, p, p, 1,
                             min(p ** (top + 1), n_max + 1))
         powers.append((p, *nxt))
-    tiled = {p for p, _ in _TILED}
-    powers += [(p, p, 1) for p in primes_up_to(math.isqrt(n_max)).tolist()
-               if p not in tiled]
-    prod_buf = np.empty(size, dtype=np.int32 if n_max < 1 << 31 else np.int64)
-
-    def fill(vals: np.ndarray, lo: int) -> None:
-        hi = lo + vals.size
+    powers += [(p, p, 1) for p in _base_primes(n_max)]
+    half = segment_size // 2
+    dtype = np.int32 if n_max < 1 << 31 else np.int64
+    vals_buf = np.empty(min(half, odd), dtype=dtype)
+    prod_buf = np.empty(vals_buf.size, dtype=dtype)
+    for t0 in range(0, odd, half):
+        vals = vals_buf[: min(half, odd - t0)]
         prod = prod_buf[: vals.size]
-        _tile_into(vals, tile_vals, lo % _PERIOD)
-        _tile_into(prod, tile_prod, lo % _PERIOD)
+        _tile_into(vals, tile_vals, t0 % _PERIOD)
+        _tile_into(prod, tile_prod, t0 % _PERIOD)
         for p, pe, e in powers:
-            _apply_powers(vals, prod, lo, p, pe, e, hi)
-        # prod divides n and both are below 2^53, so the quotient is exact:
-        # 1, or the one prime factor of n above sqrt(n_max)
-        for a in range(0, vals.size, _QUOTIENT_CHUNK):
-            b = min(a + _QUOTIENT_CHUNK, vals.size)
-            q = np.arange(lo + a, lo + b, dtype=np.float64)
-            q /= prod[a:b]
-            # 1 + [q > 1] (q - 2): phi(q) = q - 1 for a prime q, 1 for q = 1
-            factor = (q > 1).astype(np.int64)
-            np.multiply(factor, q - 2, out=factor, casting="unsafe")
-            factor += 1
-            vals[a:b] *= factor
-
-    return fill
+            _apply_powers(vals, prod, t0, p, pe, e, 2 * (t0 + vals.size))
+        yield 2 * t0 + 1, vals, prod
 
 
 def _signed_segments(n_max: int, segment_size: int, squarefree: bool):
-    """Yield (lo, s) over [1, n_max], where s[i] is the signed product for
-    n = lo + i (see the module docstring): mu's when squarefree, else
+    """Yield (lo, s) over the odd n of [1, n_max], segment_size n (an even
+    number) at a time, where s[i] is the signed product for the odd
+    n = lo + 2i (see the module docstring): mu's when squarefree, else
     lambda's.  s is a view of one buffer that the next segment overwrites."""
-    # the product over the tiled powers for n mod _PERIOD: at most _PERIOD
-    # in absolute value, so int32; a power past the tile only meets index 0
-    tile = np.ones(min(_PERIOD, n_max + 1), dtype=np.int32)
+    odd = (n_max + 1) // 2
+    # the product over the tiled powers for t mod _PERIOD: at most _PERIOD
+    # in absolute value, so int32
+    tile = np.ones(min(_PERIOD, odd), dtype=np.int32)
     powers = []  # (p, p^e): the first power of p each segment multiplies by
     for p, top in _TILED:
         for pe in (p ** e for e in range(1, top + 1)):
             if squarefree and pe > p:
-                tile[::pe] = 0
+                tile[pe // 2 :: pe] = 0
                 break
-            tile[::pe] *= -p
+            tile[pe // 2 :: pe] *= -p
         if not squarefree:
             powers.append((p, p ** (top + 1)))
-    tiled = {p for p, _ in _TILED}
-    powers += [(p, p) for p in primes_up_to(math.isqrt(n_max)).tolist()
-               if p not in tiled]
-    buf = np.empty(min(segment_size, n_max),
-                   dtype=np.int32 if n_max < 1 << 31 else np.int64)
-    for lo in range(1, n_max + 1, segment_size):
-        s = buf[: min(segment_size, n_max + 1 - lo)]
-        hi = lo + s.size
-        _tile_into(s, tile, lo % _PERIOD)
+    powers += [(p, p) for p in _base_primes(n_max)]
+    half = segment_size // 2
+    buf = np.empty(min(half, odd), dtype=np.int32 if n_max < 1 << 31 else np.int64)
+    for t0 in range(0, odd, half):
+        s = buf[: min(half, odd - t0)]
+        hi = 2 * (t0 + s.size)  # above the segment's last odd n
+        _tile_into(s, tile, t0 % _PERIOD)
         for p, pe in powers:
             if squarefree:
-                s[-lo % p :: p] *= -p
-                s[-lo % (p * p) :: p * p] = 0
+                s[(p // 2 - t0) % p :: p] *= -p
+                pe = p * p
+                s[(pe // 2 - t0) % pe :: pe] = 0
                 continue
             while pe < hi:
-                s[-lo % pe :: pe] *= -p
+                s[(pe // 2 - t0) % pe :: pe] *= -p
                 pe *= p
-        yield lo, s
+        yield 2 * t0 + 1, s
 
 
 def _codes(s: np.ndarray, lo: int) -> np.ndarray:
     """The 2-bit codes (0, 1 for +1, 2 for -1) of the signed products s for
-    n = lo + i: 0 where s = 0, else sign(s), flipped where |s| < n."""
-    flip = np.abs(s) < np.arange(lo, lo + s.size, dtype=s.dtype)
+    the odd n = lo + 2i: 0 where s = 0, else sign(s), flipped where |s| < n."""
+    flip = np.abs(s) < np.arange(lo, lo + 2 * s.size, 2, dtype=s.dtype)
     flip ^= s < 0
     codes = (s != 0).view(np.uint8)
     codes <<= flip.view(np.uint8)
     return codes
 
 
+def _pack_odd(codes: np.ndarray, dst: np.ndarray) -> None:
+    """dst[c] = codes[2c] | codes[2c + 1] << 4: the codes of the odd n of
+    byte c (n = 4c + 1 and 4c + 3) at its bits 0 and 4, the even n's bits
+    left 0."""
+    if codes.size % 2:
+        codes = np.append(codes, np.uint8(0))
+    pair = codes.view("<u2")  # code 2c in the low byte, 2c + 1 in the high
+    pair |= pair >> 4
+    dst[:] = pair  # the low bytes
+
+
+def _or_evens(out: np.ndarray, b0: int, b1: int, evens: np.ndarray) -> None:
+    """OR into bytes [b0, b1) of out (b0 even) the codes of their even n = 2k,
+    looked up in evens from bytes [b0 / 2, ceil(b1 / 2)), which hold k."""
+    looked = np.take(evens, out[b0 // 2 : (b1 + 1) // 2])  # read before written
+    pairs = (b1 - b0) // 2
+    out[b0 : b0 + 2 * pairs].view("<u2")[:] |= looked[:pairs]
+    if (b1 - b0) % 2:
+        out[b1 - 1] |= looked[-1] & 0xFF
+
+
 def _segmented_pack(n_max, segment_size, label, squarefree) -> MobiusTable:
     """Packed table of mu (squarefree) or lambda."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    segment_size = max(4, (segment_size // 4) * 4)  # whole bytes of codes
+    if n_max < 1 or segment_size < 1:
+        raise ValueError("n_max and segment_size must be >= 1")
+    segment_size = -(-segment_size // 8) * 8  # each segment starts at an even byte
     _check_budget(label, (n_max + 3) // 4, n_max, segment_size)
     out = np.empty((n_max + 3) // 4, dtype=np.uint8)
+    evens = _EVEN_CODES[squarefree]
     for lo, s in _signed_segments(n_max, segment_size, squarefree):
-        # _QUOTIENT_CHUNK is a multiple of 4: each chunk fills whole bytes
+        b0 = (lo - 1) // 4
+        # _QUOTIENT_CHUNK is even: each chunk fills whole bytes
         for a in range(0, s.size, _QUOTIENT_CHUNK):
             chunk = s[a : a + _QUOTIENT_CHUNK]
-            b0 = (lo + a - 1) // 4
-            out[b0 : b0 + (chunk.size + 3) // 4] = _pack_codes(_codes(chunk, lo + a))
+            c = b0 + a // 2
+            _pack_odd(_codes(chunk, lo + 2 * a), out[c : c + (chunk.size + 1) // 2])
+        b1 = b0 + (s.size + 1) // 2
+        if b0 == 0:  # bytes 0 and 1 read byte 0 itself: n = 2 reads 1, 4
+            for _ in range(3):  # reads 2 and 8 reads 4, a pass each
+                _or_evens(out, 0, min(2, b1), evens)
+            b0 = 2
+        # blocks [b, 2b) read [b / 2, b), already final; a later segment is
+        # one block
+        while b0 < b1:
+            b = min(2 * b0, b1)
+            _or_evens(out, b0, b, evens)
+            b0 = b
+    if n_max % 4:  # the last byte's codes past n_max
+        out[-1] &= (1 << 2 * (n_max % 4)) - 1
     return MobiusTable(n_max, out, label)
 
 
 def sieve_mobius(n_max: int, segment_size: int = _DEFAULT_SEGMENT) -> MobiusTable:
-    """Exact mu on [1, n_max]: 0 on non-squarefree n, else (-1)^(#prime factors)."""
+    """Exact mu on [1, n_max]: 0 on non-squarefree n, else (-1)^(#prime factors).
+    segment_size is rounded up to a multiple of 8."""
     return _segmented_pack(n_max, segment_size, "mu", squarefree=True)
 
 
 def sieve_liouville(n_max: int, segment_size: int = _DEFAULT_SEGMENT) -> MobiusTable:
-    """Exact lambda on [1, n_max]: completely multiplicative, lambda(p) = -1."""
+    """Exact lambda on [1, n_max]: completely multiplicative, lambda(p) = -1.
+    segment_size is rounded up to a multiple of 8."""
     return _segmented_pack(n_max, segment_size, "lambda", squarefree=False)
 
 
@@ -401,14 +463,32 @@ def euler_phi(n: int) -> int:
 
 
 def sieve_phi(n_max: int, segment_size: int = _DEFAULT_SEGMENT) -> PhiTable:
-    """Euler phi on [1, n_max]: multiplicative, phi(p^e) = p^(e-1) (p - 1)."""
+    """Euler phi on [1, n_max]: multiplicative, phi(p^e) = p^(e-1) (p - 1).
+    segment_size is rounded up to an even number."""
     if n_max < 1 or segment_size < 1:
         raise ValueError("n_max and segment_size must be >= 1")
+    segment_size += segment_size % 2  # each segment starts at an odd n
     _check_budget("phi", 8 * (n_max + 1), n_max, segment_size)
     out = np.zeros(n_max + 1, dtype=np.int64)
-    fill = _segment_filler(n_max, min(segment_size, n_max))
-    for lo in range(1, n_max + 1, segment_size):
-        fill(out[lo : lo + segment_size], lo)  # the table's own slice
+    for lo, vals, prod in _phi_segments(n_max, segment_size):
+        for a in range(0, vals.size, _QUOTIENT_CHUNK):
+            b = min(a + _QUOTIENT_CHUNK, vals.size)
+            # prod divides n, so the quotient is exact: 1, or the one prime
+            # q of n above sqrt(n_max), where the factor is phi(q) = q - 1
+            q = np.arange(lo + 2 * a, lo + 2 * b, 2, dtype=np.float64)
+            q /= prod[a:b]
+            q -= q > 1
+            q *= vals[a:b]
+            out[lo + 2 * a : lo + 2 * b : 2] = q
+        # phi(2k) = phi(k), doubled for even k, for the segment's even n; in
+        # blocks of n in [2k, 4k), whose k in [k, 2k) are final by then
+        k, k1 = (lo + 1) // 2, (min(lo + segment_size, n_max + 1) + 1) // 2
+        while k < k1:
+            e = min(2 * k, k1)
+            even = out[2 * k : 2 * e : 2]
+            even[:] = out[k:e]
+            even[k % 2 :: 2] <<= 1
+            k = e
     return PhiTable(n_max, out)
 
 

@@ -50,6 +50,29 @@ class TestSieveCommand:
         assert (tmp_path / "phi.npy").read_bytes() == buf.getvalue()
         assert np.load(tmp_path / "phi.npy").dtype == np.int64
 
+    @pytest.mark.parametrize("size", ["-3", "0"])
+    def test_segment_size_below_one_exits_2(self, tmp_path, capsys, size):
+        out = tmp_path / "mu.bin"
+        assert run(["sieve", "--n", "100", "--out", str(out),
+                    "--segment-size", size]) == 2
+        assert "segment_size must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_phi_out_takes_the_segment_size(self, tmp_path, monkeypatch):
+        import mulab.cli
+
+        sizes = []
+
+        def recording(n_max, segment_size):
+            sizes.append(segment_size)
+            return sieve_phi(n_max, segment_size)
+
+        monkeypatch.setattr(mulab.cli, "sieve_phi", recording)
+        assert run(["sieve", "--n", "500", "--out", str(tmp_path / "mu.bin"),
+                    "--segment-size", "64", "--phi-out", str(tmp_path / "phi")]) == 0
+        assert sizes == [64]
+        assert np.array_equal(np.load(tmp_path / "phi.npy"), sieve_phi(500).values)
+
     def test_lambda_table(self, tmp_path):
         out = tmp_path / "lam.bin"
         assert run(["sieve", "--n", "1000", "--fn", "lambda",
@@ -317,6 +340,23 @@ class TestConfigFile:
         cfg.write_text("preset = example33\n")
         assert run(["experiment", "round-trips", "--config", str(cfg)]) == 2
         assert "unknown key 'preset'" in capsys.readouterr().err
+
+    def test_an_ambiguous_prefix_is_the_commands_usage_error(self, capsys):
+        # --c could be sum's --checkpoints or --config: not a config path
+        assert run(["sum", "--c", "x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: labctl sum ")
+        assert "ambiguous option: --c could match --checkpoints, --config" in err
+
+    def test_a_unique_prefix_of_config_reads_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "sum.cfg"
+        cfg.write_text("weights = one:100\nphase = poly:0\nn = 100\n")
+        assert run(["sum", "--conf", str(cfg)]) == 0
+        assert "average over [1, 100]" in capsys.readouterr().out
+        cfg = tmp_path / "sieve.cfg"
+        cfg.write_text(f"n = 100\nout = {tmp_path / 'mu.bin'}\n")
+        assert run(["sieve", "--c", str(cfg)]) == 0
+        assert (tmp_path / "mu.bin").exists()
 
     def test_config_without_a_path_is_the_commands_usage_error(self, capsys):
         assert run(["sum", "--config"]) == 2

@@ -22,7 +22,7 @@ from mulab.errors import (
 from mulab.sieves import (
     MobiusTable,
     _codes,
-    _segment_filler,
+    _phi_segments,
     _signed_segments,
     euler_phi,
     load_cache,
@@ -68,6 +68,14 @@ def phi_oracle(n):
     for p in factorize(n):
         out = out // p * (p - 1)
     return out
+
+
+# f(2k) from f(k) and k: the 2-adic rules that the sieves fill the even n by
+TWO_ADIC = {
+    "mu": lambda v, k: -v if k % 2 else 0,
+    "lambda": lambda v, k: -v,
+    "phi": lambda v, k: v if k % 2 else 2 * v,
+}
 
 
 class TestMobius:
@@ -373,21 +381,53 @@ class TestSegments:
             assert lam.value(n) == lambda_oracle(n)
             assert phi.value(n) == phi_oracle(n)
 
-    @pytest.mark.parametrize("squarefree,oracle", [
-        (True, mu_oracle), (False, lambda_oracle), (None, phi_oracle),
+    @pytest.mark.parametrize("name,squarefree,oracle", [
+        ("mu", True, mu_oracle), ("lambda", False, lambda_oracle),
+        ("phi", None, phi_oracle),
     ], ids=["mu", "lambda", "phi"])
-    def test_int64_remainder_above_2_31(self, squarefree, oracle):
-        # n_max >= 2^31 keeps the product in int64; only the first segment
-        # is built, and it must hold the small-n values
+    def test_int64_remainder_above_2_31(self, name, squarefree, oracle):
+        # n_max >= 2^31 keeps the segments in int64; only the first segment
+        # is built, over its odd n, and it must hold the small odd n's values
         n_max = 2 ** 31 + 5
+        odd = np.arange(1, 2000, 2)
         if squarefree is None:
-            vals = np.empty(1000, dtype=np.int64)
-            _segment_filler(n_max, 1000)(vals, 1)
+            lo, vals, prod = next(_phi_segments(n_max, 2000))
+            assert lo == 1 and vals.dtype == prod.dtype == np.int64
+            assert vals.size == prod.size == 1000
+            q = odd // prod  # 1, or the one prime above sqrt(n_max)
+            assert (q * prod == odd).all()
+            got = vals * np.where(q > 1, q - 1, 1)
         else:
-            lo, s = next(_signed_segments(n_max, 1000, squarefree))
+            lo, s = next(_signed_segments(n_max, 2000, squarefree))
             assert lo == 1 and s.dtype == np.int64 and s.size == 1000
-            vals = np.array([0, 1, -1])[_codes(s, lo)]
-        assert vals.tolist() == [oracle(n) for n in range(1, 1001)]
+            got = np.array([0, 1, -1])[_codes(s, lo)]
+        assert got.tolist() == [oracle(n) for n in odd.tolist()]
+        # the even n, from n / 2 by the 2-adic rule
+        value = dict(zip(odd.tolist(), got.tolist()))
+        rule = TWO_ADIC[name]
+        for n in range(2, 2001, 2):
+            value[n] = rule(value[n // 2], n // 2)
+            assert value[n] == oracle(n), n
+
+    @pytest.mark.parametrize("sieve", [sieve_mobius, sieve_liouville, sieve_phi])
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_segment_size_below_one_is_refused(self, sieve, size):
+        with pytest.raises(ValueError, match="segment_size must be >= 1"):
+            sieve(100, size)
+
+    def test_segment_size_rounds_up_to_the_kernels_step(self, monkeypatch):
+        import mulab.sieves
+
+        # mu and lambda walk whole pairs of bytes (8 n), phi pairs of n
+        seen = []
+        real = mulab.sieves._check_budget
+        monkeypatch.setattr(mulab.sieves, "_check_budget",
+                            lambda *a: seen.append(a[3]) or real(*a))
+        for size in (1, 8, 9):
+            sieve_mobius(100, size)
+            sieve_liouville(100, size)
+            sieve_phi(100, size)
+        assert seen == [8, 8, 2, 8, 8, 8, 16, 16, 10]
 
 
 class TestWeights:
@@ -452,7 +492,8 @@ class TestPackedInvariants:
 # the tiled kernel and the byte-table decode against the trial-division
 # oracles
 
-PERIOD = 176_400  # 2^4 3^2 5^2 7^2, the pre-sieved period
+PERIOD = 176_400  # 2^4 3^2 5^2 7^2, the every-n kernels' pre-sieved period
+TILE = 2 * 11_025  # the odd-only tile's period in n: the odd residues of 3^2 5^2 7^2
 
 
 def raw_table(table):
@@ -475,9 +516,12 @@ def assert_matches_oracles(n_max, ns, segment_size=1 << 20):
 class TestTiledKernel:
     @pytest.mark.parametrize("n_max", range(1, 61))
     def test_every_small_n_max(self, n_max):
-        # the tiled powers 16, 9, 25 and 49 exceed n_max for the smallest
+        # the tiled powers 9, 25 and 49 exceed n_max for the smallest, and
+        # bytes 0 and 1 read byte 0 itself (n = 2 reads 1, 4 reads 2, 8 reads 4)
         mu, lam, phi = assert_matches_oracles(n_max, range(1, n_max + 1))
-        for size in (4, 5, 8):
+        assert raw_table(mu) == raw_table(sieve_oracle.pack_mobius(n_max))
+        assert raw_table(lam) == raw_table(sieve_oracle.pack_liouville(n_max))
+        for size in (1, 4, 5, 8, 16):
             assert raw_table(sieve_mobius(n_max, size)) == raw_table(mu)
             assert raw_table(sieve_liouville(n_max, size)) == raw_table(lam)
             assert raw_table(sieve_phi(n_max, size)) == raw_table(phi)
@@ -512,6 +556,15 @@ class TestTiledKernel:
         assert raw_table(lam) == raw_table(sieve_liouville(n_max))
         assert raw_table(phi) == raw_table(sieve_phi(n_max))
 
+    @pytest.mark.parametrize("n_max", [TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
+    def test_around_the_odd_tiles_period(self, n_max):
+        ns = list(range(1, 200)) + list(range(TILE - 200, n_max + 1))
+        mu, lam, phi = assert_matches_oracles(n_max, ns)
+        for size in (TILE // 4, TILE, TILE + 2, 4096):
+            assert raw_table(sieve_mobius(n_max, size)) == raw_table(mu)
+            assert raw_table(sieve_liouville(n_max, size)) == raw_table(lam)
+            assert raw_table(sieve_phi(n_max, size)) == raw_table(phi)
+
     def test_phi_tile_holds_every_period_residue(self):
         # the multiples of the whole period: every tiled power divides them
         n_max = 3 * PERIOD + 7
@@ -520,35 +573,68 @@ class TestTiledKernel:
             assert phi.value(n) == phi_oracle(n)
 
 
-class TestSignedProduct:
-    # the signed-product kernel against the ratio kernel it replaced: the
-    # packed bytes, not only the values, must be the same
+def two_powers_and_neighbours(top):
+    return sorted({n for e in range(top + 1) for n in range(2 ** e - 2, 2 ** e + 3)
+                   if n >= 1})
+
+
+class TestOddOnly:
+    # the odd-only kernels against the every-n kernels they replaced: the
+    # packed bytes and phi's values, not only the decoded values, must be
+    # the same.  Strata: the default segment up to three old periods; n_max
+    # near a power of 2 (the first segment's doubling edges, in n for phi and
+    # in bytes for mu and lambda), with segment sizes that end there too; the
+    # smallest segments.
     @given(st.one_of(
-        st.tuples(st.integers(1, 4 * 10 ** 5), st.just(1 << 20)),
-        st.integers(4, 64).flatmap(lambda size: st.tuples(
+        st.tuples(st.integers(1, 3 * PERIOD), st.just(1 << 20)),
+        st.tuples(st.sampled_from(two_powers_and_neighbours(20)),
+                  st.sampled_from([1 << 20, 1 << 12, 1 << 16])),
+        st.integers(1, 64).flatmap(lambda size: st.tuples(
             st.integers(1, 256 * size), st.just(size)))))
-    @settings(max_examples=40)
+    @settings(max_examples=40, deadline=None)
     @example((PERIOD - 1, 1 << 20))
     @example((PERIOD, 1 << 20))
     @example((PERIOD + 1, 1 << 20))
     @example((PERIOD + 1, 64))
     @example((4 * 10 ** 5, 1 << 20))
-    def test_packed_bytes_equal_the_ratio_kernel(self, case):
+    @example((2 ** 20 + 1, 1 << 16))
+    @example((3 * PERIOD, 1 << 12))
+    def test_tables_equal_the_every_n_kernels(self, case):
         n_max, size = case
         assert raw_table(sieve_mobius(n_max, size)) == \
-            raw_table(sieve_oracle.pack_mobius(n_max, size))
+            raw_table(sieve_oracle.pack_mobius(n_max))
         assert raw_table(sieve_liouville(n_max, size)) == \
-            raw_table(sieve_oracle.pack_liouville(n_max, size))
+            raw_table(sieve_oracle.pack_liouville(n_max))
+        assert raw_table(sieve_phi(n_max, size)) == \
+            sieve_oracle.phi_values(n_max).tobytes()
 
-    @pytest.mark.parametrize("squarefree,oracle", [(True, mu_oracle),
-                                                   (False, lambda_oracle)],
-                             ids=["mu", "lambda"])
-    def test_the_product_is_the_sieved_part_of_n(self, squarefree, oracle):
-        # |s| is n over its one prime above sqrt(n_max), if any; mu's s is 0
-        # exactly on the non-squarefree n
+    @pytest.mark.parametrize("r", range(8))
+    @given(m=st.integers(0, 3 * PERIOD // 8), parts=st.integers(1, 64))
+    @settings(max_examples=6, deadline=None)
+    def test_every_residue_mod_8_leaves_no_code_past_n_max(self, r, m, parts):
+        # the even codes come a byte pair at a time: none may land past n_max
+        n_max = max(1, 8 * m + r)
+        size = max(1, n_max // parts)  # at most 64 segments
+        for sieve, oracle in ((sieve_mobius, sieve_oracle.pack_mobius),
+                              (sieve_liouville, sieve_oracle.pack_liouville)):
+            table = sieve(n_max, size)
+            assert raw_table(table) == raw_table(oracle(n_max))
+            assert table.packed[-1] >> 2 * (n_max - 4 * (table.packed.size - 1)) == 0
+        assert raw_table(sieve_phi(n_max, size)) == \
+            sieve_oracle.phi_values(n_max).tobytes()
+
+
+class TestSignedProduct:
+    @pytest.mark.parametrize("name,squarefree,oracle", [
+        ("mu", True, mu_oracle), ("lambda", False, lambda_oracle),
+    ], ids=["mu", "lambda"])
+    def test_the_product_is_the_sieved_part_of_n(self, name, squarefree, oracle):
+        # over the odd n, |s| is n over its one prime above sqrt(n_max), if
+        # any; mu's s is 0 exactly on the non-squarefree n
         n_max = 5000
         (lo, s), = _signed_segments(n_max, 1 << 20, squarefree)
-        for n, v in zip(range(lo, n_max + 1), s.tolist()):
+        assert lo == 1 and s.size == n_max // 2
+        for n, v in zip(range(lo, n_max + 1, 2), s.tolist()):
             f = factorize(n)
             if squarefree and max(f.values(), default=1) > 1:
                 assert v == 0, n
@@ -556,6 +642,11 @@ class TestSignedProduct:
             big = [p for p in f if p * p > n_max]
             assert abs(v) == n // (big[0] if big else 1), n
             assert (-1 if v < 0 else 1) * (-1) ** len(big) == oracle(n), n
+        # the even n: the table's values from n / 2 by the 2-adic rule
+        table = (sieve_mobius if squarefree else sieve_liouville)(n_max)
+        w = table.weight_array()
+        for n in range(2, n_max + 1, 2):
+            assert w[n] == TWO_ADIC[name](int(w[n // 2]), n // 2) == oracle(n), n
 
 
 class TestByteDecode:
