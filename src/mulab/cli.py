@@ -67,7 +67,9 @@ _PRESET_FLAGS = ("seed", "n", "m", "k", "trials", "jmax", "p", "x", "h")
 
 def _config_args(path: str, parser: argparse.ArgumentParser) -> list[str]:
     """The lines of a `key = value` file as `--flag=value` arguments of
-    `parser`, each key checked against its flags."""
+    `parser`, each key checked against its flags.  On `experiment` (the
+    parser with `--set`) a shorthand key becomes `--set=key=value`, so that
+    a `--set` of the command line, which comes later, still wins."""
     flags = {
         a.dest: a.option_strings[0] for a in parser._actions
         if a.option_strings and a.dest not in ("help", "config")
@@ -86,7 +88,10 @@ def _config_args(path: str, parser: argparse.ArgumentParser) -> list[str]:
                 f"{path}:{lineno}: unknown key {key!r}; allowed: "
                 + ", ".join(sorted(flags))
             )
-        args.append(f"{flags[key]}={text.strip()}")
+        if key in _PRESET_FLAGS and "set" in flags:
+            args.append(f"--set={key}={text.strip()}")
+        else:
+            args.append(f"{flags[key]}={text.strip()}")
     return args
 
 

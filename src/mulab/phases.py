@@ -18,7 +18,8 @@ polynomial and the bracket product a (3, count) uint64 array of num's
   half up as `frac(n)` rounds, with a negative beta in two's complement
 * power n^(a/b): iroot(n^a 2^(96 b), b) over an object array, masked
   (126-bit roots, so it stays on Python ints); its `check_range` refuses a
-  range whose roots would take more than `POWER_TIME_BUDGET_S`
+  range whose roots would take more than `POWER_TIME_BUDGET_S`, counting
+  one root per n although `frac_chunk` takes far fewer
 * concatenation, piece i (any phase) on [N_i, N_{i+1}): each piece's kernel
   on its part of the range, over the lcm of the pieces' units; its
   `check_range(n)` runs each piece's at the last n that piece covers
@@ -34,8 +35,12 @@ polynomial and the bracket product a (3, count) uint64 array of num's
 where the kernel gives limbs) and `frac_chunk` the correctly rounded float64
 num/unit.  From limbs that float rounds hi = num // 2^32 once and adds the
 exact remainder, so the final add is the only rounding; from ints it is
-float(num) 2^-96 for the unit 2^96 and the quotient otherwise.  The
-concatenations need Python ints, and build them from their pieces' limbs.
+float(num) 2^-96 for the unit 2^96 and the quotient otherwise.  The one
+shape with a `frac_chunk` of its own is the power: a screen in double-double
+(one Newton step from a float64 seed, with a certified bound) decides the
+float of most n without a root, and only the n it cannot decide take the
+kernel's exact root, so that it stays byte-identical to the derived one.
+The concatenations need Python ints, and build them from their pieces' limbs.
 The per-n `frac` and `value` of the polynomial, bracket and power shapes
 stay as the scalar reference.  Consumers walk n in batches of `CHUNK`.
 
@@ -338,6 +343,58 @@ class BracketPhase(Phase):
 
 _IROOT = np.frompyfunc(iroot, 2, 1)
 
+# Double-double arithmetic for PowerPhase's screen (Dekker 1971, "A
+# floating-point technique for extending the available precision"; Knuth,
+# TAOCP vol. 2, 4.2.2): a value is hi + lo, two float64 arrays, unevaluated.
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: hi + lo = a, each half of at most 26 bits, for
+    |a| < 2^996 (the product by 2^27 + 1 must not overflow)."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_prod(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p = fl(a b) and p + e = a b exactly."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_mul(xh, xl, yh, yl) -> tuple[np.ndarray, np.ndarray]:
+    """x y in double-double within 7u^2, relative (u = 2^-53; DWTimesDW1 of
+    Joldes, Muller and Popescu 2017, "Tight and rigorous error bounds for
+    basic building blocks of double-word arithmetic").  A low word of None
+    is zero, and x y is then exact when xl is None."""
+    ch, cl = _two_prod(xh, yh)
+    if xl is None:
+        return ch, cl
+    cl = cl + (xl * yh if yl is None else xh * yl + xl * yh)
+    hi = ch + cl
+    return hi, cl - (hi - ch)
+
+
+def _dd_pow(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """m^p in double-double for m in [1/2, 1), left to right over p's bits:
+    the squaring (and product by m) at bit i has its error raised to the
+    2^i, and those exponents sum below 2p, so within 16 p u^2, relative."""
+    hi, lo = m, None
+    for bit in bin(p)[3:]:
+        hi, lo = _dd_mul(hi, lo, hi, lo)
+        if bit == "1":
+            hi, lo = _dd_mul(hi, lo, m, None)
+    return hi, np.zeros_like(m) if lo is None else lo
+
 
 class PowerPhase(Phase):
     """f(n) = n^(num/den) as floor(n^(num/den) 2^96) by exact integer roots:
@@ -393,16 +450,106 @@ class PowerPhase(Phase):
                 f"exponent's terms")
 
     def _numerators(self, start: int, count: int) -> np.ndarray:
-        """iroot(n^num 2^(96 den), den) mod 2^96, in place over an object
-        array as in PolyPhase._numerators; zero when den = 1."""
+        """iroot(n^num 2^(96 den), den) mod 2^96 over an object array; zero
+        when den = 1."""
         if self.den == 1:
             return np.zeros(count, dtype=np.int64)
-        ns = np.arange(start, start + count, dtype=object)
+        return self._roots(np.arange(start, start + count, dtype=object))
+
+    def _roots(self, ns: np.ndarray) -> np.ndarray:
+        """iroot(n^num 2^(96 den), den) mod 2^96 for an object array of n,
+        in place as in PolyPhase._numerators: the exact root step."""
         ns **= self.num
         ns <<= FRAC_BITS * self.den
         _IROOT(ns, self.den, out=ns)
         ns &= SCALE - 1
         return ns
+
+    def frac_chunk(self, start: int, count: int) -> np.ndarray:
+        """Phase.frac_chunk, byte for byte, with a double-double screen in
+        front of the roots.  An n is decided when the interval
+        [f - E - 2^-96, f + E] that `_dd_frac` certifies to hold the exact
+        numerator's num/2^96 lies inside (0, 1) and inside the rounding cell
+        of fl(f): then every real in it rounds to fl(f), and so does num/2^96.
+        The cell's half-width is taken as the smaller half-gap, that below
+        fl(f), so a binade edge needs no case of its own.  Every other n
+        (n <= 0, perfect powers, where f = 0, non-finite or overflowing
+        intermediates, and n near a rounding boundary) takes the exact root,
+        in `_roots`.  A range that starts below 0 or ends past 2^53, where
+        n itself would round, takes only roots; den = 1 keeps its zeros.
+        The screen works in blocks of `_limbs.BLOCK` n, which keeps its
+        temporaries in cache."""
+        if self.den == 1 or not 0 <= start < start + count <= 1 << 53:
+            return Phase.frac_chunk(self, start, count)
+        out = np.empty(count)
+        exact = np.concatenate([a + self._screen(start + a, out[a : a + _limbs.BLOCK])
+                                for a in range(0, count, _limbs.BLOCK)])
+        if exact.size:
+            nums = self._roots((exact + start).astype(object))
+            out[exact] = nums.astype(np.float64) * 2.0 ** -FRAC_BITS  # exact scaling
+        return out
+
+    def _screen(self, start: int, out: np.ndarray) -> np.ndarray:
+        """fl(f) into `out` for n = start .. start + out.size - 1, and the
+        offsets of the n that the screen cannot decide."""
+        ns = np.arange(start, start + out.size, dtype=np.int64).astype(np.float64)
+        hi, lo, err = self._dd_frac(ns)
+        m, e = np.frexp(hi)
+        half_gap = np.ldexp(np.where(m == 0.5, 0.25, 0.5), e - 53)  # below hi
+        with np.errstate(invalid="ignore"):
+            # (1 + 2^-50) covers the two roundings of the sum on the left
+            ok = (np.abs(lo) + err + 2.0 ** -FRAC_BITS) * (1 + 2.0 ** -50) < half_gap
+        ok &= (hi > 0) & (hi < 1) & (ns > 0)
+        out[...] = hi
+        return np.flatnonzero(~ok)
+
+    def _dd_frac(self, nf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(hi, lo, E) per float64 n >= 1, with f = hi + lo in double-double,
+        hi = fl(f), and f - {n^(num/den)} within E of an integer; E is inf
+        (or nan) where the bound below does not hold.
+
+        Write b = den, y = n^(num/den) and u = 2^-53.  The seed is
+        y0 = fl(n^(num/den)) from numpy's power, which has no error
+        guarantee, so nothing below trusts it.  One Newton step for
+        y^b = X = n^num gives y1 = y0 + D, D = y0 (X/y0^b - 1)/b.  Both powers
+        are taken on the frexp mantissas (n = m 2^e, m in [1/2, 1)) so that
+        nothing overflows: X/y0^b = (m_n^num / m_y^b) 2^(e_n num - e_y b).
+
+        Rounding.  `_dd_pow` gives m^p within 16 p u^2, relative.  The
+        difference of the two scaled powers loses at most 2u of itself plus
+        9 u^2 of m_y^b, and the quotient for D three roundings and one of
+        using the high word of m_y^b; so the computed D' is within
+        e_D = 8u|D'| + y0 (16 (num + b) + 16) u^2 / b of D.
+
+        Newton.  With t = y/y0, t^b = 1 + b D / y0 =: 1 + s, and
+        y1 - y = (y0/b) (t^b - 1 - b (t - 1)) = y0 (b-1)/2 xi^(b-2) (t-1)^2
+        for some xi between 1 and t.  Where |s| <= 2^-40, which bounds t
+        from computed values alone, xi^(b-2) (t-1)^2 <= 2 (s/b)^2, so
+        0 <= y1 - y <= (b-1) D^2 / y0 <= (b-1) (|D'| + e_D)^2 / y0.
+
+        Fractional part.  k = floor(y0) and y0 - k are exact, and TwoSum
+        gives hi + lo = y0 - k + D' exactly.  So f - (y - k) is within
+        e_D + (b-1) (|D'| + e_D)^2 / y0 of 0.  E is twice that, for the
+        roundings in evaluating it; it is set to inf where
+        b (|D'| + e_D) > 2^-40 y0."""
+        num, b, u = self.num, self.den, 2.0 ** -53
+        with np.errstate(all="ignore"):
+            y0 = np.power(nf, num / b)
+            mn, en = np.frexp(nf)
+            my, ey = np.frexp(y0)
+            xh, xl = _dd_pow(mn, num)
+            ph, pl = _dd_pow(my, b)
+            shift = en * num - ey * b
+            xh, xl = np.ldexp(xh, shift), np.ldexp(xl, shift)
+            s, e = _two_sum(xh, -ph)
+            diff = s + (e + (xl - pl))
+            step = y0 * (diff / ph) / b
+            size = np.abs(step)
+            e_step = 8 * u * size + y0 * ((16 * (num + b) + 16) * u * u / b)
+            err = 2 * (e_step + (b - 1) * (size + e_step) ** 2 / y0)
+            err[b * (size + e_step) > 2.0 ** -40 * y0] = np.inf
+            hi, lo = _two_sum(y0 - np.floor(y0), step)
+        return hi, lo, err
 
 
 power_phase = PowerPhase

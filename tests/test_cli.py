@@ -328,6 +328,21 @@ class TestConfigFile:
         manifest = json.loads((tmp_path / "bundle" / "manifest.json").read_text())
         assert manifest["parameters"]["n"] == 1500
 
+    @pytest.mark.parametrize("flags", [["--set", "n=1700"], ["--n", "1700"]])
+    def test_command_line_beats_a_config_shorthand_line(self, tmp_path, flags):
+        # a config line `n = 1500` is read as `set = n=1500`
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n = 1500\n")
+        assert run(["experiment", "round-trips", "--config", str(cfg), *flags,
+                    "--out-dir", str(tmp_path / "bundle")]) == 0
+        manifest = json.loads((tmp_path / "bundle" / "manifest.json").read_text())
+        assert manifest["parameters"]["n"] == 1700
+
+    def test_a_shorthand_flag_still_beats_set(self, tmp_path, capsys):
+        assert run(["experiment", "value-bound", "--trials", "5",
+                    "--set", "trials=9"]) == 0
+        assert "trials = 5" in capsys.readouterr().out
+
     def test_config_bad_value_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("fn = bogus\n")

@@ -16,6 +16,7 @@ from mulab.errors import ParseError, PrecisionError, ResourceBudgetError
 from mulab.exact_calculus import lagrange_coeff
 from mulab.fixedpoint import FRAC_BITS, SCALE, FixedReal, iroot, sqrt_const
 from mulab.phases import (
+    CHUNK,
     BracketPhase,
     ConcatPhase,
     GeometricSchedule,
@@ -581,7 +582,9 @@ def lagrange_windows(draw):
 
 
 class TestBatchKernels:
-    @given(st.integers(1, 7), st.integers(1, 5),
+    # every exponent the shape takes: the screen in frac_chunk falls back on
+    # this kernel
+    @given(st.integers(1, 64), st.integers(1, 64),
            st.one_of(st.integers(0, 3000), st.integers(10 ** 9, 10 ** 12)), st.integers(1, 40))
     def test_power_kernel_matches_value(self, num, den, start, count):
         p = PowerPhase(num, den)
@@ -630,11 +633,13 @@ class TestBatchKernels:
         assert phase.frac_chunk(start, count).tolist() == [num / unit for num in nums]
 
     def test_only_phase_defines_the_derived_methods(self):
+        # but the power's frac_chunk, a screen in front of the kernel that
+        # TestPowerScreen holds byte-identical to Phase.frac_chunk
         shapes = (PolyPhase, BracketPhase, PowerPhase, TablePhase, ConcatPhase,
                   ScheduledLagrangeConcat)
         for cls in shapes:
             assert cls.frac_units is Phase.frac_units
-            assert cls.frac_chunk is Phase.frac_chunk
+            assert (cls.frac_chunk is Phase.frac_chunk) == (cls is not PowerPhase)
 
     def test_table_phase_takes_an_oracle_only(self):
         t = TablePhase(lambda n: FixedReal(n << (FRAC_BITS - 2), 1), err_ulp=1, label="q")
@@ -662,6 +667,152 @@ class TestBatchKernels:
             assert err * SCALE <= concat.err_ulp_at(n)
             worst = max(worst, err)
         assert worst > 0  # the rounding does show
+
+
+def spy_roots(monkeypatch) -> list[int]:
+    """The n that PowerPhase._roots is given from here on, in order."""
+    seen: list[int] = []
+    real = PowerPhase._roots
+
+    def spy(self, ns):
+        seen.extend(ns.tolist())  # before the roots overwrite them
+        return real(self, ns)
+
+    monkeypatch.setattr(PowerPhase, "_roots", spy)
+    return seen
+
+
+def budget_end(p: PowerPhase) -> int:
+    """The largest 2^j <= 2^40 up to which p's time budget lets a range go."""
+    for j in range(40, 0, -1):
+        try:
+            p.check_range(1 << j)
+        except ResourceBudgetError:
+            continue
+        return 1 << j
+    return 1
+
+
+def near_boundary(num: int) -> bool:
+    """num/2^96 lies within 2^-64 of 0, of 1, or of the edge of its float64's
+    rounding cell, that edge taken at the smaller half-gap as the screen
+    takes it: the n the screen may leave to the roots (at n <= 2^20, where
+    its bound E is below 2^-68)."""
+    if not 1 << 32 < num < SCALE - (1 << 32):
+        return True
+    d = float(num)  # correctly rounded
+    m, e = math.frexp(d)
+    half_gap = math.ldexp(0.25 if m == 0.5 else 0.5, e - 53)
+    return abs(num - int(d)) + (1 << 32) >= half_gap
+
+
+class TestPowerScreen:
+    """PowerPhase.frac_chunk decides most n in double-double and is byte for
+    byte Phase.frac_chunk, which takes every root."""
+
+    @given(st.integers(1, 64), st.integers(1, 64), st.integers(1, 16), st.floats(0, 1))
+    def test_byte_identical_over_every_exponent(self, num, den, count, where):
+        """At the start of the range the time budget allows, at its end and
+        at a drawn point, log-uniform, in between."""
+        p = PowerPhase(num, den)
+        end = budget_end(p) - count
+        for start in (0, int(end ** where), end):
+            assert (p.frac_chunk(start, count).tobytes()
+                    == Phase.frac_chunk(p, start, count).tobytes())
+
+    @pytest.mark.parametrize("start", [0, 2 * 10 ** 5, 10 ** 7, 2 * 10 ** 7 - (1 << 16)])
+    def test_byte_identical_on_whole_chunks(self, start):
+        p = PowerPhase(3, 2)
+        assert (p.frac_chunk(start, CHUNK).tobytes()
+                == Phase.frac_chunk(p, start, CHUNK).tobytes())
+
+    EDGES = {
+        # perfect powers: f = 0, which the screen sees as 0, as just above 0
+        # or (a seed below the integer) as just below 1
+        "squares, pow:3/2": (3, 2, [1, 4, 9, 10 ** 6, 4471 ** 2]),
+        "sixth powers, pow:7/6": (7, 6, [2 ** 6, 3 ** 6, 10 ** 6, 100 ** 6]),
+        "cubes, pow:1/3": (1, 3, [8, 27, 10 ** 9, 99999 ** 3]),
+        # {(m^2 + 1)^(3/2)} is about 3/(8m) for even m: f near 0, where
+        # float64's cells are finer than the bound
+        "m^2 + 1, pow:3/2": (3, 2, [4000 ** 2 + 1, 4096 ** 2 + 1]),
+        "n = 0": (5, 3, [0]),
+    }
+
+    @pytest.mark.parametrize("name", EDGES)
+    def test_forced_edges_take_the_roots(self, monkeypatch, name):
+        num, den, ns = self.EDGES[name]
+        p = PowerPhase(num, den)
+        if name.startswith("cubes"):
+            hi = p._dd_frac(np.array(ns[1:], dtype=np.float64))[0]
+            assert (hi > 0.5).all()  # the screen's f is near 1 here
+        seen = spy_roots(monkeypatch)
+        for n in ns:
+            got = p.frac_chunk(n, 1)
+            assert seen[-1] == n
+            assert got.tobytes() == Phase.frac_chunk(p, n, 1).tobytes()
+
+    def test_the_scans_extremes_take_roots(self, monkeypatch):
+        """By an exact scan of a chunk: the n whose numerator lies closest
+        to a float64 midpoint, and the n with the smallest numerator."""
+        p = PowerPhase(3, 2)
+        start = 2 * 10 ** 7 - CHUNK
+        nums = p._numerators(start, CHUNK).tolist()
+
+        def to_midpoint(num: int) -> F:
+            """Distance from num to the nearest midpoint of two float64s, in
+            ulps of num."""
+            s = num.bit_length() - 53
+            if s < 1:
+                return F(1)  # num is a float64
+            r = num & ((1 << s) - 1)
+            return F(abs(2 * r - (1 << s)), 1 << (s + 1))
+
+        edges = [start + min(range(CHUNK), key=lambda i: to_midpoint(nums[i])),
+                 start + min(range(CHUNK), key=nums.__getitem__)]
+        seen = spy_roots(monkeypatch)
+        for n in edges:
+            got = p.frac_chunk(n - 2, 5)
+            assert n in seen
+            assert got.tobytes() == Phase.frac_chunk(p, n - 2, 5).tobytes()
+
+    def test_a_range_past_2_53_takes_only_roots(self, monkeypatch):
+        p = PowerPhase(1, 2)
+        seen = spy_roots(monkeypatch)
+        start = (1 << 53) - 3
+        got = p.frac_chunk(start, 6)
+        assert seen == list(range(start, start + 6))
+        assert got.tobytes() == Phase.frac_chunk(p, start, 6).tobytes()
+
+    @pytest.mark.parametrize("start", [1 << 16, 2 * 10 ** 5, 1 << 20])
+    def test_roots_only_where_the_screen_cannot_decide(self, monkeypatch, start):
+        p = PowerPhase(3, 2)
+        near = {start + i for i, num in enumerate(p._numerators(start, CHUNK).tolist())
+                if near_boundary(num)}
+        seen = spy_roots(monkeypatch)
+        p.frac_chunk(start, CHUNK)
+        assert len(seen) < 0.01 * CHUNK
+        assert set(seen) <= near
+        # the longest run with no perfect power and no near-boundary n
+        # takes no root at all
+        edges = sorted(near | {start - 1, start + CHUNK})
+        lo, hi = max(zip(edges, edges[1:]), key=lambda e: e[1] - e[0])
+        seen.clear()
+        p.frac_chunk(lo + 1, hi - lo - 1)
+        assert hi - lo - 1 > 100 and seen == []
+
+    @given(st.integers(2, 64), st.integers(1, 64), st.data())
+    def test_the_bound_holds(self, den, num, data):
+        """|f - {n^(num/den)}| <= E, on the circle, against a root with 160
+        fractional bits, at n whose seed n^(num/den) is finite."""
+        bits = min(40, 900 * den // num)
+        ns = [int(2 ** x) for x in data.draw(st.lists(st.floats(1, bits),
+                                                        min_size=1, max_size=8))]
+        hi, lo, err = PowerPhase(num, den)._dd_frac(np.array(ns, dtype=np.float64))
+        assert np.isfinite(err).all()
+        for n, h, l, e in zip(ns, hi.tolist(), lo.tolist(), err.tolist()):
+            root = iroot(n ** num << (160 * den), den)  # floor(y 2^160)
+            d = (F(h) + F(l) - F(root, 1 << 160)) % 1
+            assert min(d, 1 - d) <= F(e) + F(1, 1 << 160)
 
 
 @given(st.lists(st.tuples(st.integers(0, 400), st.integers(1, 30), st.integers(0, 40)),
