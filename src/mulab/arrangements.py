@@ -5,12 +5,18 @@ A piece is a nonempty intersection P_1 cap ... cap P_m with each P_j one of
 over {+1, -1, 0}, or a face of the arrangement.
 
 `count_pieces` and `enumerate_pieces` both start from the intersection
-lattice (the nonempty intersections of the distinct planes, each kept as an
-integer echelon form) and solve no feasibility problem.  `count_pieces`
-sums |mu(X, Y)| over pairs of flats X <= Y (Zaslavsky, "Facing up to
-arrangements", 1975); `enumerate_pieces` takes every split of a region and
-every witness from it (the incremental construction of Edelsbrunner,
-O'Rourke & Seidel, SIAM J. Comput. 1986).
+lattice, the nonempty intersections (flats) of the distinct planes, and
+solve no feasibility problem.  A flat is keyed by its closure, the set of
+planes that contain it, and is made once.  A plane that meets a flat in
+none of the children already made (from its other parents) is reduced once
+against the flat's integer echelon rows, and each class of equal primitive
+residuals is one new child, one rank up.  `count_pieces` sums |mu(X, Y)| over
+pairs of flats X <= Y (Zaslavsky, "Facing up to arrangements", 1975), in
+closed form, 2^rank(Y), when Y's closure holds rank(Y) planes and the
+interval below it is Boolean; `enumerate_pieces` takes every split of a
+region and every witness from it (the incremental construction of
+Edelsbrunner, O'Rourke & Seidel, SIAM J. Comput. 1986), reading each
+flat's meet with a plane from the lattice.
 """
 
 from __future__ import annotations
@@ -32,13 +38,15 @@ _DIGITS = {1: 0, -1: 1, 0: 2}
 
 # enumerate_pieces budget: the largest m * piece_bound(m, k), the signs its
 # output may hold, that it takes on.  On a 2-core Xeon VM, general position
-# near the limit took 4-13 us and at most 280 B of tracemalloc peak per sign
-# (m=315, k=1: 0.75 s, 20 B; m=13, k=4: 1.6 s, 121 B; m=9, k=9: 2.3 s,
-# 279 B): about 110 us per piece at k = 4.
+# near the limit took 2-10 us and at most 280 B of tracemalloc peak per sign
+# (m=315, k=1: 0.43-0.63 s, 19 B; m=13, k=4: 0.73-1.4 s, 114 B; m=9, k=9:
+# 1.1-1.8 s, 272 B): 50-100 us per piece at k = 4.
 MAX_ENUM_SIGNS = 200_000
-# count_pieces budget: the largest piece_bound(m, k) it takes on.  Its cost
-# tracks that bound, 6-17 us per unit on a 2-core Xeon VM (general position
-# m=24, k=4: 1.7 s; m=16, k=5: 1.2 s; 1e5 points on a line: 3.5 s).
+# count_pieces budget: the largest piece_bound(m, k) it takes on.  On a
+# 2-core Xeon VM general position takes under 1 us per unit of that bound
+# (m=24, k=4: 0.14 s; m=16, k=5: 0.08 s).  Points on a line take 10 us per
+# unit, and memory that grows as m^2 in their closure bitmasks (99,999
+# points: 2.0 s, 750 MiB peak RSS).
 MAX_COUNT_BOUND = 200_000
 
 
@@ -113,9 +121,11 @@ def _checked_dim(arr: Sequence[Hyperplane]) -> int:
 # the intersection lattice
 #
 # A row (a_1, ..., a_k, c) stands for the plane a.x = c.  A flat is kept as
-# the integer reduced echelon form of its planes' rows: primitive rows with
-# positive pivots, ordered by pivot, zero in every other row's pivot column.
-# That form is unique, so its tuple of rows is the flat's key.
+# an integer echelon form, a tuple of (pivot, row) pairs: its parent's pairs
+# plus one residual row, each row primitive with a positive pivot (its first
+# nonzero normal entry) and zero in the pivot columns of the rows before it.
+# A flat's key is its closure, the bitmask of the distinct planes that
+# contain it: a flat is the intersection of its closure, so no two share one.
 
 
 def _primitive(row: tuple[int, ...]) -> tuple[int, ...]:
@@ -135,71 +145,107 @@ def _distinct_planes(arr: Sequence[Hyperplane]) -> list[tuple[int, ...]]:
     return list(out)
 
 
-def _meet(pivots, rows, plane, dim):
-    """(pivots, rows) of flat cap plane for a plane not containing the flat,
-    or None when the plane is parallel to it."""
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask >= 0, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _residual(plane, flat):
+    """The plane's row less a combination of the flat's rows that clears
+    every pivot column of the flat.  The rows are taken in order: each is
+    zero in the pivot columns before its own, so a cleared column stays
+    clear."""
     r = plane
-    for p, row in zip(pivots, rows):  # clear r in the flat's pivot columns
+    for p, row in flat:
         f = r[p]
         if f:
             e = row[p]
             r = tuple(e * x - f * y for x, y in zip(r, row))
-    q = next((i for i in range(dim) if r[i]), None)
-    if q is None:
-        return None
-    r = _primitive(r if r[q] > 0 else tuple(-x for x in r))
-    e = r[q]
-    out = []
-    for p, row in zip(pivots, rows):
-        f = row[q]
-        if f:
-            row = _primitive(tuple(e * x - f * y for x, y in zip(row, r)))
-        out.append((p, row))
-    out.append((q, r))
-    out.sort()
-    return tuple(p for p, _ in out), tuple(row for _, row in out)
+    return r
 
 
 def _lattice(planes, dim):
-    """(flats, closure, below, index) of the nonempty intersections of the
-    planes, built breadth-first by rank: each is the meet of a flat one rank
-    lower with a plane, and the planes that give the same meet are exactly
-    the ones added to that flat's closure.  index maps rows to flats."""
-    flats = [((), ())]          # (pivots, rows); indices grow with rank
-    closure = [0]               # bitmask of the planes containing the flat
-    below = [{0}]               # flats containing this one, itself included
-    index = {(): 0}
-    level = [0]
-    while level:
-        nxt = []
+    """(flats, closure, meets) of the nonempty intersections of the planes,
+    built breadth-first by rank, each flat made once; indices grow with rank.
+    meets[x] maps each plane j that cuts flat x (neither contains it nor
+    misses it) to the flat x cap plane j, one rank up.
+
+    The children of a flat x of rank r come in three steps.
+    * Known children first: the flats y of rank r + 1 made so far with
+      closure[y] a superset of closure[x], which are the ones inside x since
+      a flat is the intersection of its closure.  A plane in closure[y] but
+      not closure[x] contains y and not x, so it meets x in a flat of rank
+      r + 1 through y, which is y: its meet is y and it needs no reduction.
+    * Every other plane outside closure[x] is reduced once against x's rows.
+      A residual with a zero normal part is (0, ..., 0, c) with c nonzero,
+      as the plane does not contain x, so the plane misses x: it is
+      parallel to x.  Otherwise the residual is, up to scale, the one
+      vector in the span of x's rows and the plane that is zero in x's
+      pivot columns, so two planes meet x in the same flat exactly when
+      their residuals have the same primitive, sign-normalised form.  Each
+      such class G is one new child y: x's rows plus the residual.
+    * closure[y] = closure[x] | G exactly.  A plane through y outside
+      closure[x] meets x in y; were it in a known child's closure, y would
+      be that child and not new, so it was reduced, and its residual is in
+      y's class.
+    """
+    full = (1 << len(planes)) - 1
+    flats = [()]
+    closure = [0]
+    meets = [{}]
+    level = range(1)
+    for rank in range(dim):  # a point, of rank dim, has no children
+        start = len(flats)
+        # per plane, bit y - start for each flat y of rank + 1 through it;
+        # the root, alone at rank 0, has no known children
+        holders = [0] * len(planes) if rank else None
         for x in level:
-            pivots, rows = flats[x]
-            if len(rows) == dim:  # a point: every other plane misses it
-                continue
-            done = closure[x]
-            for j, plane in enumerate(planes):
-                if done >> j & 1:
-                    continue
-                meet = _meet(pivots, rows, plane, dim)
-                if meet is None:
-                    continue
-                y = index.get(meet[1])
-                if y is None:
-                    y = index[meet[1]] = len(flats)
-                    flats.append(meet)
-                    closure.append(closure[x])
-                    below.append({y})
-                    nxt.append(y)
-                closure[y] |= 1 << j
-                below[y] |= below[x]
-                done |= closure[y]
-        level = nxt
-    return flats, closure, below, index
+            flat, mine, children = flats[x], closure[x], meets[x]
+            seen, through = mine, _bits(mine)
+            if holders is not None:
+                known = (1 << (len(flats) - start)) - 1
+                for j in through:
+                    known &= holders[j]
+                for i in _bits(known):
+                    y = start + i
+                    for j in _bits(closure[y] & ~mine):
+                        children[j] = y
+                    seen |= closure[y]
+            classes: dict[tuple, list[int]] = {}
+            for j in _bits(full & ~seen):
+                r = _residual(planes[j], flat)
+                for q in range(dim):  # all zero: plane j is parallel to x
+                    if r[q]:
+                        key = (q, _primitive(r if r[q] > 0 else tuple(-c for c in r)))
+                        classes.setdefault(key, []).append(j)
+                        break
+            for key, group in classes.items():
+                y = len(flats)
+                flats.append((*flat, key))
+                meets.append({})
+                bits = mine
+                for j in group:
+                    children[j] = y
+                    bits |= 1 << j
+                closure.append(bits)
+                if holders is not None:
+                    for j in through + group:
+                        holders[j] |= 1 << (y - start)
+        level = range(start, len(flats))
+    return flats, closure, meets
 
 
 def count_pieces(arr: Sequence[Hyperplane]) -> int:
     """Number of nonempty pieces cut by the arrangement: the sum over flats
-    X <= Y (Y contained in X) of |mu(X, Y)|, with mu from the recursion
+    X <= Y (Y contained in X) of |mu(X, Y)|.  A flat Y whose closure holds
+    exactly rank(Y) planes has independent normals, so the flats X <= Y are
+    the intersections of the subsets of its closure, a Boolean lattice, and
+    its term is 2^rank(Y).  Any other Y takes mu from the recursion
     mu(Z, Y) = -sum_{Z < W <= Y} mu(W, Y).  Arrangements with
     piece_bound(m, k) > MAX_COUNT_BOUND raise ResourceBudgetError.
     """
@@ -211,12 +257,21 @@ def count_pieces(arr: Sequence[Hyperplane]) -> int:
             f"arrangement m={m}, k={dim} may have {bound} pieces, beyond the "
             f"count budget of {MAX_COUNT_BOUND}"
         )
-    _, _, below, _ = _lattice(_distinct_planes(arr), dim)
+    flats, closure, meets = _lattice(_distinct_planes(arr), dim)
     total = 0
-    for y, lower in enumerate(below):
-        acc = dict.fromkeys(lower, 0)
+    below = None  # below[y]: the flats containing y, y itself included
+    for y, flat in enumerate(flats):
+        if closure[y].bit_count() == len(flat):
+            total += 1 << len(flat)
+            continue
+        if below is None:
+            below = [{x} for x in range(len(flats))]
+            for x, children in enumerate(meets):  # parents before children
+                for z in set(children.values()):
+                    below[z] |= below[x]
+        acc = dict.fromkeys(below[y], 0)
         acc[y] = 1
-        for w in sorted(lower, reverse=True):  # every W > Z comes before Z
+        for w in sorted(below[y], reverse=True):  # every W > Z comes before Z
             mu = acc[w]
             total += abs(mu)
             for z in below[w]:
@@ -239,10 +294,27 @@ class PieceEnumeration:
         return len(self.sign_vectors)
 
 
-def _frame(pivots, rows, dim):
-    """((u, den), directions) of a flat, from the null space of its rows
-    (a, c): one integer vector v per free column f, v_f = den the lcm of the
-    pivots.  f < dim gives a direction, f = dim the point -v / den."""
+def _reduced(flat):
+    """(pivots, rows) of a flat's integer reduced echelon form: its echelon
+    rows with each pivot column cleared in every other row, each row
+    primitive with a positive pivot, ordered by pivot.  That form is unique,
+    so a frame does not depend on the order the rows were found in."""
+    out = []
+    for q, r in flat:
+        e = r[q]
+        out = [(p, _primitive(tuple(e * x - row[q] * y for x, y in zip(row, r)))
+                if row[q] else row) for p, row in out]
+        out.append((q, r))
+    out.sort()
+    return tuple(p for p, _ in out), tuple(row for _, row in out)
+
+
+def _frame(flat, dim):
+    """((u, den), directions) of a flat, from the null space of the rows
+    (a, c) of its reduced echelon form: one integer vector v per free column
+    f, v_f = den the lcm of the pivots.  f < dim gives a direction, f = dim
+    the point -v / den."""
+    pivots, rows = _reduced(flat)
     den = math.lcm(*(row[p] for p, row in zip(pivots, rows)))
     null = []
     for f in range(dim + 1):
@@ -279,20 +351,20 @@ def enumerate_pieces(arr: Sequence[Hyperplane]) -> PieceEnumeration:
             f"the enumeration budget of {MAX_ENUM_SIGNS}"
         )
     planes = _distinct_planes(arr)
-    flats, closure, _, index = _lattice(planes, dim)
-    frames = [_frame(pivots, rows, dim) for pivots, rows in flats]
+    flats, closure, meets = _lattice(planes, dim)
+    frames = [_frame(flat, dim) for flat in flats]
     # flat -> {(bitmask of + planes, bitmask of - planes): witness (u, den)};
     # before any plane, a flat is its one region
     regions = [{(0, 0): point} for point, _ in frames]
     for j, plane in enumerate(planes):
         bit = 1 << j
-        for x, (pivots, rows) in enumerate(flats):
+        for x, children in enumerate(meets):
             if closure[x] & bit:
                 continue  # sign 0 sets no bit
-            meet = None if len(rows) == dim else _meet(pivots, rows, plane, dim)
+            y = children.get(j)
             split = {}
-            if meet is not None:  # the plane cuts X in the flat Y = meet
-                split = regions[index[meet[1]]]
+            if y is not None:  # the plane cuts X in the flat Y
+                split = regions[y]
                 d = next(d for d in frames[x][1] if _value(plane, d, 0))
                 if _value(plane, d, 0) < 0:
                     d = tuple(-c for c in d)

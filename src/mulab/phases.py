@@ -398,7 +398,9 @@ def _dd_pow(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 class PowerPhase(Phase):
     """f(n) = n^(num/den) as floor(n^(num/den) 2^96) by exact integer roots:
-    within one ulp, exact when den = 1."""
+    within one ulp, exact when den = 1.  num/den is kept in lowest terms, so
+    pow:4/2 takes no root and pow:6/4 is pow:3/2; `describe` keeps the
+    exponent as written."""
 
     #: largest num and den: a root at 64/63 takes about 1 ms per n (one core of
     #: a 2-core Xeon VM), and exponents such as 1/10^5 would never finish
@@ -410,10 +412,12 @@ class PowerPhase(Phase):
         if max(num, den) > self._MAX_TERM:
             raise ValueError(f"power exponent {num}/{den} needs num and den "
                              f"<= {self._MAX_TERM}")
-        self.num, self.den = num, den
+        g = math.gcd(num, den)
+        self.num, self.den = num // g, den // g
+        self._written = f"pow:{num}/{den}"
 
     def describe(self) -> str:
-        return f"pow:{self.num}/{self.den}"
+        return self._written
 
     def value(self, n: int) -> FixedReal:
         root = iroot((n ** self.num) << (FRAC_BITS * self.den), self.den)

@@ -1,18 +1,21 @@
 """Piece enumeration: fixed examples with known counts, witness-certified
 random arrangements, the counting bound and its recursion, exact
-classification, and the lattice count and enumeration against the
-Fourier-Motzkin oracle."""
+classification, the lattice count and enumeration against the
+Fourier-Motzkin oracle, and the lattice against the one it replaced."""
 
+import hashlib
 import inspect
 import json
 import math
 import random
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lattice_oracle
 import mulab.arrangements
 from fm_oracle import fm_oracle
 from mulab.errors import ResourceBudgetError
@@ -403,6 +406,17 @@ class TestLatticeCount:
         assert count_pieces(arr) == piece_bound(12, 4) == 9969
         assert time.perf_counter() - start < 10.0
 
+    def test_general_position_at_the_count_budget(self):
+        # m = 24, k = 4 is the largest general position within
+        # MAX_COUNT_BOUND at k = 4; it counts in about 0.14 s on a 2-core
+        # Xeon VM, and the bound leaves room for slow hosts
+        rng = random.Random(5)
+        arr = [hyperplane([rng.randrange(-999, 1000) for _ in range(4)],
+                          rng.randrange(-999, 1000)) for _ in range(24)]
+        start = time.perf_counter()
+        assert count_pieces(arr) == piece_bound(24, 4) == 187_361 <= MAX_COUNT_BOUND
+        assert time.perf_counter() - start < 5.0
+
     def test_input_errors_kept(self, monkeypatch):
         for pieces in (count_pieces, enumerate_pieces):
             with pytest.raises(ValueError):
@@ -438,3 +452,118 @@ class TestLatticeCount:
         assert en.count == count_pieces(arr) == piece_bound(8, 4) == 1697
         for sv, w in zip(en.sign_vectors, en.witnesses):
             assert classify_point(w, arr) == sv
+
+
+# ---------------------------------------------------------------------------
+# the lattice against the one it replaced, and the enumeration against its
+# frozen output
+
+
+def pencil(rng, m, k):
+    """1 <= m <= 12 distinct planes in R^k, k >= 2, through one flat of
+    codimension 2: the combinations s A + t B of two rows with independent
+    normals, for pairwise independent (s, t).  With m >= 3, that flat is
+    the only one of rank >= 2, and its closure holds all m planes."""
+    while True:
+        a, b = ([rng.randrange(-3, 4) for _ in range(k)] for _ in range(2))
+        if any(x * y2 != y * x2 for x, y in zip(a, b) for x2, y2 in zip(a, b)):
+            break
+    ca, cb = rng.randrange(-3, 4), rng.randrange(-3, 4)
+    weights = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2),
+               (3, 1), (1, 3), (3, -1), (1, -3)]
+    rng.shuffle(weights)
+    return [hyperplane([s * x + t * y for x, y in zip(a, b)], s * ca + t * cb)
+            for s, t in weights[:m]]
+
+
+def assert_matches_old_lattice(arr):
+    """The same count, the same flats (closure and reduced echelon form)
+    and, for every flat and every plane outside its closure, the same meet
+    as the lattice that `lattice_oracle` keeps."""
+    A = mulab.arrangements
+    assert count_pieces(arr) == lattice_oracle.count_pieces(arr), arr
+    planes, dim = A._distinct_planes(arr), A._checked_dim(arr)
+    flats, closure, meets = A._lattice(planes, dim)
+    assert len(set(closure)) == len(flats)
+    old = lattice_oracle.flats_by_closure(arr)
+    assert {c: A._reduced(f) for c, f in zip(closure, flats)} == old
+    for x, (flat, mine) in enumerate(zip(flats, closure)):
+        pivots, rows = old[mine]
+        for j, plane in enumerate(planes):
+            if mine >> j & 1:
+                assert j not in meets[x]
+                continue
+            meet = None if len(rows) == dim else lattice_oracle._meet(pivots, rows, plane, dim)
+            y = meets[x].get(j)
+            assert (meet is None) == (y is None)
+            if y is not None:
+                assert A._reduced(flats[y]) == meet
+                assert closure[y] & mine == mine and closure[y] >> j & 1
+
+
+class TestLatticeOracle:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_the_old_lattice(self, data):
+        kind = data.draw(st.sampled_from(KINDS + ("general", "pencil")), label="kind")
+        k = data.draw(st.integers(2 if kind == "pencil" else 1, 4), label="k")
+        m = data.draw(st.integers(1, 12 if kind == "pencil" else 10), label="m")
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        if kind == "general":  # wide coefficients land in general position
+            arr = rand_arrangement(rng, m, k, span=999)
+        elif kind == "pencil":
+            arr = pencil(rng, m, k)
+        else:
+            arr = degenerate_arrangement(rng, m, k, kind)
+        assert_matches_old_lattice(arr)
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 4))
+    def test_every_kind_up_to_ten_planes(self, k):
+        rng = random.Random(113 + k)
+        for m in range(1, 11):
+            assert_matches_old_lattice(rand_arrangement(rng, m, k, span=999))
+            for kind in KINDS:
+                assert_matches_old_lattice(degenerate_arrangement(rng, m, k, kind))
+            if k > 1:
+                assert_matches_old_lattice(pencil(rng, m, k))
+
+    @pytest.mark.parametrize("k", (2, 3, 4))
+    def test_pencils_are_not_simple(self, k):
+        # m planes through one flat of codimension 2: 2m open pieces, 2m
+        # pieces on one plane only and the flat itself; the one flat of rank
+        # 2 holds m planes, so the count runs the Moebius recursion
+        rng = random.Random(41 + k)
+        A = mulab.arrangements
+        for m in range(3, 13):
+            arr = pencil(rng, m, k)
+            flats, closure, _ = A._lattice(A._distinct_planes(arr), k)
+            assert [len(f) for f in flats] == [0] + [1] * m + [2]
+            assert closure[-1].bit_count() == m > 2
+            assert count_pieces(arr) == 4 * m + 1
+            assert_matches_old_lattice(arr)
+
+
+FROZEN_ENUMERATION = Path(__file__).with_name("enumerate_pieces_frozen.json")
+
+
+def frozen_cases():
+    """(name, arrangement) for each kind of `degenerate_arrangement`, m <= 6
+    and k <= 4, from one seeded stream."""
+    rng = random.Random(2029)
+    for k in (1, 2, 3, 4):
+        for m in range(1, 7):
+            for kind in KINDS:
+                yield f"{kind} m={m} k={k}", degenerate_arrangement(rng, m, k, kind)
+
+
+def enumeration_digest(en):
+    text = repr((en.sign_vectors, en.witnesses))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_enumeration_output_is_frozen():
+    """Sign vectors and witnesses, down to each Fraction, as digests of the
+    output of the enumeration before the lattice was keyed by closure."""
+    want = json.loads(FROZEN_ENUMERATION.read_text())
+    assert {name: enumeration_digest(enumerate_pieces(arr))
+            for name, arr in frozen_cases()} == want

@@ -496,6 +496,16 @@ class TestMalformedInputs:
         assert "needs num and den <= 64" in capsys.readouterr().err
         assert run(["sum", "--weights", "one:100", "--phase", "pow:64/63", "--n", "100"]) == 0
 
+    def test_power_exponent_reads_as_written(self, tmp_path, capsys):
+        out = tmp_path / "sum.json"
+        assert run(["sum", "--weights", "one:100", "--phase", "pow:6/4", "--n", "100",
+                    "--out-json", str(out)]) == 0
+        assert "e(pow:6/4)" in capsys.readouterr().out
+        assert json.loads(out.read_text())["phase"] == "pow:6/4"
+        assert run(["correlate", "--mode", "shift", "--phase", "pow:6/4", "--shift", "1",
+                    "--n", "100000000"]) == 4
+        assert "pow:6/4 up to n=100000000 needs about" in capsys.readouterr().err
+
     def test_power_over_its_time_budget_exits_4_at_once(self, capsys):
         t0 = time.perf_counter()
         assert run(["sum", "--weights", "one:1000000", "--phase", "pow:64/63",

@@ -238,6 +238,30 @@ class TestPowerPhase:
         true = mpmath.frac(mpmath.power(10 ** 6, mpmath.mpf(64) / 63))
         assert abs(got - float(true)) <= err + 1e-15
 
+    def test_an_integer_exponent_over_a_denominator_takes_no_root(self, monkeypatch):
+        monkeypatch.setattr(PowerPhase, "_roots", None)  # no root may run
+        p = parse_phase("pow:4/2")
+        assert (p.num, p.den) == (2, 1)
+        assert not p.frac_chunk(5, 100).any()
+        assert p.err_ulp_at(10 ** 6) == 0
+        p.check_range(10 ** 12)  # no roots, no time budget
+
+    def test_an_exponent_is_taken_in_lowest_terms(self):
+        p, q = PowerPhase(6, 4), PowerPhase(3, 2)
+        for start in (0, 12_345, 10 ** 7):
+            assert (p._numerators(start, 300) == q._numerators(start, 300)).all()
+            assert p.frac_chunk(start, 300).tobytes() == q.frac_chunk(start, 300).tobytes()
+        assert p._root_seconds(10 ** 6) == q._root_seconds(10 ** 6)
+
+    def test_an_exponent_reads_as_written(self, monkeypatch):
+        monkeypatch.setattr(PowerPhase, "_numerators", None)  # no root may run
+        p = parse_phase("pow:6/4")
+        assert p.describe() == "pow:6/4"
+        with pytest.raises(ResourceBudgetError, match="^pow:6/4 up to n=1000000000 needs"):
+            p.check_range(10 ** 9)
+        with pytest.raises(ValueError, match="power exponent 128/64 needs num and den <= 64"):
+            PowerPhase(128, 64)  # the written terms are checked
+
     def test_the_presets_sizes_are_within_the_budget(self):
         """pnt-trend averages pow:3/2 over its n; concat-approx samples it
         near its stage starts (about 1e5)."""
