@@ -13,17 +13,21 @@ from .errors import ParseError
 #: default working-memory budget of the measured layer's entry points (512 MiB)
 DEFAULT_BUDGET_BYTES = 1 << 29
 
+#: the values over_lcm reads without a Fraction() round trip
+_EXACT = (int, Fraction)
+
 
 def over_lcm(values) -> tuple[list[int], int]:
     """(nums, d): integer numerators over one common denominator, with
     values[i] = nums[i] / d exactly and d the lcm of the values'
     denominators (1 when there are none).  A value that is neither an int
     nor a Fraction goes through Fraction() first, so "p/q" strings work and
-    a bad value raises what Fraction() raises."""
-    fs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    dens = [f.denominator for f in fs]  # read once: a property on Fraction
-    d = math.lcm(*dens)
-    return [f.numerator * (d // q) for f, q in zip(fs, dens)], d
+    a bad value raises what Fraction() raises.  Each value's ratio is read
+    once, by as_integer_ratio()."""
+    ratios = [(v if isinstance(v, _EXACT) else Fraction(v)).as_integer_ratio()
+              for v in values]
+    d = math.lcm(*[q for _, q in ratios])
+    return [p * (d // q) for p, q in ratios], d
 
 
 def atomic_write(path: str | Path, *parts: str | bytes | memoryview) -> None:

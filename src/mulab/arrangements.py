@@ -28,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._util import over_lcm, read_json
+from ._util import DEFAULT_BUDGET_BYTES, over_lcm, read_json
 from .errors import ParseError, ResourceBudgetError
 
 SignVector = tuple[int, ...]
@@ -45,8 +45,9 @@ MAX_ENUM_SIGNS = 200_000
 # count_pieces budget: the largest piece_bound(m, k) it takes on.  On a
 # 2-core Xeon VM general position takes under 1 us per unit of that bound
 # (m=24, k=4: 0.14 s; m=16, k=5: 0.08 s).  Points on a line take 10 us per
-# unit, and memory that grows as m^2 in their closure bitmasks (99,999
-# points: 2.0 s, 750 MiB peak RSS).
+# unit, and memory that grows as m^2 in their closure bitmasks (10,000,
+# 20,000 and 40,000 points: 43, 70 and 163 MiB peak RSS), which the byte
+# budget below bounds: 99,999 points, inside this bound, are refused there.
 MAX_COUNT_BOUND = 200_000
 
 
@@ -247,7 +248,10 @@ def count_pieces(arr: Sequence[Hyperplane]) -> int:
     the intersections of the subsets of its closure, a Boolean lattice, and
     its term is 2^rank(Y).  Any other Y takes mu from the recursion
     mu(Z, Y) = -sum_{Z < W <= Y} mu(W, Y).  Arrangements with
-    piece_bound(m, k) > MAX_COUNT_BOUND raise ResourceBudgetError.
+    piece_bound(m, k) > MAX_COUNT_BOUND raise ResourceBudgetError, and so
+    do those whose closure bitmasks could exceed DEFAULT_BUDGET_BYTES: at
+    most sum_{r <= k} C(m, r) flats, one per set of r independent planes,
+    at ceil(m/8) bytes each.
     """
     dim = _checked_dim(arr)
     m = len(arr)
@@ -256,6 +260,14 @@ def count_pieces(arr: Sequence[Hyperplane]) -> int:
         raise ResourceBudgetError(
             f"arrangement m={m}, k={dim} may have {bound} pieces, beyond the "
             f"count budget of {MAX_COUNT_BOUND}"
+        )
+    flats = sum(math.comb(m, r) for r in range(min(dim, m) + 1))
+    need = flats * -(-m // 8)
+    if need > DEFAULT_BUDGET_BYTES:
+        raise ResourceBudgetError(
+            f"arrangement m={m}, k={dim} may have {flats} flats, whose closure "
+            f"bitmasks need about {need} bytes ({-(-m // 8)} per flat), over "
+            f"the {DEFAULT_BUDGET_BYTES}-byte budget"
         )
     flats, closure, meets = _lattice(_distinct_planes(arr), dim)
     total = 0

@@ -139,7 +139,9 @@ def lagrange_poly(values: Sequence[RationalLike]) -> RationalPoly:
             total[deg] += head * scale * c
         falling = [a - i * b for a, b in zip([0, *falling], [*falling, 0])]
         scale //= i + 1
-    return RationalPoly.from_coeffs(Fraction(c, den) for c in total)
+    while total and not total[-1]:
+        total.pop()
+    return RationalPoly(tuple(Fraction(c, den) for c in total))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -223,11 +225,15 @@ def frac_diff_equivalence(xs: Sequence[RationalLike], k: int) -> tuple[bool, boo
         raise ValueError(f"need len(xs) > k >= 0, got J={J}, k={k}")
     cond1 = all(v % d == 0 for v in _differences(a, k))
     # n < k is the interpolation-node range where (ii) holds identically
-    cond2 = all(
-        (sum(a[j] * lagrange_coeff(n, j, k) for j in range(k)) - a[n]) % d == 0
-        for n in range(k, J)
-    )
+    cond2 = all((sum(map(mul, row, a)) - x) % d == 0
+                for row, x in zip(_lagrange_rows(J, k), a[k:]))
     return cond1, cond2
+
+
+@lru_cache(maxsize=64)
+def _lagrange_rows(J: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Per n = k..J-1, the row lagrange_coeff(n, j, k) for j = 0..k-1."""
+    return tuple(tuple(lagrange_coeff(n, j, k) for j in range(k)) for n in range(k, J))
 
 
 def extend_y(

@@ -6,16 +6,18 @@ fixed point with a certified error bound (irrational constants such as
 sqrt2 enter only as `FixedReal`).  Each shape has a `unit` and one batch
 kernel, `_numerators(start, count)`, with {f(n)} = num/unit exactly on the
 representation: an int64 or object array of num, or for the fixed-point
-polynomial and the bracket product a (3, count) uint64 array of num's
-32-bit limbs (`_limbs`), least significant first.  The shapes and kernels:
+polynomial and the bracket product a (2, count) uint64 array of num's two
+words (`_limbs`): row 0 is num >> 32 and row 1 is num & (2^32 - 1).  The
+shapes and kernels:
 
 * polynomial c_0 + ... + c_d n^d: Horner's rule on integer-scaled
   coefficients; for a rational unit int64 while unit * n < 2^62, Python
-  ints above; for the unit 2^96 in limbs, mod 2^96 with n entering as the
-  limbs of n mod 2^96, so any integer start works
-* bracket product beta n {alpha n}: in limbs, (beta n mod 2^192) times
-  {alpha n}, plus 2^95, shifted right by 96 and taken mod 2^96: rounded
-  half up as `frac(n)` rounds, with a negative beta in two's complement
+  ints above; for the unit 2^96 on words, mod 2^96 with n entering as the
+  words of n mod 2^96, so any integer start works
+* bracket product beta n {alpha n}: in 32-bit limbs, (beta n mod 2^192)
+  times {alpha n}, plus 2^95, shifted right by 96 and taken mod 2^96:
+  rounded half up as `frac(n)` rounds, with a negative beta in two's
+  complement; its top three limbs are packed into the two words
 * power n^(a/b): iroot(n^a 2^(96 b), b) over an object array, masked
   (126-bit roots, so it stays on Python ints); its `check_range` refuses a
   range whose roots would take more than `POWER_TIME_BUDGET_S`, counting
@@ -31,16 +33,16 @@ polynomial and the bracket product a (3, count) uint64 array of num's
   evaluated per n, {oracle(n)} rounded half up to 2^-96
 
 `Phase` derives the rest from the kernel: `frac_units(start, count)` is
-(unit, iterator over the numerators as Python ints, built from the limbs
-where the kernel gives limbs) and `frac_chunk` the correctly rounded float64
-num/unit.  From limbs that float rounds hi = num // 2^32 once and adds the
+(unit, iterator over the numerators as Python ints, built from the words
+where the kernel gives words) and `frac_chunk` the correctly rounded float64
+num/unit.  From words that float rounds the high word once and adds the
 exact remainder, so the final add is the only rounding; from ints it is
 float(num) 2^-96 for the unit 2^96 and the quotient otherwise.  The one
 shape with a `frac_chunk` of its own is the power: a screen in double-double
 (one Newton step from a float64 seed, with a certified bound) decides the
 float of most n without a root, and only the n it cannot decide take the
 kernel's exact root, so that it stays byte-identical to the derived one.
-The concatenations need Python ints, and build them from their pieces' limbs.
+The concatenations need Python ints, and build them from their pieces' words.
 The per-n `frac` and `value` of the polynomial, bracket and power shapes
 stay as the scalar reference.  Consumers walk n in batches of `CHUNK`.
 
@@ -81,9 +83,9 @@ RANGE_BUDGET = 2.0 ** -30
 POWER_TIME_BUDGET_S = 60.0
 
 #: n per batch for every consumer of frac_units/frac_chunk.  It bounds the
-#: batch's arrays: 24 bytes per n for the limbs, 48 for an object array of
+#: batch's arrays: 16 bytes per n for the words, 48 for an object array of
 #: 96-bit ints (40 per int, 8 per slot), where a whole 1e6-term prefix
-#: would take ~46 MiB per array.  The limb kernels work in _limbs.BLOCK n
+#: would take ~46 MiB per array.  The word kernels work in _limbs.BLOCK n
 CHUNK = 1 << 16
 
 
@@ -147,7 +149,7 @@ class Phase:
     def _numerators(self, start: int, count: int) -> np.ndarray:
         """num in [0, unit) with {f(n)} = num/unit on the representation for
         n = start .. start+count-1: an int64 or object array, or for the
-        unit 2^96 a (3, count) uint64 array of num's limbs."""
+        unit 2^96 a (2, count) uint64 array of num's words (`_limbs`)."""
         raise NotImplementedError
 
     def frac_units(self, start: int, count: int) -> tuple[int, Iterator[int]]:
@@ -167,7 +169,7 @@ class Phase:
 
 
 def _ints(nums: np.ndarray) -> np.ndarray:
-    """A kernel's numerators as a 1-d int64 or object array: limbs become
+    """A kernel's numerators as a 1-d int64 or object array: words become
     Python ints."""
     return _limbs.to_ints(nums) if nums.ndim == 2 else nums
 
@@ -215,8 +217,6 @@ class PolyPhase(Phase):
         self._scaled = [c % self.unit for c in scaled]
         # integer scaled coefficients: the numerators depend on n mod unit only
         self.period = self.unit if self.rational else None
-        if not self.rational:
-            self._coeff_limbs = [_limbs.split(c, 3) for c in self._scaled]
 
     @property
     def degree(self) -> int:
@@ -257,11 +257,12 @@ class PolyPhase(Phase):
 
     def _numerators(self, start: int, count: int) -> np.ndarray:
         """Horner's rule on the scaled coefficients, reduced mod the unit: for
-        the unit 2^96 in limbs; else in int64, reduced every step, while no
+        the unit 2^96 on words; else in int64, reduced every step, while no
         product can reach 2^62; else in Python ints (an object array),
         reduced once at the end."""
         if not self.rational:
-            return _limbs.blocks(self._horner, start, count)
+            return _limbs.blocks(functools.partial(_limbs.horner, self._scaled),
+                                 start, count)
         unit, cs = self.unit, self._scaled
         if unit * max(-start, start + count) < 1 << 62:
             ns = np.arange(start, start + count, dtype=np.int64)
@@ -276,14 +277,6 @@ class PolyPhase(Phase):
             acc *= ns
             acc += c
         acc %= unit
-        return acc
-
-    def _horner(self, start: int, count: int) -> list:
-        """The fixed-point numerators' limbs, Horner's rule mod 2^96."""
-        ns = _limbs.arange(start, count, 3)
-        acc = self._coeff_limbs[-1]
-        for c in reversed(self._coeff_limbs[:-1]):
-            acc = _limbs.mul(acc, ns, 3, c)
         return acc
 
 
@@ -322,19 +315,20 @@ class BracketPhase(Phase):
 
     def _numerators(self, start: int, count: int) -> np.ndarray:
         """(beta n * {alpha n} + 2^95) >> 96 mod 2^96 on the mantissas,
-        rounded half up as FixedReal.__mul__ rounds, in limbs.  With
+        rounded half up as FixedReal.__mul__ rounds, in limbs, given as
+        words.  With
         U = beta n {alpha n} + 2^95, floor(U / 2^96) mod 2^96 depends on
         U mod 2^192 only, so beta n may be taken mod 2^192 (in two's
         complement when it is negative)."""
         return _limbs.blocks(self._product, start, count)
 
-    def _product(self, start: int, count: int) -> list:
-        """The numerators' limbs: the top half of U's six."""
+    def _product(self, start: int, count: int) -> _limbs.Words:
+        """The numerators' words: the top half of U's six limbs."""
         ns = _limbs.arange(start, count, 6)
         frac = _limbs.mul(self._alpha, ns, 3)  # {alpha n} 2^96
         prod = _limbs.mul(_limbs.mul(self._beta, ns, 6), frac, 6,
                           _limbs.split(SCALE >> 1, 6))
-        return prod[3:]
+        return _limbs.from_limbs(prod[3:])
 
 
 # ---------------------------------------------------------------------------

@@ -27,17 +27,18 @@ disjoint start ranges commute, so callers may shard long prefixes.
 
 The comparison-set indicator screens each batch with floats first: both
 phases' `frac_chunk` values are correctly rounded, so their difference f is
-within 3 2^-54 of {p1} - {p2}, and where every |f| and every
-||f| - window| (window = 2^-tie_bits rounded up to the common unit) exceed
-2^-50, f decides the symbols and the ties.  Any other batch, such as the
-one holding n = 0 where both fractional parts are 0, falls back to the
-exact compare: both phases' `frac_units` ints over their common unit, the
-sign of their difference, and its tie test, from the difference's
-correctly rounded float; the few n where that float cannot decide the tie
-are checked on the ints.  The example-33 labels read {sqrt2 n} from the
-limb kernel of `PolyPhase([0, sqrt2])` (`_limbs`): the orderings come from
-signed 96-bit differences with borrow, and the residual D2 f - formula from
-160-bit two's complement limbs, exact for every n below 2^58.  Both, and
+within 3 2^-54 of {p1} - {p2}, and wherever |f| and ||f| - window|
+(window = 2^-tie_bits rounded up to the common unit) exceed 2^-50, f
+decides that n's symbol and tie.  Only the span from a batch's first
+undecided n to its last, such as n = 0 where both fractional parts are 0,
+falls back to the exact compare: both phases' `frac_units` ints over their
+common unit, the sign of their difference, and its tie test, from the
+difference's correctly rounded float; the few n where that float cannot
+decide the tie are checked on the ints.  The example-33 labels read
+{sqrt2 n} from the word kernel of `PolyPhase([0, sqrt2])` (`_limbs`): the
+orderings come from an unsigned compare of the high words, then the low,
+and the residual D2 f - formula from 160-bit two's complement limbs, split
+from the words once per block, exact for every n below 2^58.  Both, and
 `block_count_inequality_check`, check their measured working bytes against
 the default budget up front.
 """
@@ -410,9 +411,9 @@ def quantize_gn(y_values: Sequence, N: int) -> SymbolSeq:
 
 #: working bytes of `indicator_set` and `bracket_second_difference_labels`
 #: beyond their one-byte symbols per n: one batch's arrays, which CHUNK
-#: (of Python ints) and _limbs.BLOCK (of limbs) bound.  tracemalloc measures
-#: 8.4-12.1 MB and 3.7 MB for P from 1e5 to 3e6 (numpy 2.4; the indicator
-#: of poly:0,sqrt2 and poly:0,sqrt3)
+#: (of Python ints) and _limbs.BLOCK (of words and limbs) bound.
+#: tracemalloc measures 8.4-12.1 MB and 3.7 MB for P from 1e5 to 3e6
+#: (numpy 2.4; the indicator of poly:0,sqrt2 and poly:0,sqrt3)
 _INDICATOR_BATCH_BYTES = 16 << 20
 _LABEL_BATCH_BYTES = 4 << 20
 
@@ -475,9 +476,9 @@ def indicator_set(
     tie_count = 0
     for start in range(0, P, CHUNK):
         cnt = min(CHUNK, P - start)
-        below, tied = (_screened_chunk(p1, p2, start, cnt, window)
-                       or _exact_chunk(p1, p2, start, cnt, unit, gap))
+        below, tie_mask = _chunk(p1, p2, start, cnt, unit, gap, window)
         syms[start : start + cnt] = below
+        tied = np.flatnonzero(tie_mask)
         tie_count += tied.size
         ties.extend((tied[: 64 - len(ties)] + start).tolist())
     report = IndicatorReport(
@@ -486,24 +487,29 @@ def indicator_set(
     return SymbolSeq(syms, 2), report
 
 
-def _screened_chunk(p1: Phase, p2: Phase, start: int, cnt: int, window: float):
-    """(symbols, tie offsets) of a chunk from floats, or None where they
-    cannot decide it.  Each frac_chunk value lies within 2^-54 of its
-    fraction and the subtraction rounds once more, so f is within 3 2^-54 of
-    {p1} - {p2}, and window within 2^-54 of gap / unit: wherever |f| and
-    ||f| - window| exceed _SCREEN, f has the sign of {p1} - {p2} and
-    |f| < window exactly when the tie holds."""
+def _chunk(p1: Phase, p2: Phase, start: int, cnt: int, unit: int, gap: int,
+           window: float) -> tuple[np.ndarray, np.ndarray]:
+    """(symbols, tie mask) of a chunk, from floats where they decide an n.
+    Each frac_chunk value lies within 2^-54 of its fraction and the
+    subtraction rounds once more, so f is within 3 2^-54 of {p1} - {p2},
+    and window within 2^-54 of gap / unit: wherever |f| and ||f| - window|
+    exceed _SCREEN, f has the sign of {p1} - {p2} and |f| < window exactly
+    when the tie holds.  The exact compare takes over the span from the
+    first n the floats leave undecided to the last."""
     f = p1.frac_chunk(start, cnt) - p2.frac_chunk(start, cnt)
     af = np.abs(f)
-    if (af > _SCREEN).all() and (np.abs(af - window) > _SCREEN).all():
-        return f < 0, np.flatnonzero(af < window)
-    return None
+    below, tied = f < 0, af < window
+    undecided = np.flatnonzero((af <= _SCREEN) | (np.abs(af - window) <= _SCREEN))
+    if undecided.size:
+        lo, hi = int(undecided[0]), int(undecided[-1]) + 1
+        below[lo:hi], tied[lo:hi] = _exact_span(p1, p2, start + lo, hi - lo, unit, gap)
+    return below, tied
 
 
-def _exact_chunk(p1: Phase, p2: Phase, start: int, cnt: int, unit: int,
-                 gap: int) -> tuple[np.ndarray, np.ndarray]:
-    """(symbols, tie offsets) of a chunk from the exact numerator difference
-    d over the common unit: the sign of d, and ties |d| < gap."""
+def _exact_span(p1: Phase, p2: Phase, start: int, cnt: int, unit: int,
+                gap: int) -> tuple[np.ndarray, np.ndarray]:
+    """(symbols, tie mask) of a span from the exact numerator difference d
+    over the common unit: the sign of d, and ties |d| < gap."""
     u1, d = _numerator_array(p1, start, cnt)
     u2, b = _numerator_array(p2, start, cnt)
     if u1 != unit:
@@ -516,7 +522,9 @@ def _exact_chunk(p1: Phase, p2: Phase, start: int, cnt: int, unit: int,
     # on the ints
     df = d.astype(np.float64)
     near = np.flatnonzero(np.abs(df) <= float(gap))
-    return df < 0, near[np.abs(d[near]) < gap]
+    tied = np.zeros(cnt, dtype=bool)
+    tied[near[np.abs(d[near]) < gap]] = True
+    return df < 0, tied
 
 
 def _numerator_array(phase: Phase, start: int, count: int) -> tuple[int, np.ndarray]:
@@ -588,7 +596,7 @@ def bracket_second_difference_labels(P: int) -> tuple[SymbolSeq, Example33Report
     worst, worst_n = -1, 0
     for start in range(0, P, _limbs.BLOCK):
         cnt = min(_limbs.BLOCK, P - start)
-        fm = frac_s2._numerators(start, cnt + 2)  # {sqrt2 n} 2^96, in limbs
+        fm = frac_s2._numerators(start, cnt + 2)  # {sqrt2 n} 2^96, in words
         c0, c1, c2 = fm[:, :-2], fm[:, 1:-1], fm[:, 2:]
         up1, flat1 = _order(c0, c1)
         up2, flat2 = _order(c1, c2)
@@ -598,7 +606,7 @@ def bracket_second_difference_labels(P: int) -> tuple[SymbolSeq, Example33Report
         counts += np.bincount(lab, minlength=5)
         # f(n) = sqrt3 n {sqrt2 n}, rounded to 2^-96 as FixedReal.__mul__ does
         m3n = _limbs.mul(m3, _limbs.arange(start, cnt + 2, 6), 6)  # below 2^160
-        fv = _limbs.mul(m3n + [0, 0], list(fm), 8, half)[3:]
+        fv = _limbs.mul(m3n + [0, 0], _limbs.to_limbs(fm), 8, half)[3:]
         mid = [x[1:-1] for x in fv]
         d2 = _limbs.add(_limbs.sub([x[2:] for x in fv], mid),
                         _limbs.sub([x[:-2] for x in fv], mid))
@@ -625,11 +633,10 @@ def bracket_second_difference_labels(P: int) -> tuple[SymbolSeq, Example33Report
 
 
 def _order(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a < b, a == b) for (3, count) limb arrays of unsigned 96-bit
-    values, from their signed difference, taken in four limbs so that its
-    top bit is the borrow."""
-    d = _limbs.sub([*a, 0], [*b, 0])
-    return _limbs.negative(d), (d[0] | d[1] | d[2]) == 0
+    """(a < b, a == b) for (2, count) word arrays of unsigned 96-bit
+    values: one unsigned compare of the high words, then of the low."""
+    high_eq = a[0] == b[0]
+    return (a[0] < b[0]) | (high_eq & (a[1] < b[1])), high_eq & (a[1] == b[1])
 
 
 def _first_max(a, where: np.ndarray) -> int | None:

@@ -1,5 +1,6 @@
 """The `Fraction` bodies of `mulab.exact_calculus`'s difference calculus,
-kept as the oracle for its integer form.
+kept as the oracle for its integer form, and the `Fraction`-property body
+of `_util.over_lcm`, kept as the oracle for its one ratio read per value.
 
 Here `diff`, `sigma` and `extend_y` add `Fraction`s term by term, so each
 step is reduced on its own; `frac_diff_equivalence` is the integer check
@@ -10,10 +11,18 @@ down to `repr`, and raise the same exception types on the same bad inputs.
 """
 
 from fractions import Fraction
+import math
 from math import comb, factorial, lcm
 
 from mulab.errors import WindowTooShortError
 from mulab.exact_calculus import RationalPoly, as_fractions, lagrange_coeff
+
+
+def over_lcm(values):
+    fs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    dens = [f.denominator for f in fs]  # read once: a property on Fraction
+    d = math.lcm(*dens)
+    return [f.numerator * (d // q) for f, q in zip(fs, dens)], d
 
 
 def diff(seq, k):

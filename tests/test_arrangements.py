@@ -417,6 +417,25 @@ class TestLatticeCount:
         assert count_pieces(arr) == piece_bound(24, 4) == 187_361 <= MAX_COUNT_BOUND
         assert time.perf_counter() - start < 5.0
 
+    def test_closure_bitmasks_over_the_byte_budget_are_refused_at_once(self):
+        # 99,999 points on a line are inside MAX_COUNT_BOUND, but their
+        # 100,000 flats at 12,500 bytes of closure each are not inside the
+        # byte budget (they took 750 MiB of RSS before it)
+        m = 99_999
+        assert piece_bound(m, 1) <= MAX_COUNT_BOUND
+        arr = [hyperplane((1,), i) for i in range(m)]
+        start = time.perf_counter()
+        with pytest.raises(ResourceBudgetError,
+                           match=rf"m={m}, k=1 may have {m + 1} flats, whose closure "
+                                 rf"bitmasks need about {(m + 1) * 12_500} bytes "
+                                 rf"\(12500 per flat\), over the {1 << 29}-byte budget$"):
+            count_pieces(arr)
+        assert time.perf_counter() - start < 1.0
+
+    def test_points_within_the_byte_budget_still_count(self):
+        arr = [hyperplane((1,), i) for i in range(40_000)]
+        assert count_pieces(arr) == 80_001
+
     def test_input_errors_kept(self, monkeypatch):
         for pieces in (count_pieces, enumerate_pieces):
             with pytest.raises(ValueError):

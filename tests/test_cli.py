@@ -213,6 +213,12 @@ class TestPiecesCommand:
         assert report["attained"] is True
         assert '"count": 9' in capsys.readouterr().out
 
+    def test_points_over_the_byte_budget_exit_4(self, tmp_path, capsys):
+        arr = tmp_path / "points.csv"
+        arr.write_text("".join(f"1,1,{i},1\n" for i in range(99_999)))
+        assert run(["pieces", "--arrangement", str(arr)]) == 4
+        assert "over the 536870912-byte budget" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name,text", [
         ("zero_denominator.csv", "1,0,0,1,0,1\n"),
         ("zero_denominator.json",

@@ -316,6 +316,24 @@ class TestOverLcm:
             with pytest.raises(exc):
                 over_lcm([1, bad])
 
+    @given(st.lists(st.one_of(
+        st.integers(-10 ** 20, 10 ** 20), st.booleans(),
+        st.fractions(max_denominator=10 ** 12),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.decimals(allow_nan=False, allow_infinity=False, places=6),
+        st.builds(lambda p, q: f"{p}/{q}", st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)),
+        st.sampled_from(["x", "1/", "2/0"]),
+    ), max_size=8))
+    def test_same_as_the_fraction_property_body(self, values):
+        try:
+            want = oracle.over_lcm(values)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                over_lcm(values)
+            return
+        nums, d = over_lcm(values)
+        assert (nums, d) == want and all(type(n) is int for n in [*nums, d])
+
 
 # inputs of the differential tests: ints, "p/q" strings, zeros and Fractions
 # with denominators up to 10^12

@@ -1,5 +1,6 @@
-"""The limb kernels against the object-array oracle (`numerator_oracle`):
-numerators, floats, the indicator and the example-33 labels, bit for bit."""
+"""The word and limb kernels against the object-array oracle
+(`numerator_oracle`): numerators, floats, the indicator and the example-33
+labels, bit for bit."""
 
 import random
 from fractions import Fraction as F
@@ -39,6 +40,12 @@ def limb_rows(values, k=3):
     return np.array([_limbs.split(v, k) for v in values], dtype=np.uint64).T.copy()
 
 
+def word_rows(values):
+    """The (2, len(values)) uint64 word array of the values mod 2^96."""
+    return np.array([((v >> 32) & ((1 << 64) - 1), v & 0xFFFFFFFF) for v in values],
+                    dtype=np.uint64).T.copy()
+
+
 def ints_of(limbs, count):
     """The ints that a list of limbs (arrays, or Python ints shared by every
     element) stands for, element by element."""
@@ -59,11 +66,26 @@ class TestNumerators:
     def test_poly_matches_object_horner(self, coeffs, start, count):
         p = fixed_poly(coeffs)
         want = oracle.poly_numerators(p, start, count)
-        limbs = p._numerators(start, count)
-        assert limbs.shape == (3, count) and limbs.dtype == np.uint64
-        assert _ints(limbs).tolist() == want.tolist()
+        words = p._numerators(start, count)
+        assert words.shape == (2, count) and words.dtype == np.uint64
+        assert _ints(words).tolist() == want.tolist()
         unit, nums = p.frac_units(start, count)
         assert unit == SCALE and list(nums) == want.tolist()
+        assert p.frac_chunk(start, count).tobytes() == oracle.frac_floats(want).tobytes()
+
+    @given(st.lists(fixed, min_size=1, max_size=5), st.sampled_from((32, 64, 96)),
+           st.booleans(), st.integers(1, 90), st.integers(1, 90),
+           st.sampled_from((0, _limbs.BLOCK - 1)))
+    def test_words_carry_across_2_32_2_64_and_2_96(self, coeffs, bits, negative,
+                                                  before, after, pad):
+        # n runs from `before` + `pad` below the edge (or below its negative)
+        # to `after` past it, so n's high word takes a carry inside the
+        # range, in the first block or, with pad, in the second
+        edge = -(1 << bits) if negative else 1 << bits
+        start, count = edge - before - pad, before + pad + after
+        p = fixed_poly(coeffs)
+        want = oracle.poly_numerators(p, start, count)
+        assert _ints(p._numerators(start, count)).tolist() == want.tolist()
         assert p.frac_chunk(start, count).tobytes() == oracle.frac_floats(want).tobytes()
 
     @given(fixed, fixed, starts, counts)
@@ -116,7 +138,7 @@ class TestLimbArithmetic:
                 for extra in (half - 1, half, half + 1, 0, (1 << shift) - 1):
                     values.append((mant << shift) + extra)
         nums = np.array(values, dtype=object)
-        got = _limbs.to_float(limb_rows(values))
+        got = _limbs.to_float(word_rows(values))
         assert got.tolist() == [v / SCALE for v in values]
         assert got.tobytes() == oracle.frac_floats(nums).tobytes()
 
@@ -164,7 +186,7 @@ class TestIndicator:
         vals = [rng.getrandbits(rng.choice((8, 33, 65, 96))) for _ in range(60)]
         vals += [0, SCALE - 1, 1 << 64, (1 << 64) - 1, 1 << 32, 0, SCALE - 1]
         vals += vals[::-1][:5]
-        a = limb_rows(vals)
+        a = word_rows(vals)
         b = a[:, ::-1].copy()
         less, equal = symbolic_blocks._order(a, b)
         assert less.tolist() == [x < y for x, y in zip(vals, vals[::-1])]

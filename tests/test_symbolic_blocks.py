@@ -19,7 +19,7 @@ from mulab import _limbs, symbolic_blocks
 from mulab.errors import PrecisionError, ResourceBudgetError, WindowTooShortError
 from mulab.fixedpoint import SCALE, FixedReal, sqrt_const
 from mulab.phases import (
-    BracketPhase, ConcatPhase, PolyPhase, PowerPhase, TablePhase, frac_rep,
+    BracketPhase, ConcatPhase, PolyPhase, PowerPhase, TablePhase, frac_rep, parse_phase,
 )
 from mulab.symbolic_blocks import (
     SymbolSeq,
@@ -451,6 +451,48 @@ class TestFloatScreen:
             _same_as_oracle(p1, p2, 80, 64)
         # n = 0, where both fractional parts are 0, holds the one undecided chunk
         assert calls == [0, 0]
+
+    @staticmethod
+    def _spans_read(*phases):
+        """The (start, count) of every frac_units call on the phases."""
+        calls = []
+        for p in phases:
+            def spy(start, count, _inner=p.frac_units):
+                calls.append((start, count))
+                return _inner(start, count)
+            p.frac_units = spy
+        return calls
+
+    def test_the_exact_compare_reads_only_the_undecided_span(self):
+        p1, p2 = parse_phase("poly:0,sqrt2"), parse_phase("poly:0,sqrt3")
+        calls = self._spans_read(p1, p2)
+        with mock.patch.object(symbolic_blocks, "CHUNK", 8):
+            _same_as_oracle(p1, p2, 80, 64)
+        assert calls == [(0, 1), (0, 1)]
+
+    def test_identical_phases_read_every_chunk_whole(self):
+        p1, p2 = parse_phase("poly:0,sqrt2"), parse_phase("poly:0,sqrt2")
+        calls = self._spans_read(p1, p2)
+        with mock.patch.object(symbolic_blocks, "CHUNK", 8):
+            _same_as_oracle(p1, p2, 20, 64)
+        assert calls == [(0, 8), (0, 8), (8, 8), (8, 8), (16, 4), (16, 4)]
+
+    def test_ties_at_every_33rd_n_take_one_span_per_chunk(self):
+        # {n/33} = {2n/33} at n = 0 mod 33, and |{n/33} - {2n/33}| = 1/33, the
+        # tie window, at n = 1 and 32 mod 33: a span per chunk, within it
+        p1, p2 = parse_phase("poly:0,1/33"), parse_phase("poly:0,2/33")
+        calls = self._spans_read(p1, p2)
+        with mock.patch.object(symbolic_blocks, "CHUNK", 64):
+            seq, rep = indicator_set(p1, p2, 330, 64)
+        spans = calls[:]
+        want_seq, want_rep = numerator_oracle.indicator_set(p1, p2, 330, 64)
+        assert seq.symbols.tobytes() == want_seq.symbols.tobytes()
+        assert (rep.tie_count, rep.tie_positions) == (want_rep.tie_count, want_rep.tie_positions)
+        assert rep.tie_positions == list(range(0, 330, 33))
+        chunks = [(s, min(64, 330 - s)) for s in range(0, 330, 64)]
+        assert spans[::2] == spans[1::2] and len(spans) == 2 * len(chunks)
+        for (start, count), (lo, cnt) in zip(spans[::2], chunks):
+            assert lo <= start and start + count <= lo + cnt
 
 
 class TestQuantizeExactInputs:
