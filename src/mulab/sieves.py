@@ -86,6 +86,8 @@ MAGIC = b"MUSV"
 VERSION = 2
 
 _DEFAULT_SEGMENT = 1 << 20
+#: payload bytes per step of a scan for code 11: _DEFAULT_SEGMENT entries
+_SCAN_BYTES = _DEFAULT_SEGMENT // 4
 #: the odd primes pre-sieved from one tile, with their top exponents
 _TILED = ((3, 2), (5, 2), (7, 2))
 #: the tile's length: t mod _PERIOD for the odd n = 2t + 1
@@ -182,9 +184,8 @@ class MobiusTable:
     def _bytes(self, b0: int, b1: int):
         """(first byte, payload bytes) over bytes [b0, b1), one
         _DEFAULT_SEGMENT entries at a time, each checked for code 11."""
-        step = max(1, _DEFAULT_SEGMENT // 4)
-        for a in range(b0, b1, step):
-            block = self.packed[a : min(a + step, b1)]
+        for a in range(b0, b1, _SCAN_BYTES):
+            block = self.packed[a : min(a + _SCAN_BYTES, b1)]
             if _reserved(block).any():
                 raise InvariantError("reserved code 11 present in table")
             yield a, block
@@ -590,12 +591,14 @@ def load_cache(path: str | Path) -> MobiusTable:
         raise CacheChecksumError(
             f"{path}: CRC mismatch (stored {crc_stored:08x}, actual {crc_actual:08x})"
         )
-    packed = np.frombuffer(payload, dtype=np.uint8).copy()
-    # a code 11 sets both bits of its pair: one test over every byte
-    reserved = _reserved(packed)
-    if reserved.any():
-        b = int(np.flatnonzero(reserved)[0])
-        low = int(reserved[b]) & -int(reserved[b])  # low bit of the first bad pair
-        raise CacheFormatError(
-            f"{path}: reserved code 11 at n={4 * b + low.bit_length() // 2 + 1}")
+    # tables are immutable: the table is a read-only view of the file's bytes
+    packed = np.frombuffer(payload, dtype=np.uint8)
+    # a code 11 sets both bits of its pair: one test per byte, a step at a time
+    for a in range(0, payload_len, _SCAN_BYTES):
+        reserved = _reserved(packed[a : a + _SCAN_BYTES])
+        if reserved.any():
+            b = int(np.flatnonzero(reserved)[0])
+            low = int(reserved[b]) & -int(reserved[b])  # low bit of the first bad pair
+            raise CacheFormatError(
+                f"{path}: reserved code 11 at n={4 * (a + b) + low.bit_length() // 2 + 1}")
     return MobiusTable(int(n_max), packed)

@@ -11,12 +11,25 @@ length-J windows are counted:
                      times among the regular positions
 
 The counts are exact, on integer window codes sum_j s(i+j) base^(J-1-j)
-(no approximate matching).  `entropy_curve` rolls the codes from J to J+1
-in place and counts them with np.bincount while base^J is at most the
-number of windows, else with np.unique.  Once base^J reaches 2^62 the
-windows are keyed by their dense ranks instead: the J-window at i is the
-pair (rank of the (J-1)-window at i, s(i+J-1)), ranked by one np.unique.
-Only `index_blocks` decodes keys into blocks.  `entropy_curve` and
+(no approximate matching).  While base^J_max < 2^62, `entropy_curve` makes
+one pass over the window starts, CHUNK at a time: it rolls each block's
+J_max-window codes and adds them to one J_max histogram, dense while
+base^J_max is at most the number of windows, else sorted runs of codes and
+counts.  The histograms of the regular starts take their J-codes from the
+same block, code // base^(J_max - J).  Every shorter J then folds down, as
+subword counts do: the J histogram is the (J+1) one aggregated by
+code // base, plus the window at P - J.  Its tracemalloc peak is that of
+the histograms and one block: 3.6 MiB on the sqrt2/sqrt3 indicator at
+J_max = 18 for P = 1e6 and 4.2 MiB for P = 4e6, and at most 7 bytes per
+symbol dense and 43 sparse when nearly every window is distinct (P = 1e6).
+`index_blocks`, `block_count_inequality_check` and the J of `entropy_curve`
+past the int64 code length count one J at a time on a prefix-length array
+(`_window_keys`): the int64 codes rolled from J to J+1 in place, counted
+with np.bincount while base^J is at most the number of windows, else with
+np.unique (at most 50 bytes per symbol), and, once base^J reaches 2^62,
+dense ranks: the J-window at i is the pair (rank of the (J-1)-window at i,
+s(i+J-1)), ranked by one np.unique (about 107 bytes per symbol).  Only
+`index_blocks` decodes keys into blocks.  `entropy_curve` and
 `index_blocks` check their working bytes (measured per symbol and per
 decoded block) against the 512 MiB default budget, and the ranked window
 keys they build over all J against a fixed limit, up front.  The per-J entropy
@@ -48,6 +61,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -77,6 +91,8 @@ class SymbolSeq:
             raise ValueError("symbols must be a nonempty 1-d array")
         if self.alphabet_size < 1:
             raise ValueError("alphabet_size must be >= 1")
+        if self.symbols.dtype != bool and not np.issubdtype(self.symbols.dtype, np.integer):
+            raise ValueError(f"symbols must be integers or bools, not dtype {self.symbols.dtype}")
         if int(self.symbols.min()) < 0 or int(self.symbols.max()) >= self.alphabet_size:
             raise ValueError("symbol outside alphabet range")
 
@@ -126,12 +142,14 @@ def load_symbols(header_path: str | Path) -> SymbolSeq:
 # window counting
 
 
-#: working bytes per symbol of `entropy_curve`, as tracemalloc measures them
-#: when every window is distinct (P = 1e6, numpy 2.4): the int64 codes plus
-#: np.unique's sorted copy, mask and index arrays.  Once base^J >= 2^62 the
-#: ranked windows add the symbols' digits, the pair keys, the previous ranks
-#: and np.unique's inverse and first starts (about 107 in all at P = 1e6,
-#: bases 2, 5, 300).
+#: working bytes per symbol of the per-J window keys, as tracemalloc
+#: measures them when every window is distinct (P = 1e6, numpy 2.4): the
+#: int64 codes plus np.unique's sorted copy, mask and index arrays.  The
+#: streamed pass of `entropy_curve` stays below it (at most 43), and its
+#: budget is still this one, so it refuses what the per-J count refused.
+#: Once base^J >= 2^62 the ranked windows add the symbols' digits, the pair
+#: keys, the previous ranks and np.unique's inverse and first starts (about
+#: 107 in all at P = 1e6, bases 2, 5, 300).
 _CODE_BYTES_PER_SYMBOL = 56
 _RANK_BYTES_PER_SYMBOL = 56
 #: ranked window keys that one call may build over all its J (P per J past
@@ -149,6 +167,11 @@ def _code_range(base: int, J: int) -> int | None:
     return size if size < 1 << 62 else None
 
 
+def _coded_length(base: int, J: int) -> int:
+    """The longest window length up to J whose codes fit int64."""
+    return next(j for j in range(J, -1, -1) if _code_range(base, j) is not None)
+
+
 #: bytes per distinct block that `index_blocks` decodes, measured the same
 #: way (P = 1e5; bases 2, 5, 300): a dict entry and its count, plus 8 per
 #: block symbol for its tuple and 8 more on the rank path for the symbols'
@@ -163,8 +186,7 @@ def _check_budget(what: str, P: int, alphabet_size: int, J: int,
     fit the default budget, and the ranked keys of the window lengths up to
     J stay within _MAX_WINDOW_KEYS.  It needs no symbols, so a caller that
     builds the prefix can check before building it."""
-    coded = next((j for j in range(J, -1, -1)
-                  if _code_range(alphabet_size, j) is not None), 0)
+    coded = _coded_length(alphabet_size, J)
     ranked = coded < J
     per_symbol = _CODE_BYTES_PER_SYMBOL + ranked * _RANK_BYTES_PER_SYMBOL
     need = per_symbol * P + blocks * (_BLOCK_BYTES + 8 * J * (1 + ranked))
@@ -194,8 +216,9 @@ def _window_keys(symbols: np.ndarray, base: int, J_lo: int, J_hi: int):
         J += 1
         codes = codes[: P - J + 1]
         codes *= base
-        # unsafe casting converts the symbols as astype(int64) would
-        np.add(codes, symbols[J - 1 :], out=codes, casting="unsafe")
+        # the int64 loop converts the symbols as astype(int64) would; uint64
+        # symbols would otherwise select the float64 loop, inexact past 2^53
+        np.add(codes, symbols[J - 1 :], out=codes, casting="unsafe", dtype=np.int64)
         if J >= J_lo:
             yield J, codes, _code_range(base, J), None
     if J == J_hi:
@@ -247,6 +270,146 @@ def _blocks(distinct: np.ndarray, counts: np.ndarray, J: int, base: int,
             block.append(r)
         out[tuple(reversed(block))] = cnt
     return out
+
+
+def _merge(runs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The union of runs (distinct codes ascending, counts), the counts of
+    a code summed.  It empties `runs` once their arrays are copied; the
+    stable sort (timsort) of the concatenated runs merges them run by run."""
+    keys = np.concatenate([k for k, _ in runs])
+    counts = np.concatenate([c for _, c in runs])
+    runs.clear()
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    counts = counts[order]
+    del order
+    return _combine(keys, counts)
+
+
+def _combine(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct keys, summed counts) of ascending keys that may repeat;
+    counts is overwritten."""
+    head = np.empty(keys.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    if head.all():
+        return keys, counts
+    last = np.append(head[1:], True)
+    keys = keys[head]
+    del head
+    counts = np.cumsum(counts, out=counts)[last]
+    counts[1:] -= counts[:-1].copy()
+    return keys, counts
+
+
+class _Histogram:
+    """Occurrence counts of codes in range(size), fed block by block.  While
+    size is at most `dense_limit` it is a dense count array; above that, a
+    list of runs (distinct codes ascending, counts), one per block, the
+    last two merged while the one before the last is no longer, so a code
+    takes part in O(log P) merges."""
+
+    def __init__(self, size: int, dense_limit: int):
+        self.dense = np.zeros(size, dtype=np.int64) if size <= dense_limit else None
+        self.runs: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def add(self, codes: np.ndarray) -> None:
+        if self.dense is not None:
+            np.add.at(self.dense, codes, 1)
+        elif codes.size:
+            self.runs.append(np.unique(codes, return_counts=True))
+            while len(self.runs) > 1 and self.runs[-2][0].size <= self.runs[-1][0].size:
+                self.runs.append(_merge([self.runs.pop(), self.runs.pop()]))
+
+    def _run(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sparse counts as one run."""
+        if not self.runs:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        if len(self.runs) > 1:
+            runs, self.runs = self.runs, []
+            self.runs.append(_merge(runs))
+        return self.runs[0]
+
+    def _count(self, code: int) -> int:
+        if self.dense is not None:
+            return int(self.dense[code])
+        keys, counts = self._run()
+        i = int(np.searchsorted(keys, code))
+        return int(counts[i]) if i < keys.size and keys[i] == code else 0
+
+    def family(self, threshold: int, extra: list[int]) -> tuple[int, int]:
+        """(distinct codes, codes counted at least threshold times), with
+        each code in `extra` counted once more."""
+        counts = self.dense if self.dense is not None else self._run()[1]
+        distinct = int(np.count_nonzero(counts))
+        effective = int(np.count_nonzero(counts >= threshold))
+        for code, more in Counter(extra).items():
+            have = self._count(code)
+            distinct += have == 0
+            effective += (have + more >= threshold) - (have >= threshold)
+        return distinct, effective
+
+    def fold(self, base: int) -> None:
+        """From the (J+1)-window counts to the J-window counts of the same
+        starts: each code's J-window prefix is code // base."""
+        if self.dense is not None:
+            self.dense = self.dense.reshape(-1, base).sum(axis=1)
+            return
+        keys, counts = self.runs.pop()
+        keys //= base
+        self.runs.append(_combine(keys, counts))
+
+
+def _streamed_counts(symbols: np.ndarray, base: int, J_max: int, threshold: int,
+                     tail_start: int) -> list[tuple[int, int, int, int]]:
+    """(all, regular, effective, regularly effective) counts for J = 1..J_max,
+    where base^J_max < 2^62, from one pass over the starts that hold a whole
+    J_max-window, CHUNK starts at a time.  Each block's J_max-window codes
+    feed one J_max histogram, and the J-codes of the regular starts in it,
+    code // base^(J_max - J), one histogram per J.  The J histogram of
+    those starts is then the (J+1) one folded.  The fewer than J_max starts
+    past P - J_max are coded directly, from the codes of the suffixes there,
+    and counted on top of the histograms.  The J_max histogram is dense
+    while base^J_max is at most the number of windows, as in _key_counts; a
+    regular one while base^J is also at most CHUNK, so that the dense
+    regular arrays stay within about one block's codes whatever P is."""
+    P = symbols.size
+    stop = P - J_max + 1
+    every = _Histogram(base ** J_max, stop - tail_start)
+    regular = []
+    for J in range(1, J_max + 1):
+        starts = range(-(-tail_start // J) * J, P - J + 1, J)
+        regular.append(_Histogram(base ** J, min(CHUNK, len(starts))))
+    for a in range(tail_start, stop, CHUNK):
+        n = min(CHUNK, stop - a)
+        codes = np.zeros(n, dtype=np.int64)
+        for j in range(J_max):
+            codes *= base
+            np.add(codes, symbols[a + j : a + j + n], out=codes, casting="unsafe",
+                   dtype=np.int64)
+        every.add(codes)
+        for J, hist in enumerate(regular, 1):
+            hist.add(codes[-a % J :: J] // base ** (J_max - J))
+    del codes
+    # the J-window at a start i past P - J_max is the suffix code // base^(P - i - J)
+    suffix = {i: 0 for i in range(stop, P)}
+    for i in suffix:
+        for s in symbols[i:].tolist():
+            suffix[i] = suffix[i] * base + s
+
+    def late(starts, J):
+        return [suffix[i] // base ** (P - i - J) for i in starts]
+
+    reg_counts = []
+    for J in range(1, J_max + 1):
+        reg_counts.append(regular.pop(0).family(
+            threshold, late(range(-(-stop // J) * J, P - J + 1, J), J)))
+    all_counts = []
+    for J in range(J_max, 0, -1):
+        if J < J_max:
+            every.fold(base)
+        all_counts.append(every.family(threshold, late(range(stop, P - J + 1), J)))
+    return [(a, r, e, re) for (a, e), (r, re) in zip(reversed(all_counts), reg_counts)]
 
 
 @dataclass
@@ -334,16 +497,17 @@ def entropy_curve(
         raise ValueError("tail_start outside the prefix")
     base = seq.alphabet_size
     _check_budget("entropy_curve", P, base, J_max)
-    rows = []
-    for J, keys, size, _ in _window_keys(seq.symbols, base, 1, J_max):
-        (_, every), (_, regular) = _family_counts(keys, J, tail_start, size)
-        a = every.size
-        rows.append(EntropyRow(
-            J, a, regular.size,
-            int(np.count_nonzero(every >= effective_threshold)),
-            int(np.count_nonzero(regular >= effective_threshold)),
-            math.log(a) / J))
-    return rows
+    coded = _coded_length(base, J_max)
+    counts = _streamed_counts(seq.symbols, base, coded, effective_threshold,
+                              tail_start) if coded else []
+    if coded < J_max:
+        for J, keys, size, _ in _window_keys(seq.symbols, base, coded + 1, J_max):
+            (_, every), (_, regular) = _family_counts(keys, J, tail_start, size)
+            counts.append((every.size, regular.size,
+                           int(np.count_nonzero(every >= effective_threshold)),
+                           int(np.count_nonzero(regular >= effective_threshold))))
+    return [EntropyRow(J, a, r, e, re, math.log(a) / J)
+            for J, (a, r, e, re) in enumerate(counts, 1)]
 
 
 def write_entropy_csv(rows: Sequence[EntropyRow], path: str | Path) -> None:

@@ -314,6 +314,33 @@ class TestPersistence:
         with pytest.raises(CacheFormatError, match=f"reserved code 11 at n={n}$"):
             load_cache(path)
 
+    @pytest.mark.parametrize("n", [4 * 2 ** 18, 4 * 2 ** 18 + 1, 1_999_999])
+    def test_reserved_code_past_the_first_scan_step(self, tmp_path, n):
+        # the scan reads 2^18 payload bytes (2^20 entries) a step
+        table = sieve_mobius(2 * 10 ** 6)
+        packed = table.packed.copy()
+        packed[(n - 1) // 4] |= 0b11 << 2 * ((n - 1) % 4)
+        path = tmp_path / "mu.bin"
+        save_cache(MobiusTable(table.n_max, packed), path)
+        with pytest.raises(CacheFormatError, match=f"reserved code 11 at n={n}$"):
+            load_cache(path)
+
+    def test_load_holds_one_copy_of_the_payload(self, tmp_path):
+        table = sieve_mobius(4 * 10 ** 6)
+        save_cache(table, tmp_path / "mu.bin")
+        tracemalloc.start()
+        try:
+            loaded = load_cache(tmp_path / "mu.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the file's bytes, which the table views, and the masks of two
+        # scan steps of 2^18 bytes; a copy of the payload would add 10^6
+        assert peak < table.packed.nbytes + 3 * 2 ** 18
+        assert not loaded.packed.flags.writeable
+        assert loaded.checksum == table.checksum
+        assert np.array_equal(loaded.values(1, 10 ** 4), table.values(1, 10 ** 4))
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_bytes(b"NOPE" + bytes(20))

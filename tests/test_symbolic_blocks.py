@@ -4,11 +4,13 @@ and the bracket-phase second-difference labels."""
 
 import math
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction as F
 from unittest import mock
 
+import block_count_oracle
 import mpmath
 import numerator_oracle
 import numpy as np
@@ -51,6 +53,29 @@ def random_binary(rng, P):
     return SymbolSeq(
         np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")[:P], 2
     )
+
+
+class TestSymbolSeqDtype:
+    @pytest.mark.parametrize("symbols", [
+        np.array([0.5, 1.0, -0.5, 1.9]), np.array([0.0, 1.0]),
+        np.array([0, 1], dtype=object), np.array(["0", "1"]), np.array([1 + 0j]),
+    ])
+    def test_non_integer_dtypes_are_refused(self, symbols):
+        with pytest.raises(ValueError, match=re.escape(f"dtype {symbols.dtype}")):
+            SymbolSeq(symbols, 2)
+
+    def test_bool_symbols_count_as_integers(self):
+        bits = np.array([True, False, True, True, False, True])
+        rows = entropy_curve(SymbolSeq(bits, 2), 3)
+        assert rows == entropy_curve(SymbolSeq(bits.astype(np.uint8), 2), 3)
+        assert [r.count_all for r in rows] == [2, 3, 3]
+
+    def test_uint64_symbols_past_2_53_stay_distinct(self):
+        # a float64 sum would round 2^60 + 1 to 2^60
+        big = np.array([2 ** 60 + 1, 2 ** 60, 2 ** 60 + 1, 2 ** 60], dtype=np.uint64)
+        seq = SymbolSeq(big, 2 ** 61)
+        assert [r.count_all for r in entropy_curve(seq, 2)] == [2, 2]
+        assert index_blocks(seq, 1).all_blocks == {(2 ** 60,): 2, (2 ** 60 + 1,): 2}
 
 
 class TestIndexBlocks:
@@ -594,6 +619,41 @@ class TestRollingCodes:
             tracemalloc.stop()
         assert peak < 24 * P
 
+    def test_indicator_peak_stays_flat_in_the_prefix_length(self):
+        # few distinct windows (820 at J = 18): the J_max histogram and one
+        # block's codes, whatever P is
+        p1, p2 = PolyPhase([0, sqrt_const(2)]), PolyPhase([0, sqrt_const(3)])
+        peaks = []
+        for P in (10 ** 6, 4 * 10 ** 6):
+            seq, _ = indicator_set(p1, p2, P)
+            tracemalloc.start()
+            try:
+                entropy_curve(seq, 18)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 8 * 2 ** 20
+        assert peaks[1] < 1.25 * peaks[0]
+
+    # i.i.d. bits, so that nearly every window that fits is distinct, on each
+    # path: the J_max histogram dense (2^17 <= P - 16), sparse (2^40 > P - 39),
+    # and ranked past J = 61
+    @pytest.mark.parametrize("J_max", [17, 40, 64])
+    def test_budget_covers_the_measured_peak(self, J_max):
+        P = 200_000
+        rng = np.random.default_rng(J_max)
+        seq = SymbolSeq(rng.integers(0, 2, P, dtype=np.uint8), 2)
+        tracemalloc.start()
+        try:
+            rows = entropy_curve(seq, J_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows[-1].count_all > 0.75 * min(2 ** J_max, P - J_max + 1)
+        with mock.patch.object(symbolic_blocks, "DEFAULT_BUDGET_BYTES", peak - 1):
+            with pytest.raises(ResourceBudgetError):
+                entropy_curve(seq, J_max)
+
     @pytest.mark.parametrize("P,J_max", [(10 ** 7, 4), (10 ** 5, 5000)])
     def test_over_budget_fails_fast(self, P, J_max):
         seq = SymbolSeq(np.zeros(P, dtype=np.uint8), 2)
@@ -601,6 +661,58 @@ class TestRollingCodes:
         with pytest.raises(ResourceBudgetError, match=r"needs about \d+ bytes.*budget"):
             entropy_curve(seq, J_max)
         assert time.perf_counter() - t0 < 1.0
+
+
+def _code_length(base):
+    return 40 if base == 1 else max(J for J in range(1, 63) if base ** J < 2 ** 62)
+
+
+@st.composite
+def counting_cases(draw):
+    """(seq, J_max, threshold, tail_start, chunk): J_max next to the dense /
+    sparse switch of the J_max histogram, anywhere, or past the code length
+    (ranked); the symbols i.i.d., periodic with noise, or repetitive; the
+    pass in blocks of 17 or 256 starts, or of phases.CHUNK."""
+    base = draw(st.sampled_from([1, 2, 3, 4, 5, 300]))
+    P = draw(st.integers(1, 3000))
+    where = draw(st.sampled_from(["switch", "any", "ranked"]))
+    if where == "switch":
+        switch = max(J for J in range(64) if base ** J <= P - J + 1)
+        J_max = switch + draw(st.integers(-1, 1))
+    elif where == "ranked":
+        J_max = _code_length(base) + draw(st.integers(1, 3))
+    else:
+        J_max = draw(st.integers(1, _code_length(base) + 3))
+    J_max = min(max(J_max, 1), P)
+    tail = draw(st.one_of(st.just(P - J_max), st.just(0), st.integers(0, P - J_max)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["iid", "periodic", "repetitive"]))
+    if kind == "iid":
+        symbols = rng.integers(0, base, P)
+    elif kind == "periodic":
+        pattern = rng.integers(0, base, draw(st.integers(1, 30)))
+        symbols = np.resize(pattern, P)
+        noise = rng.random(P) < 0.05
+        symbols[noise] = rng.integers(0, base, int(noise.sum()))
+    else:
+        symbols = repetitive(random.Random(int(rng.integers(2 ** 32))), base, P).symbols
+    dtype = draw(st.sampled_from([bool, np.uint8])) if base <= 2 else (
+        np.uint8 if base <= 256 else np.int64)
+    seq = SymbolSeq(np.asarray(symbols).astype(dtype), base)
+    return (seq, J_max, draw(st.sampled_from([2, 3, 50])), tail,
+            draw(st.sampled_from([17, 256, symbolic_blocks.CHUNK])))
+
+
+class TestStreamedCounts:
+    """entropy_curve against the per-J loop it replaced, row for row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(counting_cases())
+    def test_rows_match_the_per_j_loop(self, case):
+        seq, J_max, thr, tail, chunk = case
+        want = block_count_oracle.entropy_curve_rows(seq, J_max, thr, tail)
+        with mock.patch.object(symbolic_blocks, "CHUNK", chunk):
+            assert entropy_curve(seq, J_max, thr, tail) == want
 
 
 class TestIndexBlocksBudget:
