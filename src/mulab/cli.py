@@ -48,7 +48,7 @@ from .sieves import (
     sieve_phi,
 )
 from .symbolic_blocks import (
-    _check_budget,
+    _check_entropy,
     entropy_curve,
     indicator_set,
     load_symbols,
@@ -206,8 +206,10 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     elif args.p1 and args.p2:
         if args.length is None:
             raise ParseError("--length is required with --p1/--p2")
-        # the block counts' budget, before the indicator scan it would follow
-        _check_budget("entropy_curve", args.length, 2, args.jmax)
+        # the block counts' arguments and budget, before the indicator scan
+        # they would follow; a length below 1 is the scan's own error
+        if args.length >= 1:
+            _check_entropy(args.length, 2, args.jmax, args.threshold, args.tail_start)
         seq, report = indicator_set(
             parse_phase(args.p1), parse_phase(args.p2), args.length
         )

@@ -11,26 +11,34 @@ length-J windows are counted:
                      times among the regular positions
 
 The counts are exact, on integer window codes sum_j s(i+j) base^(J-1-j)
-(no approximate matching).  While base^J_max < 2^62, `entropy_curve` makes
-one pass over the window starts, CHUNK at a time: it rolls each block's
-J_max-window codes and adds them to one J_max histogram, dense while
-base^J_max is at most the number of windows, else sorted runs of codes and
-counts.  The histograms of the regular starts take their J-codes from the
-same block, code // base^(J_max - J).  Every shorter J then folds down, as
-subword counts do: the J histogram is the (J+1) one aggregated by
-code // base, plus the window at P - J.  Its tracemalloc peak is that of
-the histograms and one block: 3.6 MiB on the sqrt2/sqrt3 indicator at
-J_max = 18 for P = 1e6 and 4.2 MiB for P = 4e6, and at most 7 bytes per
-symbol dense and 43 sparse when nearly every window is distinct (P = 1e6).
-`index_blocks`, `block_count_inequality_check` and the J of `entropy_curve`
-past the int64 code length count one J at a time on a prefix-length array
-(`_window_keys`): the int64 codes rolled from J to J+1 in place, counted
-with np.bincount while base^J is at most the number of windows, else with
-np.unique (at most 50 bytes per symbol), and, once base^J reaches 2^62,
-dense ranks: the J-window at i is the pair (rank of the (J-1)-window at i,
-s(i+J-1)), ranked by one np.unique (about 107 bytes per symbol).  Only
-`index_blocks` decodes keys into blocks.  `entropy_curve` and
-`index_blocks` check their working bytes (measured per symbol and per
+(no approximate matching).  Every window length whose codes fit int64
+(base^J < 2^62) is counted through one streamed pass (`_stream`): it rolls
+the L-window codes of CHUNK starts at a time, the symbols past the prefix
+read as 0, and feeds each family of starts its J-codes, code // base^(L-J),
+into one histogram (`_Histogram`).  A histogram is a dense count array
+while base^J is at most its number of starts (and CHUNK, for the regular
+starts), else one sorted run of codes and counts plus the codes held since
+its last merge, merged by one np.unique once the held blocks average as many
+codes as the run has distinct ones: at once when windows repeat, so that its
+memory stays flat in P, and once when read when nearly every window is new.
+`entropy_curve` feeds one histogram of every start at J_max and one of the
+regular starts per J, and folds the first down, as subword counts do: the
+J histogram is the (J+1) one aggregated by code // base, plus the fewer than
+J_max windows past P - J_max.  `index_blocks` feeds its two families at J
+and decodes their distinct codes; `block_count_inequality_check` feeds the
+lJ-windows at starts <= P - (l+1)J and the regular J-windows from one pass
+at lJ.  The tracemalloc peak is the histograms and one block: on the
+sqrt2/sqrt3 indicator at P = 1e6, 3.6 MiB for `entropy_curve` at J_max = 18,
+3.1 MiB for `index_blocks` at J = 18 and for the inequality at J = 6, l = 3,
+each growing by less than 1.25 times up to P = 4e6, and 1.8 MiB for
+`index_blocks` at J = 30; at most 40 bytes per symbol when nearly every
+window is distinct.
+Past the int64 code length the keys are dense ranks (`_ranked_keys`): the
+J-window at i is the pair (rank of the (J-1)-window at i, s(i+J-1)), ranked
+by one np.unique per J from the ranks of the longest coded windows (about
+107 bytes per symbol), each length once per call, and counted by the same
+histograms.  Only `index_blocks` decodes keys into blocks.  `entropy_curve`
+and `index_blocks` check their working bytes (measured per symbol and per
 decoded block) against the 512 MiB default budget, and the ranked window
 keys they build over all J against a fixed limit, up front.  The per-J entropy
 estimates log|B_J|/J are finite-prefix estimates, which the report rows
@@ -142,14 +150,16 @@ def load_symbols(header_path: str | Path) -> SymbolSeq:
 # window counting
 
 
-#: working bytes per symbol of the per-J window keys, as tracemalloc
-#: measures them when every window is distinct (P = 1e6, numpy 2.4): the
-#: int64 codes plus np.unique's sorted copy, mask and index arrays.  The
-#: streamed pass of `entropy_curve` stays below it (at most 43), and its
-#: budget is still this one, so it refuses what the per-J count refused.
-#: Once base^J >= 2^62 the ranked windows add the symbols' digits, the pair
-#: keys, the previous ranks and np.unique's inverse and first starts (about
-#: 107 in all at P = 1e6, bases 2, 5, 300).
+#: working bytes per symbol of the window keys when every window is
+#: distinct, charged as the per-J code arrays took them (56, P = 1e6, numpy
+#: 2.4), so the refusals stay as they were.  The streamed pass of the coded J,
+#: its histograms and one block of codes, stays below it: tracemalloc reads
+#: at most 40 for `entropy_curve` and 37 for `block_count_inequality_check`
+#: on i.i.d. symbols (P = 2e5, bases 2 and 300), the codes held until one
+#: np.unique reads them, as the per-J arrays were.  Once
+#: base^J >= 2^62 the ranked windows add the symbols' digits, the pair keys,
+#: the previous ranks and np.unique's inverse and first starts (about 107 in
+#: all at P = 1e6, bases 2, 5, 300).
 _CODE_BYTES_PER_SYMBOL = 56
 _RANK_BYTES_PER_SYMBOL = 56
 #: ranked window keys that one call may build over all its J (P per J past
@@ -199,60 +209,42 @@ def _check_budget(what: str, P: int, alphabet_size: int, J: int,
             f"{_MAX_WINDOW_KEYS}-key limit; shorten the prefix or lower J")
 
 
-def _window_keys(symbols: np.ndarray, base: int, J_lo: int, J_hi: int):
-    """Yield (J, keys, size, starts) for J_lo <= J <= J_hi.  keys[i] < size
-    identifies the J-window at start i, and keys order the windows as their
-    symbols do.  While base^J < 2^62 the keys are the int64 codes
-    sum_j s[i+j] base^(J-1-j) (size base^J, starts None), rolled in place as
-    code_J = code_{J-1} base + s[J-1:], so each yield overwrites the one
-    before.  Above that they are dense ranks, of the pair keys
-    rank_{J-1}[i] d + digit[i+J-1], where digit is the rank of a symbol
-    among the d distinct ones, so that a key stays below P^2: size is the
-    number of distinct windows and starts[r] the first start of rank r."""
-    P = symbols.size
-    codes = np.zeros(P, dtype=np.int64)
-    J = 0
-    while J < J_hi and _code_range(base, J + 1) is not None:
-        J += 1
-        codes = codes[: P - J + 1]
+def _codes(symbols: np.ndarray, base: int, L: int, a: int, n: int) -> np.ndarray:
+    """The int64 codes sum_j s[i+j] base^(L-1-j) of the L-windows at the n
+    starts i from a, for base^L < 2^62, with the symbols past the prefix
+    read as 0: the J-window at i, wherever it fits, is code // base^(L-J)."""
+    codes = np.zeros(n, dtype=np.int64)
+    for j in range(L):
         codes *= base
+        digits = symbols[a + j : a + j + n]
+        part = codes[: digits.size]
         # the int64 loop converts the symbols as astype(int64) would; uint64
         # symbols would otherwise select the float64 loop, inexact past 2^53
-        np.add(codes, symbols[J - 1 :], out=codes, casting="unsafe", dtype=np.int64)
-        if J >= J_lo:
-            yield J, codes, _code_range(base, J), None
-    if J == J_hi:
+        np.add(part, digits, out=part, casting="unsafe", dtype=np.int64)
+    return codes
+
+
+def _ranked_keys(symbols: np.ndarray, base: int, J_hi: int):
+    """Yield (J, ranks, size, starts) for the J up to J_hi past the int64
+    code length: ranks[i] < size is the dense rank of the J-window at
+    start i, in the order of their symbols, and starts[r] the first start of
+    rank r.  Each J ranks the pair keys rank_{J-1}[i] d + digit[i+J-1], where
+    digit is the rank of a symbol among the d distinct ones, so that a key
+    stays below P^2, by one np.unique, from the ranks of the int64 codes."""
+    P = symbols.size
+    coded = _coded_length(base, J_hi)
+    if coded == J_hi:
         return
-    ranks = np.unique(codes, return_inverse=True)[1]
-    del codes
+    ranks = np.unique(_codes(symbols, base, coded, 0, P - coded + 1),
+                      return_inverse=True)[1]
     digits = np.unique(symbols, return_inverse=True)[1]
     d = int(digits.max()) + 1
-    for J in range(J + 1, J_hi + 1):
+    for J in range(coded + 1, J_hi + 1):
         keys = ranks[: P - J + 1] * d
         keys += digits[J - 1 :]
         _, starts, ranks = np.unique(keys, return_index=True, return_inverse=True)
         del keys
-        if J >= J_lo:
-            yield J, ranks, starts.size, starts
-
-
-def _key_counts(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct keys ascending, occurrence counts) of keys in range(size):
-    by np.bincount while the count array is no larger than the keys, else
-    by np.unique."""
-    if size <= keys.size:
-        counts = np.bincount(keys, minlength=size)
-        distinct = np.flatnonzero(counts)
-        return distinct, counts[distinct]
-    return np.unique(keys, return_counts=True)
-
-
-def _family_counts(keys: np.ndarray, J: int, tail_start: int, size: int):
-    """_key_counts of the windows at every start >= tail_start and of the
-    regular windows, at every J-th start from the first multiple of J there."""
-    first_reg = -(-tail_start // J) * J
-    return (_key_counts(keys[tail_start:], size),
-            _key_counts(keys[first_reg::J], size))
+        yield J, ranks, starts.size, starts
 
 
 def _blocks(distinct: np.ndarray, counts: np.ndarray, J: int, base: int,
@@ -272,144 +264,142 @@ def _blocks(distinct: np.ndarray, counts: np.ndarray, J: int, base: int,
     return out
 
 
-def _merge(runs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """The union of runs (distinct codes ascending, counts), the counts of
-    a code summed.  It empties `runs` once their arrays are copied; the
-    stable sort (timsort) of the concatenated runs merges them run by run."""
-    keys = np.concatenate([k for k, _ in runs])
-    counts = np.concatenate([c for _, c in runs])
-    runs.clear()
-    order = keys.argsort(kind="stable")
-    keys = keys[order]
-    counts = counts[order]
-    del order
-    return _combine(keys, counts)
-
-
 def _combine(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct keys, summed counts) of ascending keys that may repeat;
-    counts is overwritten."""
+    """(distinct keys, summed counts) of ascending keys that may repeat."""
     head = np.empty(keys.size, dtype=bool)
     head[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=head[1:])
     if head.all():
         return keys, counts
-    last = np.append(head[1:], True)
-    keys = keys[head]
+    first = np.flatnonzero(head)
     del head
-    counts = np.cumsum(counts, out=counts)[last]
-    counts[1:] -= counts[:-1].copy()
-    return keys, counts
+    return keys[first], np.add.reduceat(counts, first)
 
 
 class _Histogram:
-    """Occurrence counts of codes in range(size), fed block by block.  While
-    size is at most `dense_limit` it is a dense count array; above that, a
-    list of runs (distinct codes ascending, counts), one per block, the
-    last two merged while the one before the last is no longer, so a code
-    takes part in O(log P) merges."""
+    """Occurrence counts of the keys in range(size) of the J-windows at the
+    starts range(first, stop, step), fed block by block.  While size is at
+    most the number of starts, and for regular starts (step > 1) at most
+    CHUNK too, so that the dense regular arrays never outgrow one block, it
+    is a dense count array.  Above that it is one run (distinct keys
+    ascending, counts) and the keys fed since the run was last merged, held
+    while the held blocks average fewer keys than the run has: one
+    np.unique then sorts them with the run's keys, whose counts it adds.  Where
+    windows repeat, each block is merged as it comes and the held keys stay
+    within one block; where nearly every window is new, the keys are held
+    until read and sorted once, as a per-J count would."""
 
-    def __init__(self, size: int, dense_limit: int):
-        self.dense = np.zeros(size, dtype=np.int64) if size <= dense_limit else None
-        self.runs: list[tuple[np.ndarray, np.ndarray]] = []
+    def __init__(self, size: int, J: int, first: int, stop: int, step: int = 1):
+        self.size, self.J = size, J
+        self.starts = range(first, stop, step)
+        self.limit = len(self.starts) if step == 1 else min(CHUNK, len(self.starts))
+        self.held: list[np.ndarray] = []
+        self._store(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
-    def add(self, codes: np.ndarray) -> None:
+    def _store(self, keys: np.ndarray, counts: np.ndarray) -> None:
+        self.run, self.dense = (keys, counts), None
+        if self.size <= self.limit:
+            self.dense = np.zeros(self.size, dtype=np.int64)
+            self.dense[keys] = counts
+
+    def take(self, keys: np.ndarray, a: int, div: int = 1) -> "_Histogram":
+        """Add key // div for each of keys, those of the starts a, a + 1, ...,
+        whose start is one of the histogram's; returns the histogram."""
+        first, stop, step = self.starts.start, self.starts.stop, self.starts.step
+        keys = keys[max(first - a, (first - a) % step) : max(stop - a, 0) : step]
         if self.dense is not None:
-            np.add.at(self.dense, codes, 1)
-        elif codes.size:
-            self.runs.append(np.unique(codes, return_counts=True))
-            while len(self.runs) > 1 and self.runs[-2][0].size <= self.runs[-1][0].size:
-                self.runs.append(_merge([self.runs.pop(), self.runs.pop()]))
+            np.add.at(self.dense, keys // div if div > 1 else keys, 1)
+            return self
+        # a strided view would hold the whole array it was taken from
+        self.held.append(keys // div if div > 1 else keys.copy())
+        if sum(k.size for k in self.held) >= len(self.held) * self.run[0].size:
+            self._merge_held()
+        return self
 
-    def _run(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sparse counts as one run."""
-        if not self.runs:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        if len(self.runs) > 1:
-            runs, self.runs = self.runs, []
-            self.runs.append(_merge(runs))
-        return self.runs[0]
+    def _merge_held(self) -> None:
+        if self.held:
+            keys, counts = self.run
+            held, self.held, self.run = np.concatenate([keys, *self.held]), [], None
+            merged, total = np.unique(held, return_counts=True)
+            del held
+            total[np.searchsorted(merged, keys)] += counts - 1
+            self.run = merged, total
 
-    def _count(self, code: int) -> int:
+    def items(self) -> tuple[np.ndarray, np.ndarray]:
+        """(distinct keys ascending, their counts)."""
         if self.dense is not None:
-            return int(self.dense[code])
-        keys, counts = self._run()
-        i = int(np.searchsorted(keys, code))
-        return int(counts[i]) if i < keys.size and keys[i] == code else 0
+            keys = np.flatnonzero(self.dense)
+            return keys, self.dense[keys]
+        self._merge_held()
+        return self.run
 
-    def family(self, threshold: int, extra: list[int]) -> tuple[int, int]:
-        """(distinct codes, codes counted at least threshold times), with
-        each code in `extra` counted once more."""
-        counts = self.dense if self.dense is not None else self._run()[1]
+    def family(self, threshold: int, extra: list[int] = ()) -> tuple[int, int]:
+        """(distinct keys, keys counted at least threshold times), with each
+        key in `extra` counted once more."""
+        counts = self.dense if self.dense is not None else self.items()[1]
         distinct = int(np.count_nonzero(counts))
         effective = int(np.count_nonzero(counts >= threshold))
-        for code, more in Counter(extra).items():
-            have = self._count(code)
+        for key, more in Counter(extra).items():
+            have = self._count(key)
             distinct += have == 0
             effective += (have + more >= threshold) - (have >= threshold)
         return distinct, effective
 
+    def _count(self, key: int) -> int:
+        if self.dense is not None:
+            return int(self.dense[key])
+        keys, counts = self.run
+        i = int(np.searchsorted(keys, key))
+        return int(counts[i]) if i < keys.size and keys[i] == key else 0
+
     def fold(self, base: int) -> None:
         """From the (J+1)-window counts to the J-window counts of the same
-        starts: each code's J-window prefix is code // base."""
+        starts: each key's J-window prefix is key // base."""
+        self.size //= base
         if self.dense is not None:
             self.dense = self.dense.reshape(-1, base).sum(axis=1)
             return
-        keys, counts = self.runs.pop()
+        keys, counts = self.items()
+        self.run = None
         keys //= base
-        self.runs.append(_combine(keys, counts))
+        self._store(*_combine(keys, counts))
 
 
-def _streamed_counts(symbols: np.ndarray, base: int, J_max: int, threshold: int,
-                     tail_start: int) -> list[tuple[int, int, int, int]]:
-    """(all, regular, effective, regularly effective) counts for J = 1..J_max,
-    where base^J_max < 2^62, from one pass over the starts that hold a whole
-    J_max-window, CHUNK starts at a time.  Each block's J_max-window codes
-    feed one J_max histogram, and the J-codes of the regular starts in it,
-    code // base^(J_max - J), one histogram per J.  The J histogram of
-    those starts is then the (J+1) one folded.  The fewer than J_max starts
-    past P - J_max are coded directly, from the codes of the suffixes there,
-    and counted on top of the histograms.  The J_max histogram is dense
-    while base^J_max is at most the number of windows, as in _key_counts; a
-    regular one while base^J is also at most CHUNK, so that the dense
-    regular arrays stay within about one block's codes whatever P is."""
-    P = symbols.size
-    stop = P - J_max + 1
-    every = _Histogram(base ** J_max, stop - tail_start)
-    regular = []
-    for J in range(1, J_max + 1):
-        starts = range(-(-tail_start // J) * J, P - J + 1, J)
-        regular.append(_Histogram(base ** J, min(CHUNK, len(starts))))
-    for a in range(tail_start, stop, CHUNK):
-        n = min(CHUNK, stop - a)
-        codes = np.zeros(n, dtype=np.int64)
-        for j in range(J_max):
-            codes *= base
-            np.add(codes, symbols[a + j : a + j + n], out=codes, casting="unsafe",
-                   dtype=np.int64)
-        every.add(codes)
-        for J, hist in enumerate(regular, 1):
-            hist.add(codes[-a % J :: J] // base ** (J_max - J))
-    del codes
-    # the J-window at a start i past P - J_max is the suffix code // base^(P - i - J)
-    suffix = {i: 0 for i in range(stop, P)}
-    for i in suffix:
-        for s in symbols[i:].tolist():
-            suffix[i] = suffix[i] * base + s
+def _stream(symbols: np.ndarray, base: int, L: int, hists: list[_Histogram]) -> None:
+    """Feed each histogram, of a window length J <= L for base^L < 2^62,
+    the J-window codes of its starts, code // base^(L - J), from one pass
+    over the L-window codes of all their starts, CHUNK at a time."""
+    lo = min(h.starts.start for h in hists)
+    hi = max(h.starts.stop for h in hists)
+    for a in range(lo, hi, CHUNK):
+        codes = _codes(symbols, base, L, a, min(CHUNK, hi - a))
+        for h in hists:
+            h.take(codes, a, base ** (L - h.J))
 
-    def late(starts, J):
-        return [suffix[i] // base ** (P - i - J) for i in starts]
 
-    reg_counts = []
-    for J in range(1, J_max + 1):
-        reg_counts.append(regular.pop(0).family(
-            threshold, late(range(-(-stop // J) * J, P - J + 1, J), J)))
-    all_counts = []
-    for J in range(J_max, 0, -1):
-        if J < J_max:
-            every.fold(base)
-        all_counts.append(every.family(threshold, late(range(stop, P - J + 1), J)))
-    return [(a, r, e, re) for (a, e), (r, re) in zip(reversed(all_counts), reg_counts)]
+def _count_families(symbols: np.ndarray, base: int,
+                    families: list[tuple[int, int, int, int]]):
+    """(histograms, first starts) of the window families (J, first, stop,
+    step), the J-windows at starts range(first, stop, step), which must fit
+    in the prefix.  The coded J are counted in one streamed pass at the
+    longest of them, the ranked J in one roll of the ranks up to the
+    longest, whose first starts of each rank come back (None without it)."""
+    hists = {f: _Histogram(base ** f[0], *f) for f in families
+             if _code_range(base, f[0]) is not None}
+    if hists:
+        _stream(symbols, base, max(J for J, *_ in hists), list(hists.values()))
+    ranked = [f for f in families if f not in hists]
+    starts = None
+    if ranked:
+        for J, ranks, size, starts in _ranked_keys(symbols, base, max(J for J, *_ in ranked)):
+            hists.update((f, _Histogram(size, *f).take(ranks, 0)) for f in ranked if f[0] == J)
+    return [hists[f] for f in families], starts
+
+
+def _families(J: int, tail_start: int, P: int) -> list[tuple[int, int, int, int]]:
+    """The all and the regular J-window families: every start from
+    tail_start, and every J-th start from the first multiple of J there."""
+    return [(J, tail_start, P - J + 1, 1), (J, -(-tail_start // J) * J, P - J + 1, J)]
 
 
 @dataclass
@@ -455,10 +445,9 @@ def index_blocks(
         raise ValueError("tail_start outside the prefix")
     base = seq.alphabet_size
     _check_budget("index_blocks", P, base, J, min(P - J + 1, _code_range(base, J) or P))
-    _, keys, size, starts = next(_window_keys(seq.symbols, base, J, J))
-    all_counts, reg_counts = (
-        _blocks(*family, J, base, seq.symbols, starts)
-        for family in _family_counts(keys, J, tail_start, size))
+    hists, starts = _count_families(seq.symbols, base, _families(J, tail_start, P))
+    all_counts, reg_counts = (_blocks(*h.items(), J, base, seq.symbols, starts)
+                              for h in hists)
     eff = {b: c for b, c in all_counts.items() if c >= effective_threshold}
     reg_eff = {b: c for b, c in reg_counts.items() if c >= effective_threshold}
     return BlockIndex(
@@ -477,6 +466,22 @@ class EntropyRow:
     entropy_estimate: float  # log|B_J|/J on the finite prefix
 
 
+def _check_entropy(P: int, alphabet_size: int, J_max: int, effective_threshold: int,
+                   tail_start: int) -> None:
+    """The argument checks and the budget of `entropy_curve` on a length-P
+    prefix, which need no symbols, so that a caller that builds the prefix
+    can check before building it."""
+    if J_max > P:
+        raise WindowTooShortError("J_max exceeds the prefix length")
+    if J_max < 1:
+        return
+    if effective_threshold < 2:
+        raise ValueError("effective_threshold must be >= 2")
+    if not 0 <= tail_start <= P - J_max:
+        raise ValueError("tail_start outside the prefix")
+    _check_budget("entropy_curve", P, alphabet_size, J_max)
+
+
 def entropy_curve(
     seq: SymbolSeq,
     J_max: int,
@@ -486,28 +491,31 @@ def entropy_curve(
     """Per-J counts of all four families plus the finite-prefix estimate
     log|B_J|/J.  These are prefix estimates of a limit, reported side by
     side; no equality between the four columns is asserted."""
-    P = len(seq)
-    if J_max > P:
-        raise WindowTooShortError("J_max exceeds the prefix length")
+    P, base, thr = len(seq), seq.alphabet_size, effective_threshold
+    _check_entropy(P, base, J_max, thr, tail_start)
     if J_max < 1:
         return []
-    if effective_threshold < 2:
-        raise ValueError("effective_threshold must be >= 2")
-    if not 0 <= tail_start <= P - J_max:
-        raise ValueError("tail_start outside the prefix")
-    base = seq.alphabet_size
-    _check_budget("entropy_curve", P, base, J_max)
     coded = _coded_length(base, J_max)
-    counts = _streamed_counts(seq.symbols, base, coded, effective_threshold,
-                              tail_start) if coded else []
-    if coded < J_max:
-        for J, keys, size, _ in _window_keys(seq.symbols, base, coded + 1, J_max):
-            (_, every), (_, regular) = _family_counts(keys, J, tail_start, size)
-            counts.append((every.size, regular.size,
-                           int(np.count_nonzero(every >= effective_threshold)),
-                           int(np.count_nonzero(regular >= effective_threshold))))
+    counts = []
+    if coded:
+        # one histogram of the starts that hold a whole J_max-window, folded
+        # down J by J, with the fewer than J_max windows past them counted on
+        # top, and one histogram of the regular starts per J
+        every = _Histogram(base ** coded, *_families(coded, tail_start, P)[0])
+        regular = [_Histogram(base ** J, *_families(J, tail_start, P)[1])
+                   for J in range(1, coded + 1)]
+        _stream(seq.symbols, base, coded, [every, *regular])
+        reg_counts = [regular.pop(0).family(thr) for _ in range(coded)]
+        for J in range(coded, 0, -1):
+            if J < coded:
+                every.fold(base)
+            late = _codes(seq.symbols, base, J, P - coded + 1, coded - J).tolist()
+            counts.insert(0, every.family(thr, late) + reg_counts[J - 1])
+    for J, ranks, size, _ in _ranked_keys(seq.symbols, base, J_max):
+        counts.append(sum((_Histogram(size, *f).take(ranks, 0).family(thr)
+                           for f in _families(J, tail_start, P)), ()))
     return [EntropyRow(J, a, r, e, re, math.log(a) / J)
-            for J, (a, r, e, re) in enumerate(counts, 1)]
+            for J, (a, e, r, re) in enumerate(counts, 1)]
 
 
 def write_entropy_csv(rows: Sequence[EntropyRow], path: str | Path) -> None:
@@ -532,6 +540,13 @@ def block_count_inequality_check(seq: SymbolSeq, J: int, l: int) -> bool:
     of them is covered by l+1 successive regular J-blocks inside the prefix.
     Always true; returned rather than asserted so callers can tabulate.
     """
+    left, regular = _inequality_counts(seq, J, l)
+    return left <= J * regular ** (l + 1)
+
+
+def _inequality_counts(seq: SymbolSeq, J: int, l: int) -> tuple[int, int]:
+    """(|B_{lJ}|, |B_J^r|) of `block_count_inequality_check`, from one
+    streamed pass or one roll of the ranks."""
     P = len(seq)
     if l < 1 or J < 1:
         raise ValueError("need J >= 1, l >= 1")
@@ -539,11 +554,9 @@ def block_count_inequality_check(seq: SymbolSeq, J: int, l: int) -> bool:
         raise WindowTooShortError("window (l+1)*J exceeds the prefix")
     base = seq.alphabet_size
     _check_budget("block_count_inequality_check", P, base, l * J)
-    _, keys, size, _ = next(_window_keys(seq.symbols, base, l * J, l * J))
-    left = _key_counts(keys[: P - (l + 1) * J + 1], size)[0].size
-    _, keys, size, _ = next(_window_keys(seq.symbols, base, J, J))
-    reg = _key_counts(keys[::J], size)[0].size
-    return left <= J * reg ** (l + 1)
+    left, regular = (l * J, 0, P - (l + 1) * J + 1, 1), (J, 0, P - J + 1, J)
+    hists, _ = _count_families(seq.symbols, base, [left, regular])
+    return hists[0].family(2)[0], hists[1].family(2)[0]
 
 
 # ---------------------------------------------------------------------------

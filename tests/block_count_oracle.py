@@ -1,7 +1,8 @@
-"""The per-J block counting loop that `entropy_curve` ran before it counted
-every window length from one streamed J_max histogram, kept verbatim as the
-differential oracle: each J rolls a prefix-length int64 code array (dense
-ranks once base^J >= 2^62) and counts it on its own."""
+"""The per-J block counting that `entropy_curve`, `index_blocks` and
+`block_count_inequality_check` did before they counted every coded window
+length through one streamed histogram, kept verbatim as the differential
+oracle: each J rolls a prefix-length int64 code array (dense ranks once
+base^J >= 2^62) and counts it on its own."""
 
 import math
 
@@ -35,8 +36,9 @@ def _window_keys(symbols: np.ndarray, base: int, J_lo: int, J_hi: int):
         J += 1
         codes = codes[: P - J + 1]
         codes *= base
-        # unsafe casting converts the symbols as astype(int64) would
-        np.add(codes, symbols[J - 1 :], out=codes, casting="unsafe")
+        # the int64 loop converts the symbols as astype(int64) would; uint64
+        # symbols would otherwise select the float64 loop, inexact past 2^53
+        np.add(codes, symbols[J - 1 :], out=codes, casting="unsafe", dtype=np.int64)
         if J >= J_lo:
             yield J, codes, _code_range(base, J), None
     if J == J_hi:
@@ -71,6 +73,50 @@ def _family_counts(keys: np.ndarray, J: int, tail_start: int, size: int):
     first_reg = -(-tail_start // J) * J
     return (_key_counts(keys[tail_start:], size),
             _key_counts(keys[first_reg::J], size))
+
+
+def _blocks(distinct: np.ndarray, counts: np.ndarray, J: int, base: int,
+            symbols: np.ndarray, starts: np.ndarray | None) -> dict:
+    """The counted keys as {block: count}: ranks read from the first start
+    of their window, codes decoded digit by digit."""
+    if starts is not None:
+        return {tuple(symbols[i : i + J].tolist()): cnt
+                for i, cnt in zip(starts[distinct].tolist(), counts.tolist())}
+    out = {}
+    for code, cnt in zip(distinct.tolist(), counts.tolist()):
+        block = []
+        for _ in range(J):
+            code, r = divmod(code, base)
+            block.append(r)
+        out[tuple(reversed(block))] = cnt
+    return out
+
+
+def index_blocks_dicts(seq: SymbolSeq, J: int, effective_threshold: int,
+                       tail_start: int) -> tuple[dict, dict, dict, dict]:
+    """The all, regular, effective and regularly effective dicts of
+    `index_blocks` for valid arguments, from one J-window key array."""
+    base = seq.alphabet_size
+    _, keys, size, starts = next(_window_keys(seq.symbols, base, J, J))
+    all_counts, reg_counts = (
+        _blocks(*family, J, base, seq.symbols, starts)
+        for family in _family_counts(keys, J, tail_start, size))
+    eff = {b: c for b, c in all_counts.items() if c >= effective_threshold}
+    reg_eff = {b: c for b, c in reg_counts.items() if c >= effective_threshold}
+    return all_counts, reg_counts, eff, reg_eff
+
+
+def inequality_counts(seq: SymbolSeq, J: int, l: int) -> tuple[int, int]:
+    """(distinct lJ-windows at starts <= P - (l+1)J, distinct regular
+    J-windows) of `block_count_inequality_check` for valid arguments, from
+    one key array per window length."""
+    P = len(seq)
+    base = seq.alphabet_size
+    _, keys, size, _ = next(_window_keys(seq.symbols, base, l * J, l * J))
+    left = _key_counts(keys[: P - (l + 1) * J + 1], size)[0].size
+    _, keys, size, _ = next(_window_keys(seq.symbols, base, J, J))
+    reg = _key_counts(keys[::J], size)[0].size
+    return left, reg
 
 
 def entropy_curve_rows(seq: SymbolSeq, J_max: int, effective_threshold: int,

@@ -192,6 +192,17 @@ class TestEntropyCommand:
         assert time.perf_counter() - t0 < 1.0
         assert "entropy_curve for P=10000000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--threshold", "1"), ("--tail-start", "-1"), ("--tail-start", "4991"),
+        ("--jmax", "5001"),
+    ])
+    def test_bad_counting_arguments_exit_2_before_scanning(self, capsys, flag, value):
+        args = {"--jmax": "10", "--threshold": "2", "--tail-start": "0", flag: value}
+        assert run(["entropy", "--p1", "poly:0,sqrt2", "--p2", "poly:0,sqrt3",
+                    "--length", "5000", *(x for kv in args.items() for x in kv)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error" in err.lower()
+
     def test_indicator_checks_each_phase_range_before_scanning(self, capsys):
         # the power's time budget reaches the indicator: about 783 s of roots
         t0 = time.perf_counter()

@@ -15,7 +15,7 @@ import mpmath
 import numerator_oracle
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mulab import _limbs, symbolic_blocks
 from mulab.errors import PrecisionError, ResourceBudgetError, WindowTooShortError
@@ -635,6 +635,26 @@ class TestRollingCodes:
         assert peaks[1] < 8 * 2 ** 20
         assert peaks[1] < 1.25 * peaks[0]
 
+    @pytest.mark.parametrize("call", [
+        lambda seq: index_blocks(seq, 18),
+        lambda seq: block_count_inequality_check(seq, 6, 3),
+    ], ids=["index_blocks", "inequality"])
+    def test_indicator_peak_of_the_other_families(self, call):
+        # both take their windows from the streamed histograms, so their peak
+        # stays about one block and the histograms, whatever P is
+        p1, p2 = PolyPhase([0, sqrt_const(2)]), PolyPhase([0, sqrt_const(3)])
+        peaks = []
+        for P in (10 ** 6, 4 * 10 ** 6):
+            seq, _ = indicator_set(p1, p2, P)
+            tracemalloc.start()
+            try:
+                call(seq)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 6 * 2 ** 20
+        assert peaks[1] < 1.25 * peaks[0]
+
     # i.i.d. bits, so that nearly every window that fits is distinct, on each
     # path: the J_max histogram dense (2^17 <= P - 16), sparse (2^40 > P - 39),
     # and ranked past J = 61
@@ -714,6 +734,30 @@ class TestStreamedCounts:
         with mock.patch.object(symbolic_blocks, "CHUNK", chunk):
             assert entropy_curve(seq, J_max, thr, tail) == want
 
+    @settings(max_examples=150, deadline=None)
+    @given(counting_cases())
+    def test_index_blocks_match_the_per_j_loop(self, case):
+        seq, J, thr, tail, chunk = case
+        want = block_count_oracle.index_blocks_dicts(seq, J, thr, tail)
+        with mock.patch.object(symbolic_blocks, "CHUNK", chunk):
+            idx = index_blocks(seq, J, thr, tail)
+        got = (idx.all_blocks, idx.regular_blocks, idx.effective_blocks,
+               idx.regularly_effective_blocks)
+        assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+
+    @settings(max_examples=150, deadline=None)
+    @given(counting_cases(), st.integers(1, 4))
+    def test_inequality_counts_match_the_per_j_loop(self, case, l):
+        # the case's J_max is the left windows' length l J, so that they sit
+        # at the switch or past the code length as the case draws them
+        seq, J_max, _, _, chunk = case
+        J = min(max(J_max // l, 1), len(seq) // (l + 1))
+        assume(J >= 1)
+        want = block_count_oracle.inequality_counts(seq, J, l)
+        with mock.patch.object(symbolic_blocks, "CHUNK", chunk):
+            assert symbolic_blocks._inequality_counts(seq, J, l) == want
+            assert block_count_inequality_check(seq, J, l)
+
 
 class TestIndexBlocksBudget:
     @pytest.mark.parametrize("P,J,base", [(10 ** 6, 40, 2), (10 ** 5, 5000, 2), (2 * 10 ** 6, 20, 300)])
@@ -761,6 +805,22 @@ class TestScanBudgets:
             with pytest.raises(ResourceBudgetError, match=rf"{name} for P=\d+.* needs about \d+ bytes.*budget"):
                 call()
             assert time.perf_counter() - t0 < 1.0
+
+    # i.i.d. bits: the l J histogram dense (2^20 <= P), sparse (2^40 > P),
+    # and ranked (l J = 80 past 61)
+    @pytest.mark.parametrize("J,l", [(10, 2), (20, 2), (40, 2)])
+    def test_inequality_budget_covers_the_measured_peak(self, J, l):
+        P = 200_000
+        seq = SymbolSeq(np.random.default_rng(J).integers(0, 2, P, dtype=np.uint8), 2)
+        tracemalloc.start()
+        try:
+            block_count_inequality_check(seq, J, l)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with mock.patch.object(symbolic_blocks, "DEFAULT_BUDGET_BYTES", peak - 1):
+            with pytest.raises(ResourceBudgetError):
+                block_count_inequality_check(seq, J, l)
 
     @pytest.mark.parametrize("which", ["indicator", "labels"])
     def test_budget_covers_the_measured_peak(self, which):
@@ -833,6 +893,22 @@ class TestRankedWindows:
         seq = repetitive(random.Random(9), 2, 400)
         assert block_count_inequality_check(seq, 40, 2)  # l J = 80 > 61
         assert block_count_inequality_check(seq, 70, 1)
+
+    @pytest.mark.parametrize("J,l", [(70, 1), (40, 2), (31, 2), (21, 3)])
+    def test_inequality_ranks_within_its_charge(self, J, l):
+        # each np.unique with first starts ranks one J's pair keys; the
+        # budget charges P keys per window length past the code length (61)
+        seq = repetitive(random.Random(9), 2, 400)
+        ranked, unique = [], np.unique
+
+        def spy(ar, *args, **kwargs):
+            if kwargs.get("return_index"):
+                ranked.append(np.size(ar))
+            return unique(ar, *args, **kwargs)
+
+        with mock.patch.object(np, "unique", spy):
+            assert block_count_inequality_check(seq, J, l)
+        assert 0 < sum(ranked) <= 400 * (l * J - 61)
 
     def test_budget_covers_the_measured_peak(self):
         P = 200_000
