@@ -58,7 +58,7 @@ from .phases import (
     GeometricSchedule,
     Phase,
     PolyPhase,
-    TablePhase,
+    SumPhase,
     LogPowerSchedule,
     build_concatenation,
     concat_residual,

@@ -33,7 +33,7 @@ from .phases import (
     ConcatPhase,
     GeometricSchedule,
     PolyPhase,
-    TablePhase,
+    SumPhase,
     build_concatenation,
     concat_residual,
     power_phase,
@@ -494,9 +494,13 @@ def _nonzero(name: str, params: dict, key: str) -> None:
                          f"it is a denominator")
 
 
-def _decay(phase, n_max: int, out_dir: Path | None, csv_name: str) -> dict:
+def _decay(name: str, phase, n_max: int, out_dir: Path | None, csv_name: str) -> dict:
     """The mu-weighted average of e(phase) at N = n_max/100 and n_max: passed
-    when its modulus fell."""
+    when its modulus fell.  Preset `name` needs n_max >= 100, so that the
+    first checkpoint is at least 1."""
+    if n_max < 100:
+        raise ParseError(f"preset {name!r}: parameter 'n' must be at least 100, "
+                         f"the first checkpoint is n // 100")
     weights = weights_from_table(sieve_mobius(n_max))
     report = weighted_average(weights, phase, n_max, [n_max // 100, n_max])
     mods = [m for _, m in report.moduli()]
@@ -507,16 +511,12 @@ def _decay(phase, n_max: int, out_dir: Path | None, csv_name: str) -> dict:
 
 def run_linear_drift(params: dict, out_dir: Path | None = None) -> dict:
     """mu against e(f) for f = c n + sqrt(n): the one-step difference tends
-    to the constant c.  Representative choice, not canonical."""
+    to the constant c.  The sum of the rational line c n and the power
+    n^(1/2), so c is exact.  Representative choice, not canonical."""
     _nonzero("linear-drift", params, "c_den")
     c = Fraction(params["c_num"], params["c_den"])
-    c_fixed = FixedReal.from_fraction(c)
-
-    def oracle(n: int) -> FixedReal:
-        return c_fixed.mul_int(n) + FixedReal.sqrt_int(n)
-
-    phase = TablePhase(oracle=oracle, err_ulp=1, label=f"drift:{c}n+sqrt(n)")
-    return _decay(phase, params["n"], out_dir, "linear_drift_trace.csv")
+    phase = SumPhase([PolyPhase([0, c]), power_phase(1, 2)])
+    return _decay("linear-drift", phase, params["n"], out_dir, "linear_drift_trace.csv")
 
 
 def run_quadratic_rational(params: dict, out_dir: Path | None = None) -> dict:
@@ -526,7 +526,8 @@ def run_quadratic_rational(params: dict, out_dir: Path | None = None) -> dict:
     _nonzero("quadratic-rational", params, "q")
     a, q = params["a"], params["q"]
     phase = PolyPhase([0, sqrt_const(2), Fraction(a, 2 * q)])
-    return _decay(phase, params["n"], out_dir, "quadratic_rational_trace.csv")
+    return _decay("quadratic-rational", phase, params["n"], out_dir,
+                  "quadratic_rational_trace.csv")
 
 
 def run_block_vs_interval(params: dict, out_dir: Path | None = None) -> dict:

@@ -29,22 +29,26 @@ shapes and kernels:
   the Newton form sum_{i<k} (D^i y)(0) C(n - N_i, i) mod the unit on the
   source's node numerators y, exact because D^k vanishes on a piece; its
   `check_range(n)` also runs the source's at n + k - 1
-* table: a value oracle n -> Real (e.g. linear drift), the one shape
-  evaluated per n, {oracle(n)} rounded half up to 2^-96
+* sum of phases (any shapes, e.g. c n + sqrt(n)): the parts' kernels over
+  the lcm of their units, added mod it in Python ints; its `check_range(n)`
+  runs each part's, then the precision check on the summed bound
 
-`Phase` derives the rest from the kernel: `frac_units(start, count)` is
-(unit, iterator over the numerators as Python ints, built from the words
-where the kernel gives words) and `frac_chunk` the correctly rounded float64
-num/unit.  From words that float rounds the high word once and adds the
-exact remainder, so the final add is the only rounding; from ints it is
-float(num) 2^-96 for the unit 2^96 and the quotient otherwise.  The one
-shape with a `frac_chunk` of its own is the power: a screen in double-double
-(one Newton step from a float64 seed, with a certified bound) decides the
-float of most n without a root, and only the n it cannot decide take the
-kernel's exact root, so that it stays byte-identical to the derived one.
-The concatenations need Python ints, and build them from their pieces' words.
-The per-n `frac` and `value` of the polynomial, bracket and power shapes
-stay as the scalar reference.  Consumers walk n in batches of `CHUNK`.
+`Phase` derives the rest from the kernel: `frac(n)` is num/unit at one n
+(a `FixedReal` carrying `err_ulp_at(n)` for the unit 2^96, else a
+`Fraction`), `frac_units(start, count)` is (unit, iterator over the
+numerators as Python ints, built from the words where the kernel gives
+words) and `frac_chunk` the correctly rounded float64 num/unit.  From words
+that float rounds the high word once and adds the exact remainder, so the
+final add is the only rounding; from ints it is float(num) 2^-96 for the
+unit 2^96 and the quotient otherwise.  The one shape with a `frac_chunk` of
+its own is the power: a screen in double-double (one Newton step from a
+float64 seed, with a certified bound) decides the float of most n without a
+root, and only the n it cannot decide take the kernel's exact root, so that
+it stays byte-identical to the derived one.  The concatenations and the sum
+need Python ints, and build them from their parts' words.  Two shapes keep
+a `frac` of their own: the bracket product, whose certified bound reads the
+rounding of its per-n product (`value`), and the concatenation, which
+returns its piece's.  Consumers walk n in batches of `CHUNK`.
 
 Periods.  `Phase.period` is a q with {f(n + q)} = {f(n)} on the
 representation, or None.  A rational polynomial's period is its unit: its
@@ -63,7 +67,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,15 +101,6 @@ def frac_rep(v: Real) -> tuple[int, int]:
     return f.numerator, f.denominator
 
 
-def circle_dist(a: Real, b: Real) -> float:
-    """Distance of a - b to the nearest integer, exact on the representations."""
-    an, au = frac_rep(a)
-    bn, bu = frac_rep(b)
-    unit = au * bu
-    num = (an * bu - bn * au) % unit
-    return min(num, unit - num) / unit
-
-
 def _as_real(value) -> Real:
     if isinstance(value, (FixedReal, Fraction)):
         return value
@@ -117,14 +112,11 @@ def _as_real(value) -> Real:
 
 
 class Phase:
-    """Base class; a shape sets `unit` and implements `_numerators`, frac(),
+    """Base class; a shape sets `unit` and implements `_numerators`,
     err_ulp_at() and describe(), and a periodic one sets `period`."""
 
     period: int | None = None
     unit: int = SCALE
-
-    def frac(self, n: int) -> Real:
-        raise NotImplementedError
 
     def err_ulp_at(self, n: int) -> int:
         """Certified |true {f(n)} - represented| bound, in units of 2^-96."""
@@ -151,6 +143,14 @@ class Phase:
         n = start .. start+count-1: an int64 or object array, or for the
         unit 2^96 a (2, count) uint64 array of num's words (`_limbs`)."""
         raise NotImplementedError
+
+    def frac(self, n: int) -> Real:
+        """{f(n)} = num/unit at one n: a FixedReal carrying err_ulp_at(n) for
+        the unit 2^96, else a Fraction."""
+        num = int(_ints(self._numerators(n, 1))[0])
+        if self.unit == SCALE:
+            return FixedReal(num, self.err_ulp_at(n))
+        return Fraction(num, self.unit)
 
     def frac_units(self, start: int, count: int) -> tuple[int, Iterator[int]]:
         """(unit, iterator over the numerators as Python ints)."""
@@ -224,21 +224,6 @@ class PolyPhase(Phase):
 
     def describe(self) -> str:
         return "poly:" + ",".join(_token_str(c) for c in self.coeffs)
-
-    def value(self, n: int) -> Real:
-        if self.rational:
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * n + c
-            return acc
-        m = 0
-        for c in reversed(self._fixed):
-            m = m * n + c.mantissa
-        return FixedReal(m, self.err_ulp_at(n))
-
-    def frac(self, n: int) -> Real:
-        v = self.value(n)
-        return v.frac() if isinstance(v, FixedReal) else frac_part(v)
 
     def err_ulp_at(self, n: int) -> int:
         if self.rational:
@@ -332,7 +317,7 @@ class BracketPhase(Phase):
 
 
 # ---------------------------------------------------------------------------
-# power and table phases
+# power phases
 
 
 _IROOT = np.frompyfunc(iroot, 2, 1)
@@ -412,13 +397,6 @@ class PowerPhase(Phase):
 
     def describe(self) -> str:
         return self._written
-
-    def value(self, n: int) -> FixedReal:
-        root = iroot((n ** self.num) << (FRAC_BITS * self.den), self.den)
-        return FixedReal(root, self.err_ulp_at(n))
-
-    def frac(self, n: int) -> FixedReal:
-        return self.value(n).frac()
 
     def err_ulp_at(self, n: int) -> int:
         return 0 if self.den == 1 or n == 0 else 1
@@ -553,35 +531,39 @@ class PowerPhase(Phase):
 power_phase = PowerPhase
 
 
-class TablePhase(Phase):
-    """Phase backed by a value oracle n -> Real: the one shape evaluated per
-    n, its numerators {oracle(n)} rounded half up to 2^-96."""
+# ---------------------------------------------------------------------------
+# sums
 
-    def __init__(self, oracle: Callable[[int], Real], err_ulp: int = 0,
-                 label: str = "table"):
-        self._oracle = oracle
-        self._err = err_ulp
-        self._label = label
+
+class SumPhase(Phase):
+    """f = the sum of the phases `parts`: exact on the representations, so
+    its bound is the sum of the parts' bounds.  It has no period."""
+
+    def __init__(self, parts: Sequence[Phase]):
+        self.parts = list(parts)
+        self.unit = math.lcm(*(p.unit for p in self.parts))
 
     def describe(self) -> str:
-        return self._label
-
-    def frac(self, n: int) -> Real:
-        v = self._oracle(n)
-        return v.frac() if isinstance(v, FixedReal) else frac_part(v)
+        return "sum[" + ";".join(p.describe() for p in self.parts) + "]"
 
     def err_ulp_at(self, n: int) -> int:
-        """The oracle's own bound, plus one ulp for rounding a rational value
-        to 2^-96 in the batch kernel."""
-        v = self._oracle(n)
-        return v.err_ulp if isinstance(v, FixedReal) else self._err + 1
+        return sum(p.err_ulp_at(n) for p in self.parts)
+
+    def check_range(self, n: int) -> None:
+        """Each part's own check_range, so that a part's budgets (a power's
+        time budget, say) hold, then the precision check on the sum."""
+        for p in self.parts:
+            p.check_range(n)
+        super().check_range(n)
 
     def _numerators(self, start: int, count: int) -> np.ndarray:
-        def rounded(n: int) -> int:
-            num, u = frac_rep(self.frac(n))
-            return (((num << (FRAC_BITS + 1)) + u) // (2 * u)) & (SCALE - 1)
-        return np.fromiter(map(rounded, range(start, start + count)),
-                           dtype=object, count=count)
+        """Each part's kernel re-expressed over the lcm of the parts' units,
+        summed mod it in Python ints."""
+        acc = np.zeros(count, dtype=object)
+        for p in self.parts:
+            acc += _ints(p._numerators(start, count)).astype(object) * (self.unit // p.unit)
+        acc %= self.unit
+        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -760,12 +742,6 @@ class ScheduledLagrangeConcat(Phase):
         self.k = k
         self.unit = source.unit
 
-    def frac(self, n: int) -> Real:
-        num = int(self._numerators(n, 1)[0])
-        if self.unit == SCALE:
-            return FixedReal(num, self.err_ulp_at(n))
-        return Fraction(num, self.unit)
-
     def err_ulp_at(self, n: int) -> int:
         a, k = self.schedule.piece_start(n), self.k
         return sum(self.source.err_ulp_at(a + l) * abs(lagrange_coeff(n - a, l, k))
@@ -846,16 +822,21 @@ class ResidualReport:
 def concat_residual(source: Phase, concat: Phase, ns: Sequence[int]) -> ResidualReport:
     """max over sampled n of ||source(n) - concat(n)||, exact on representations.
 
-    The concatenation side comes from its batch kernel, one call per run of
-    samples that lie close together.  No samples is a ValueError: a maximum
-    over nothing would read as a pass."""
+    Both sides come from their batch kernels, one call each per run of
+    samples that lie close together, and are compared over the lcm of the
+    two units.  No samples is a ValueError: a maximum over nothing would
+    read as a pass."""
+    unit = math.lcm(source.unit, concat.unit)
+    ay, ag = unit // source.unit, unit // concat.unit
     worst, arg = -1.0, -1
     count = 0
     for run in _runs(ns):
-        unit, nums = concat.frac_units(run[0], run[-1] + 1 - run[0])
-        nums = list(nums)
+        lo, size = run[0], run[-1] + 1 - run[0]
+        ys = _ints(source._numerators(lo, size)).tolist()
+        gs = list(concat.frac_units(lo, size)[1])
         for n in run:
-            d = circle_dist(source.frac(n), Fraction(nums[n - run[0]], unit))
+            num = (ys[n - lo] * ay - gs[n - lo] * ag) % unit
+            d = min(num, unit - num) / unit
             count += 1
             if d > worst:
                 worst, arg = d, n
@@ -864,7 +845,7 @@ def concat_residual(source: Phase, concat: Phase, ns: Sequence[int]) -> Residual
     return ResidualReport(worst, arg, count)
 
 
-#: samples fewer than this many n apart share one kernel call in
+#: samples fewer than this many n apart share one call of each kernel in
 #: concat_residual: a call costs about as much as a few dozen terms
 _RUN_GAP = 32
 

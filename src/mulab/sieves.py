@@ -482,13 +482,13 @@ def sieve_phi(n_max: int, segment_size: int = _DEFAULT_SEGMENT) -> PhiTable:
             q *= vals[a:b]
             out[lo + 2 * a : lo + 2 * b : 2] = q
         # phi(2k) = phi(k), doubled for even k, for the segment's even n; in
-        # blocks of n in [2k, 4k), whose k in [k, 2k) are final by then
+        # blocks of n in [2k, 4k), whose k in [k, 2k) are final by then, of
+        # at most _QUOTIENT_CHUNK k each, one shifted copy per block
         k, k1 = (lo + 1) // 2, (min(lo + segment_size, n_max + 1) + 1) // 2
         while k < k1:
-            e = min(2 * k, k1)
-            even = out[2 * k : 2 * e : 2]
-            even[:] = out[k:e]
-            even[k % 2 :: 2] <<= 1
+            e = min(2 * k, k + _QUOTIENT_CHUNK, k1)
+            np.left_shift(out[k:e], (np.arange(k, e, dtype=np.int64) & 1) ^ 1,
+                          out=out[2 * k : 2 * e : 2])
             k = e
     return PhiTable(n_max, out)
 

@@ -1,21 +1,116 @@
 """The object-array numerator kernels of the fixed-point shapes, kept as the
 oracle for the limb kernels of `mulab.phases` and their consumers in
-`mulab.symbolic_blocks`.
+`mulab.symbolic_blocks`, and the per-n scalar paths of the shapes, kept as
+the reference for the batch kernels that `Phase.frac` derives from.
 
 Every numerator here is a Python int, so nothing can wrap or round on the
 way: the fixed-unit Horner's rule reduces mod 2^96 once, at the end, and the
 bracket product takes beta n {alpha n} whole before it shifts.  The float
 is float(num) 2^-96, which Python rounds correctly.  The indicator and the
 example-33 labels are the same scans as the package's, on these numerators.
+
+The scalar paths evaluate one n at a time: the polynomial by Horner's rule
+in `Fraction` or on the fixed-point mantissas, and the power by one exact
+root.  `frac` gives any shape's {f(n)} as a Fraction from these, from the
+bracket product's own `frac`, from a concatenation's piece, from an
+interpolating concatenation's Lagrange form and from a sum's parts.
+`TablePhase` is the generic phase of any function of n, evaluated per n.
 """
 
 import math
+from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
-from mulab.fixedpoint import FRAC_BITS, SCALE, FixedReal, sqrt_const
-from mulab.phases import CHUNK, BracketPhase, Phase, PolyPhase
+from mulab.exact_calculus import frac_part, lagrange_coeff
+from mulab.fixedpoint import FRAC_BITS, SCALE, FixedReal, iroot, sqrt_const
+from mulab.phases import (
+    CHUNK, BracketPhase, ConcatPhase, Phase, PolyPhase, PowerPhase, Real,
+    ScheduledLagrangeConcat, SumPhase, frac_rep,
+)
 from mulab.symbolic_blocks import _CASE, Example33Report, IndicatorReport, SymbolSeq
+
+
+class TablePhase(Phase):
+    """Phase backed by a value oracle n -> Real: evaluated per n, its
+    numerators {oracle(n)} rounded half up to 2^-96."""
+
+    def __init__(self, oracle: Callable[[int], Real], err_ulp: int = 0,
+                 label: str = "table"):
+        self._oracle = oracle
+        self._err = err_ulp
+        self._label = label
+
+    def describe(self) -> str:
+        return self._label
+
+    def frac(self, n: int) -> Real:
+        v = self._oracle(n)
+        return v.frac() if isinstance(v, FixedReal) else frac_part(v)
+
+    def err_ulp_at(self, n: int) -> int:
+        """The oracle's own bound, plus one ulp for rounding a rational value
+        to 2^-96 in the batch kernel."""
+        v = self._oracle(n)
+        return v.err_ulp if isinstance(v, FixedReal) else self._err + 1
+
+    def _numerators(self, start: int, count: int) -> np.ndarray:
+        def rounded(n: int) -> int:
+            num, u = frac_rep(self.frac(n))
+            return (((num << (FRAC_BITS + 1)) + u) // (2 * u)) & (SCALE - 1)
+        return np.fromiter(map(rounded, range(start, start + count)),
+                           dtype=object, count=count)
+
+
+def poly_value(phase: PolyPhase, n: int) -> Real:
+    """f(n) by Horner's rule: a Fraction, or on the fixed-point mantissas a
+    FixedReal with the phase's bound."""
+    if phase.rational:
+        acc = Fraction(0)
+        for c in reversed(phase.coeffs):
+            acc = acc * n + c
+        return acc
+    m = 0
+    for c in reversed(phase._fixed):
+        m = m * n + c.mantissa
+    return FixedReal(m, phase.err_ulp_at(n))
+
+
+def poly_frac(phase: PolyPhase, n: int) -> Real:
+    v = poly_value(phase, n)
+    return v.frac() if isinstance(v, FixedReal) else frac_part(v)
+
+
+def power_value(phase: PowerPhase, n: int) -> FixedReal:
+    """floor(n^(num/den) 2^96) 2^-96 by one exact root."""
+    root = iroot((n ** phase.num) << (FRAC_BITS * phase.den), phase.den)
+    return FixedReal(root, phase.err_ulp_at(n))
+
+
+def power_frac(phase: PowerPhase, n: int) -> FixedReal:
+    return power_value(phase, n).frac()
+
+
+def frac(phase: Phase, n: int) -> Fraction:
+    """{f(n)} on the representation, as a Fraction, from the scalar paths:
+    a concatenation's piece, an interpolating concatenation's Lagrange form
+    on its source's values, and a sum's parts added mod 1."""
+    if isinstance(phase, PolyPhase):
+        return Fraction(*frac_rep(poly_frac(phase, n)))
+    if isinstance(phase, PowerPhase):
+        return Fraction(*frac_rep(power_frac(phase, n)))
+    if isinstance(phase, BracketPhase):
+        return Fraction(*frac_rep(phase.frac(n)))
+    if isinstance(phase, ConcatPhase):
+        return frac(phase._piece(n), n)
+    if isinstance(phase, ScheduledLagrangeConcat):
+        anchor, k = phase.schedule.piece_start(n), phase.k
+        return sum(frac(phase.source, anchor + l) * lagrange_coeff(n - anchor, l, k)
+                   for l in range(k)) % 1
+    if isinstance(phase, SumPhase):
+        return sum(frac(p, n) for p in phase.parts) % 1
+    raise TypeError(f"no scalar path for {phase.describe()}")
 
 
 def poly_numerators(phase: PolyPhase, start: int, count: int) -> np.ndarray:

@@ -136,6 +136,24 @@ def test_zero_denominator_exits_2_naming_the_key(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, n", [
+    ("linear-drift", 50), ("linear-drift", 99), ("quadratic-rational", 1),
+])
+def test_a_decay_preset_below_n_100_exits_2_naming_the_key(capsys, name, n):
+    # its first checkpoint is n // 100
+    assert main(["experiment", name, "--n", str(n)]) == 2
+    assert f"preset {name!r}: parameter 'n' must be at least 100" in capsys.readouterr().err
+    run_preset(name, overrides={"n": 100})  # the smallest n it takes
+
+
+def test_linear_drift_keeps_its_moduli_with_c_exact():
+    # the moduli of the per-n table phase that rounded c to 2^-96
+    res = run_preset("linear-drift", overrides={"n": 2000})["results"]
+    assert res["moduli"] == pytest.approx([0.41860166132757837, 0.020665684551209727],
+                                          rel=0, abs=1e-12)
+    assert res["passed"] is True
+
+
 def test_seed_for_a_preset_without_one_exits_2(tmp_path, capsys):
     assert main(["experiment", "example33", "--n", "500", "--seed", "5",
                  "--out-dir", str(tmp_path)]) == 2

@@ -2,16 +2,20 @@
 reference; parsing, schedules, and concatenation builders."""
 
 import inspect
+import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction as F
 
 import mpmath
+import numerator_oracle as oracle
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from mulab import phases
 from mulab.errors import ParseError, PrecisionError, ResourceBudgetError
 from mulab.exact_calculus import lagrange_coeff
 from mulab.fixedpoint import FRAC_BITS, SCALE, FixedReal, iroot, sqrt_const
@@ -27,7 +31,7 @@ from mulab.phases import (
     ResidualReport,
     ScheduledLagrangeConcat,
     StageSchedule,
-    TablePhase,
+    SumPhase,
     build_concatenation,
     concat_residual,
     eval_phase,
@@ -36,6 +40,7 @@ from mulab.phases import (
     power_phase,
 )
 from mulab.phase_sums import unit_weights, weighted_average
+from numerator_oracle import TablePhase
 
 mpmath.mp.prec = 384
 
@@ -125,19 +130,19 @@ class TestPolyPhase:
         p = PolyPhase([F(2, 7), F(1, 3), F(5, 21)])
         unit, it = p.frac_units(4, 30)
         for n, num in zip(range(4, 34), it):
-            assert F(num, unit) == p.frac(n)
+            assert F(num, unit) == oracle.poly_frac(p, n)
 
     def test_frac_units_fixed_matches_scalar(self):
         p = PolyPhase([F(1, 2), sqrt_const(3), F(1, 7)])
         unit, it = p.frac_units(0, 50)
         assert unit == SCALE
         for n, num in zip(range(50), it):
-            assert num == p.frac(n).frac_mantissa()
+            assert num == oracle.poly_frac(p, n).frac_mantissa()
 
     def test_frac_chunk_paths_agree(self):
         p = PolyPhase([F(1, 3), F(2, 5)])
         fast = p.frac_chunk(10, 40)
-        slow = [float(p.frac(n)) for n in range(10, 50)]
+        slow = [float(oracle.poly_frac(p, n)) for n in range(10, 50)]
         assert max(abs(a - b) for a, b in zip(fast, slow)) < 1e-15
 
     def test_trailing_zero_trim(self):
@@ -232,6 +237,15 @@ class TestPowerPhase:
             weighted_average(unit_weights(10 ** 6), c, 10 ** 6)
         assert time.perf_counter() - t0 < 1.0
         c.check_range(1000)  # the source's nodes up to n + k - 1 = 1001
+
+    def test_a_sum_checks_each_part(self, monkeypatch):
+        monkeypatch.setattr(PowerPhase, "_numerators", None)  # no root may run
+        s = SumPhase([PolyPhase([0, F(1, 3)]), PowerPhase(64, 63)])
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceBudgetError, match="pow:64/63 up to n=1000000 needs"):
+            weighted_average(unit_weights(10 ** 6), s, 10 ** 6)
+        assert time.perf_counter() - t0 < 1.0
+        s.check_range(1000)
 
     def test_one_n_is_not_a_range(self):
         got, err = eval_phase(PowerPhase(64, 63), 10 ** 6)
@@ -532,7 +546,7 @@ class TestNumeratorKernels:
         assert p.rational or unit == SCALE
         for n, num in zip(range(start, start + count), nums):
             assert type(num) is int and 0 <= num < unit
-            assert F(num, unit) == F(*frac_rep(p.frac(n)))
+            assert F(num, unit) == F(*frac_rep(oracle.poly_frac(p, n)))
 
     @given(poly_windows())
     def test_poly_frac_chunk_is_num_over_unit(self, case):
@@ -605,6 +619,20 @@ def lagrange_windows(draw):
     return build_concatenation(source, k, 10, schedule=sched), start, draw(st.integers(1, 60))
 
 
+# one strategy per shape, for the parts of a sum
+SUM_PARTS = {
+    "rational poly": rational_sources,
+    "fixed poly": st.builds(lambda c: PolyPhase([F(1, 3), c]), irrationals),
+    "bracket": st.builds(BracketPhase, irrationals, irrationals),
+    "power": st.builds(PowerPhase, st.integers(1, 6), st.integers(1, 5)),
+    "concat": st.builds(lambda b, x, y: ConcatPhase([0, b], [x, y]),
+                        st.integers(1, 60), sources, sources),
+    "interpolating concat": st.builds(
+        lambda src, k: build_concatenation(src, k, 10, schedule=GeometricSchedule(4)),
+        sources, st.integers(1, 3)),
+}
+
+
 class TestBatchKernels:
     # every exponent the shape takes: the screen in frac_chunk falls back on
     # this kernel
@@ -612,13 +640,38 @@ class TestBatchKernels:
            st.one_of(st.integers(0, 3000), st.integers(10 ** 9, 10 ** 12)), st.integers(1, 40))
     def test_power_kernel_matches_value(self, num, den, start, count):
         p = PowerPhase(num, den)
-        want = [F(p.value(n).frac_mantissa(), SCALE) for n in range(start, start + count)]
+        want = [F(oracle.power_value(p, n).frac_mantissa(), SCALE)
+                for n in range(start, start + count)]
         assert_kernel_matches(p, start, count, want)
+
+    @pytest.mark.parametrize("a, b", itertools.combinations_with_replacement(SUM_PARTS, 2))
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_sum_kernel_adds_the_parts(self, a, b, data):
+        parts = [data.draw(SUM_PARTS[a]), data.draw(SUM_PARTS[b])]
+        start = data.draw(st.one_of(st.integers(0, 300),
+                                    st.integers((1 << 32) - 50, (1 << 32) + 50)))
+        count = data.draw(st.integers(1, 40))
+        s = SumPhase(parts)
+        assert s.unit == math.lcm(parts[0].unit, parts[1].unit) and s.period is None
+        want = [(oracle.frac(parts[0], n) + oracle.frac(parts[1], n)) % 1
+                for n in range(start, start + count)]
+        assert_kernel_matches(s, start, count, want)
+
+    def test_a_sums_bound_adds_up_its_parts(self):
+        s2 = PolyPhase([0, sqrt_const(2)])  # n ulps at n
+        s = SumPhase([s2, PowerPhase(1, 2), PolyPhase([0, F(1, 3)])])
+        assert s.describe() == "sum[poly:0,sqrt2;pow:1/2;poly:0,1/3]"
+        assert [s.err_ulp_at(n) for n in (0, 1, 7, 10 ** 6)] == [0, 2, 8, 10 ** 6 + 1]
+        # each part is within the precision budget at 2^65, their sum is not
+        s2.check_range(1 << 65)
+        with pytest.raises(PrecisionError, match=r"^sum\[poly:0,sqrt2;"):
+            SumPhase([s2, s2, s2]).check_range(1 << 65)
 
     @given(concats())
     def test_concat_kernel_matches_pieces(self, case):
         c, start, count = case
-        want = [F(*frac_rep(c.frac(n))) for n in range(start, start + count)]
+        want = [oracle.frac(c, n) for n in range(start, start + count)]
         assert_kernel_matches(c, start, count, want)
 
     @given(lagrange_windows())
@@ -628,7 +681,7 @@ class TestBatchKernels:
         want = []
         for n in range(start, start + count):
             anchor = sched.piece_start(n)
-            value = sum(F(*frac_rep(src.frac(anchor + l))) * lagrange_coeff(n - anchor, l, k)
+            value = sum(oracle.frac(src, anchor + l) * lagrange_coeff(n - anchor, l, k)
                         for l in range(k))
             want.append(value - (value.numerator // value.denominator))
         assert_kernel_matches(concat, start, count, want)
@@ -646,6 +699,7 @@ class TestBatchKernels:
             [0, 20], [PolyPhase([F(1, 3 ** 20), F(2, 7)]), PolyPhase([F(5, 2 ** 20)])]),
         "concat above 2^63": ConcatPhase(
             [0, 20], [PolyPhase([F(1, 3)]), PolyPhase([0, sqrt_const(2)])]),
+        "sum above 2^63": SumPhase([PolyPhase([0, F(1, 3)]), PowerPhase(1, 2)]),
         "rational poly above 2^53": PolyPhase([F(1, 3 ** 34 + 2), F(7, 3 ** 34 + 2)]),
     }
 
@@ -658,12 +712,45 @@ class TestBatchKernels:
 
     def test_only_phase_defines_the_derived_methods(self):
         # but the power's frac_chunk, a screen in front of the kernel that
-        # TestPowerScreen holds byte-identical to Phase.frac_chunk
-        shapes = (PolyPhase, BracketPhase, PowerPhase, TablePhase, ConcatPhase,
-                  ScheduledLagrangeConcat)
+        # TestPowerScreen holds byte-identical to Phase.frac_chunk, and the
+        # frac of the bracket product, whose bound reads its per-n product,
+        # and of the concatenation, which returns its piece's
+        shapes = [cls for _, cls in inspect.getmembers(phases, inspect.isclass)
+                  if issubclass(cls, Phase) and cls is not Phase]
+        assert set(shapes) == {PolyPhase, BracketPhase, PowerPhase, SumPhase, ConcatPhase,
+                               ScheduledLagrangeConcat}
         for cls in shapes:
             assert cls.frac_units is Phase.frac_units
             assert (cls.frac_chunk is Phase.frac_chunk) == (cls is not PowerPhase)
+            assert ("frac" in vars(cls)) == (cls in (BracketPhase, ConcatPhase))
+
+    # n near 0, 2^32, 2^53 and 2^64, and below 0
+    SCALAR_NS = (0, 1, 2, 3, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, 1 << 53, (1 << 53) + 1,
+                 (1 << 64) - 1, 1 << 64, (1 << 64) + 1, -1, -5)
+    SCALAR_CASES = {
+        "rational poly": (PolyPhase([F(2, 7), F(1, 3), F(5, 21)]), oracle.poly_frac),
+        "rational poly above 2^53": (PolyPhase([F(1, 3 ** 34 + 2), F(7, 3 ** 34 + 2)]),
+                                     oracle.poly_frac),
+        "fixed poly": (PolyPhase([F(1, 2), -sqrt_const(3), F(1, 7)]), oracle.poly_frac),
+        "pow:3/2": (PowerPhase(3, 2), oracle.power_frac),
+        "pow:2/3": (PowerPhase(2, 3), oracle.power_frac),
+        "pow:3/1": (PowerPhase(3, 1), oracle.power_frac),
+    }
+
+    @pytest.mark.parametrize("name", SCALAR_CASES)
+    def test_derived_frac_is_the_scalar_path(self, name):
+        phase, scalar = self.SCALAR_CASES[name]
+        for n in self.SCALAR_NS:
+            try:
+                want = scalar(phase, n)
+            except ValueError as exc:  # a root of n^a < 0
+                if phase.den > 1:
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        phase.frac(n)
+                    continue
+                want = FixedReal(0)  # the kernel takes no root for b = 1
+            got = phase.frac(n)
+            assert type(got) is type(want) and got == want
 
     def test_table_phase_takes_an_oracle_only(self):
         t = TablePhase(lambda n: FixedReal(n << (FRAC_BITS - 2), 1), err_ulp=1, label="q")
@@ -851,8 +938,8 @@ def test_concat_residual_matches_the_per_n_maximum(runs):
         with pytest.raises(ValueError, match="at least one sample"):
             concat_residual(src, concat, samples)
         return
-    dists = [(abs(src.frac(n).frac_mantissa() - concat.frac(n).frac_mantissa()), n)
-             for n in samples]
+    dists = [(abs(oracle.power_frac(src, n).frac_mantissa()
+                  - concat.frac(n).frac_mantissa()), n) for n in samples]
     dists = [(min(d, SCALE - d) / SCALE, n) for d, n in dists]
     worst, arg = max(dists, key=lambda d: d[0])  # first on ties
     assert concat_residual(src, concat, samples) == ResidualReport(worst, arg, len(samples))

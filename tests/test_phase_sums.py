@@ -11,6 +11,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import mpmath
+import numerator_oracle as oracle
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -153,7 +154,7 @@ class TestBlockwise:
         w = mu_weights.values
         for (lo, hi), got in zip(zip(bps, bps[1:]), blocks):
             direct = sum(
-                int(w[n]) * cmath.exp(2j * math.pi * float(phase.frac(n)))
+                int(w[n]) * cmath.exp(2j * math.pi * float(oracle.frac(phase, n)))
                 for n in range(max(lo, 1), hi)
             )
             assert abs(abs(direct) - got) < 1e-10
@@ -310,7 +311,7 @@ class TestConcatInSums:
         rep = weighted_average(mu_weights, concat, 199, [199])
         w = mu_weights.values
         direct = sum(
-            int(w[n]) * cmath.exp(2j * math.pi * float(concat.frac(n)))
+            int(w[n]) * cmath.exp(2j * math.pi * float(oracle.frac(concat, n)))
             for n in range(1, 200)
         )
         assert abs(rep.rows[-1].real * 199 - direct.real) < 1e-9

@@ -21,7 +21,7 @@ from mulab import _limbs, symbolic_blocks
 from mulab.errors import PrecisionError, ResourceBudgetError, WindowTooShortError
 from mulab.fixedpoint import SCALE, FixedReal, sqrt_const
 from mulab.phases import (
-    BracketPhase, ConcatPhase, PolyPhase, PowerPhase, TablePhase, frac_rep, parse_phase,
+    BracketPhase, ConcatPhase, PolyPhase, PowerPhase, SumPhase, parse_phase,
 )
 from mulab.symbolic_blocks import (
     SymbolSeq,
@@ -234,7 +234,7 @@ class TestIndicator:
         assert rep.tie_count == 1  # n = 0: both fractional parts are 0
 
     def test_precision_error_names_bits(self):
-        coarse = TablePhase(oracle=lambda n: FixedReal(0, 1 << 40),
+        coarse = numerator_oracle.TablePhase(oracle=lambda n: FixedReal(0, 1 << 40),
                             err_ulp=1 << 40, label="coarse")
         with pytest.raises(PrecisionError, match="bits"):
             indicator_set(coarse, PolyPhase([F(1, 2)]), 10)
@@ -342,7 +342,7 @@ class TestBatchDifferential:
             seq, rep = indicator_set(p1, p2, P, tie_bits)
         want, ties = [], []
         for n in range(P):
-            a, b = F(*frac_rep(p1.frac(n))), F(*frac_rep(p2.frac(n)))
+            a, b = numerator_oracle.frac(p1, n), numerator_oracle.frac(p2, n)
             want.append(int(a < b))
             if abs(a - b) < F(1, 1 << tie_bits):
                 ties.append(n)
@@ -413,13 +413,15 @@ base_shapes = st.one_of(
     rational_polys,
     st.builds(BracketPhase, fixed_reals, fixed_reals),
     st.builds(PowerPhase, st.integers(1, 6), st.integers(1, 4)),
-    st.builds(lambda a, q: TablePhase(lambda n: F(a * n * n, q), label=f"table:{a}/{q}"),
+    st.builds(lambda a, q: numerator_oracle.TablePhase(lambda n: F(a * n * n, q),
+                                                       label=f"table:{a}/{q}"),
               st.integers(-20, 20), st.integers(1, 40)),
 )
 shapes = st.one_of(
     base_shapes,
     st.builds(lambda b, x, y: ConcatPhase([0, b], [x, y]), st.integers(1, 60),
               base_shapes, base_shapes),
+    st.builds(lambda x, y: SumPhase([x, y]), base_shapes, base_shapes),
 )
 
 
