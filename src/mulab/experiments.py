@@ -318,8 +318,12 @@ def run_example33(params: dict, out_dir: Path | None = None) -> dict:
 
 
 def run_pnt_trend(params: dict, out_dir: Path | None = None) -> dict:
-    """Mertens decades plus decay of two mu-weighted phase averages."""
+    """Mertens decades plus decay of two mu-weighted phase averages; needs
+    n >= 1000, the first decade."""
     n_max = params["n"]
+    if n_max < 1000:
+        raise ParseError("preset 'pnt-trend': parameter 'n' must be at least 1000, "
+                         "the first Mertens decade")
     decades = [10 ** d for d in range(3, 15) if 10 ** d <= n_max]
     table = sieve_mobius(n_max)
     weights = weights_from_table(table)

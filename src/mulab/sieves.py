@@ -23,34 +23,36 @@ is final before they are written, by three rules:
 Every segment after the first reads its k = n / 2 from earlier segments;
 the first fills its even n in doubling blocks [L, 2L), which read [L/2, L).
 
-mu and lambda build each segment as one signed product s over its odd n,
-int32 (int64 once n_max >= 2^31).  Each sieved prime power p^e dividing n
-multiplies s by -p; mu stops at p and sets s to 0 at the multiples of p^2,
-lambda goes on for every power of p up to n_max.  Every odd prime up to
-sqrt(n_max) is sieved, so an odd n = |s| q where q is 1 or one prime above
-sqrt(n_max), and for mu s = 0 exactly when a square divides n.  The value
-is 0 where s = 0, else sign(s) flipped exactly when 0 < |s| < n: one
-integer compare decides the leftover prime.  The odd n's codes go straight
-into the table, two to a byte (n = 4c + 1 and 4c + 3 of byte c), a chunk
-of a segment at a time.  Then one 256-entry lookup per function maps each
-byte c of the table (the codes of k = 4c + 1..4c + 4) to the codes of their
-n = 2k, which are OR-ed into bytes 2c and 2c + 1.  Byte 0 reads itself
-(lambda(4) = -lambda(2), and lambda(8) = -lambda(4) in byte 1), so bytes 0
-and 1 take that step three times.  Each segment starts at an even byte, so
-segment_size is rounded up to a multiple of 8.
+One walk builds every segment of all three sieves: one signed product s
+over its odd n, int32 (int64 once n_max >= 2^31).  Each sieved prime power
+p^e <= n_max dividing n multiplies s by -p, except that mu stops at p and
+sets s to 0 at the multiples of p^2.  For phi the walk also keeps phi of
+|s|: p^e multiplies it by phi(p^e) / phi(p^(e-1)), p - 1 and then p.  The
+tile brings the powers of 3, 5 and 7 up to the squares, and each segment
+takes every other power of an odd prime up to sqrt(n_max) as one strided
+multiply, so an odd n = |s| q where q is 1 or one prime above sqrt(n_max),
+and for mu s = 0 exactly when a square divides n.  Two output stages read
+the segment:
 
-phi keeps, over the odd n of a segment, the int32 values (int64 from
-n_max = 2^31 on) of phi over the sieved prime powers and their product: a
-tile of each over the tiled powers, then every other odd prime power
-p^e <= n_max multiplies the values at its multiples by
-phi(p^e) / phi(p^(e-1)) (p - 1, then p) and the product by p.  The quotient
-q = n / product is 1 or one prime above sqrt(n_max), whose phi(q) = q - 1
-is the last factor: one float64 pass takes q, then q - [q > 1], times the
-values, into the table's odd entries.  It is exact because the product
-divides n and phi(n) <= n < 2^53; all three sieves refuse n_max >= 2^53
-up front.  The even entries are then copied from n / 2 and doubled where
-n / 2 is even.  Each segment starts at an odd n, so segment_size is rounded
-up to an even number.  Every sieve refuses segment_size < 1.
+* mu and lambda: the value is 0 where s = 0, else sign(s) flipped exactly
+  when 0 < |s| < n: one integer compare decides the leftover prime.  The
+  odd n's codes go straight into the table, two to a byte (n = 4c + 1 and
+  4c + 3 of byte c), a chunk of a segment at a time.  Then one 256-entry
+  lookup per function maps each byte c of the table (the codes of
+  k = 4c + 1..4c + 4) to the codes of their n = 2k, which are OR-ed into
+  bytes 2c and 2c + 1.  Byte 0 reads itself (lambda(4) = -lambda(2), and
+  lambda(8) = -lambda(4) in byte 1), so bytes 0 and 1 take that step three
+  times.  Each segment starts at an even byte, so segment_size is rounded
+  up to a multiple of 8.
+* phi: the leftover factor is phi(q) = q - 1 for the quotient q = n / |s|,
+  1 or a prime: one float64 pass takes |n / s|, then q - [q > 1], times
+  phi of |s|, into the table's odd entries.  It is exact because |s|
+  divides n and phi(n) <= n < 2^53; all three sieves refuse n_max >= 2^53
+  up front.  The even entries are then copied from n / 2 and doubled where
+  n / 2 is even.  Each segment starts at an odd n, so segment_size is
+  rounded up to an even number.
+
+Every sieve refuses segment_size < 1.
 
 Tables are immutable after construction and safe to share across
 concurrent readers; construction itself is single-writer, segment by
@@ -95,17 +97,18 @@ _PERIOD = math.prod(p ** e for p, e in _TILED)  # 11,025
 #: odd n per pass over the leftover primes, small enough to stay in cache
 _QUOTIENT_CHUNK = 1 << 16
 # working bytes of a sieve, as tracemalloc measures them: per odd n of a
-# segment, phi's values and product of the sieved powers (4 + 4), or mu's
-# and lambda's signed product (4) beside the even n's looked-up codes (one
-# uint16 per two table bytes, half a byte), twice that from n_max = 2^31 on,
-# where they are int64; per odd n of a quotient pass, phi's float64 quotient
-# and numpy's cast buffers (8 + 8), or mu's and lambda's n and |s| beside
-# their compare's masks (8 + 8 + 4 at worst; the codes and their packing take
-# less); per entry of the tile, phi's two int32 tiles (mu's and lambda's
-# one); per integer up to sqrt(n_max), the prime mask and the base primes'
-# powers (about 100 bytes a prime); and a fixed part for Python objects and
-# array headers.  The two 256-entry lookup tables of the even n's codes are
-# built at import: the output table is written in place, with no copy.
+# segment, the walk's signed product s and, for phi, phi of |s| (4 + 4), or
+# for mu and lambda s (4) beside the even n's looked-up codes (one uint16 per
+# two table bytes, half a byte), twice that from n_max = 2^31 on, where they
+# are int64; per odd n of a quotient pass, phi's float64 quotient and numpy's
+# cast buffers (8 + 8), or mu's and lambda's n and |s| beside their compare's
+# masks (8 + 8 + 4 at worst; the codes and their packing take less); per
+# entry of the tile, the int32 tile of s and, for phi, that of phi of |s|;
+# per integer up to sqrt(n_max), the prime mask and the (p, p^e) pairs of
+# the base primes (about 100 bytes a prime); and a fixed part for Python
+# objects and array headers.  The two 256-entry lookup tables of the even
+# n's codes are built at import: the output table is written in place, with
+# no copy.
 _SEGMENT_BYTES_PER_N = 4 + 4
 _QUOTIENT_BYTES_PER_N = 8 + 8 + 4
 _TILE_BYTES_PER_N = 4 + 4
@@ -131,8 +134,8 @@ def _even_codes(squarefree: bool) -> np.ndarray:
     return sum(neg[j] << 2 + 4 * j for j in range(4) if not (squarefree and j % 2))
 
 
-#: _even_codes for mu (True) and lambda (False)
-_EVEN_CODES = {squarefree: _even_codes(squarefree) for squarefree in (True, False)}
+#: _even_codes for mu and lambda
+_EVEN_CODES = {"mu": _even_codes(True), "lambda": _even_codes(False)}
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -263,19 +266,6 @@ def _check_budget(label, table_bytes, n_max, segment_size) -> None:
         )
 
 
-def _apply_powers(vals, prod, t0, p, pe, e, stop):
-    """From p^e on, for each power of p below stop: multiply vals by
-    phi(p^e) / phi(p^(e-1)) (p - 1, then p) and prod by p at the multiples
-    of p^e, where vals[i] and prod[i] stand for the odd n = 2 (t0 + i) + 1.
-    Return the (p^e, e) that comes next."""
-    while pe < stop:
-        first = (pe // 2 - t0) % pe  # 2t + 1 = 0 mod p^e at t = (p^e - 1) / 2
-        vals[first::pe] *= p - 1 if e == 1 else p
-        prod[first::pe] *= p
-        pe, e = pe * p, e + 1
-    return pe, e
-
-
 def _tile_into(dst: np.ndarray, tile: np.ndarray, start: int) -> None:
     """dst[i] = tile[(start + i) % tile.size]."""
     i = min(dst.size, tile.size - start)
@@ -292,71 +282,54 @@ def _base_primes(n_max: int) -> list[int]:
     return [p for p in primes_up_to(math.isqrt(n_max)).tolist() if p not in skip]
 
 
-def _phi_segments(n_max: int, segment_size: int):
-    """Yield (lo, vals, prod) over the odd n of [1, n_max], segment_size n
-    (an even number) at a time, where vals[i] is phi of the sieved part of
-    the odd n = lo + 2i and prod[i] is that part (see the module docstring).
+def _sieve_into(s, vals, t0: int, powers, squarefree: bool, stop=None) -> None:
+    """For each (p, p^e) of powers, at the multiples of p^e and of each
+    higher power of p below stop (by default, above the last odd n), among
+    the odd n = 2 (t0 + i) + 1 that s[i] and vals[i] stand for: multiply s
+    by -p and vals, unless None, by phi(p^e) / phi(p^(e-1)) (p - 1, then
+    p); for mu (squarefree), set s to 0 at the multiples of p^2 and go on
+    to the next prime."""
+    stop = stop or 2 * (t0 + s.size)
+    for p, pe in powers:
+        while pe < stop:
+            first = (pe // 2 - t0) % pe  # 2t + 1 = 0 mod p^e at t = (p^e - 1) / 2
+            if squarefree and pe > p:
+                s[first::pe] = 0
+                break
+            s[first::pe] *= -p
+            if vals is not None:
+                vals[first::pe] *= p - 1 if pe == p else p
+            pe *= p
+
+
+def _segments(n_max: int, segment_size: int, kind: str):
+    """Yield (lo, s, vals) over the odd n of [1, n_max], segment_size n (an
+    even number) at a time, where s[i] is the signed product for the odd
+    n = lo + 2i (see the module docstring): mu's for kind "mu", else
+    lambda's; vals[i] is phi(|s[i]|) for kind "phi", else vals is None.
     Both are views of buffers that the next segment overwrites."""
     odd = (n_max + 1) // 2
-    # phi over the tiled powers, and their product, for t mod _PERIOD; each
-    # tile entry is at most _PERIOD, so it fits int32
-    tile_vals = np.ones(min(_PERIOD, odd), dtype=np.int32)
-    tile_prod = np.ones(tile_vals.size, dtype=np.int32)
-    powers = []  # (p, p^e, e): where each prime's powers go on per segment
+    squarefree = kind == "mu"
+    # s over the tiled powers for t mod _PERIOD, and phi of |s| for phi:
+    # each at most _PERIOD in absolute value, so int32
+    tiles = np.ones((1 + (kind == "phi"), min(_PERIOD, odd)), dtype=np.int32)
     for p, top in _TILED:
-        nxt = _apply_powers(tile_vals, tile_prod, 0, p, p, 1,
-                            min(p ** (top + 1), n_max + 1))
-        powers.append((p, *nxt))
-    powers += [(p, p, 1) for p in _base_primes(n_max)]
-    half = segment_size // 2
-    dtype = np.int32 if n_max < 1 << 31 else np.int64
-    vals_buf = np.empty(min(half, odd), dtype=dtype)
-    prod_buf = np.empty(vals_buf.size, dtype=dtype)
-    for t0 in range(0, odd, half):
-        vals = vals_buf[: min(half, odd - t0)]
-        prod = prod_buf[: vals.size]
-        _tile_into(vals, tile_vals, t0 % _PERIOD)
-        _tile_into(prod, tile_prod, t0 % _PERIOD)
-        for p, pe, e in powers:
-            _apply_powers(vals, prod, t0, p, pe, e, 2 * (t0 + vals.size))
-        yield 2 * t0 + 1, vals, prod
-
-
-def _signed_segments(n_max: int, segment_size: int, squarefree: bool):
-    """Yield (lo, s) over the odd n of [1, n_max], segment_size n (an even
-    number) at a time, where s[i] is the signed product for the odd
-    n = lo + 2i (see the module docstring): mu's when squarefree, else
-    lambda's.  s is a view of one buffer that the next segment overwrites."""
-    odd = (n_max + 1) // 2
-    # the product over the tiled powers for t mod _PERIOD: at most _PERIOD
-    # in absolute value, so int32
-    tile = np.ones(min(_PERIOD, odd), dtype=np.int32)
-    powers = []  # (p, p^e): the first power of p each segment multiplies by
-    for p, top in _TILED:
-        for pe in (p ** e for e in range(1, top + 1)):
-            if squarefree and pe > p:
-                tile[pe // 2 :: pe] = 0
-                break
-            tile[pe // 2 :: pe] *= -p
-        if not squarefree:
-            powers.append((p, p ** (top + 1)))
+        _sieve_into(tiles[0], tiles[1] if kind == "phi" else None, 0, [(p, p)],
+                    squarefree, p ** (top + 1))
+    # (p, p^e): the first power of p each segment sieves; mu's tiled primes
+    # are done
+    powers = [] if squarefree else [(p, p ** (top + 1)) for p, top in _TILED]
     powers += [(p, p) for p in _base_primes(n_max)]
     half = segment_size // 2
-    buf = np.empty(min(half, odd), dtype=np.int32 if n_max < 1 << 31 else np.int64)
+    bufs = np.empty((len(tiles), min(half, odd)),
+                    dtype=np.int32 if n_max < 1 << 31 else np.int64)
     for t0 in range(0, odd, half):
-        s = buf[: min(half, odd - t0)]
-        hi = 2 * (t0 + s.size)  # above the segment's last odd n
-        _tile_into(s, tile, t0 % _PERIOD)
-        for p, pe in powers:
-            if squarefree:
-                s[(p // 2 - t0) % p :: p] *= -p
-                pe = p * p
-                s[(pe // 2 - t0) % pe :: pe] = 0
-                continue
-            while pe < hi:
-                s[(pe // 2 - t0) % pe :: pe] *= -p
-                pe *= p
-        yield 2 * t0 + 1, s
+        size = min(half, odd - t0)
+        for buf, tile in zip(bufs, tiles):
+            _tile_into(buf[:size], tile, t0 % _PERIOD)
+        s, vals = bufs[0, :size], (bufs[1, :size] if kind == "phi" else None)
+        _sieve_into(s, vals, t0, powers, squarefree)
+        yield 2 * t0 + 1, s, vals
 
 
 def _codes(s: np.ndarray, lo: int) -> np.ndarray:
@@ -390,15 +363,15 @@ def _or_evens(out: np.ndarray, b0: int, b1: int, evens: np.ndarray) -> None:
         out[b1 - 1] |= looked[-1] & 0xFF
 
 
-def _segmented_pack(n_max, segment_size, label, squarefree) -> MobiusTable:
-    """Packed table of mu (squarefree) or lambda."""
+def _segmented_pack(n_max, segment_size, label) -> MobiusTable:
+    """Packed table of mu or lambda, by label."""
     if n_max < 1 or segment_size < 1:
         raise ValueError("n_max and segment_size must be >= 1")
     segment_size = -(-segment_size // 8) * 8  # each segment starts at an even byte
     _check_budget(label, (n_max + 3) // 4, n_max, segment_size)
     out = np.empty((n_max + 3) // 4, dtype=np.uint8)
-    evens = _EVEN_CODES[squarefree]
-    for lo, s in _signed_segments(n_max, segment_size, squarefree):
+    evens = _EVEN_CODES[label]
+    for lo, s, _ in _segments(n_max, segment_size, label):
         b0 = (lo - 1) // 4
         # _QUOTIENT_CHUNK is even: each chunk fills whole bytes
         for a in range(0, s.size, _QUOTIENT_CHUNK):
@@ -424,13 +397,13 @@ def _segmented_pack(n_max, segment_size, label, squarefree) -> MobiusTable:
 def sieve_mobius(n_max: int, segment_size: int = _DEFAULT_SEGMENT) -> MobiusTable:
     """Exact mu on [1, n_max]: 0 on non-squarefree n, else (-1)^(#prime factors).
     segment_size is rounded up to a multiple of 8."""
-    return _segmented_pack(n_max, segment_size, "mu", squarefree=True)
+    return _segmented_pack(n_max, segment_size, "mu")
 
 
 def sieve_liouville(n_max: int, segment_size: int = _DEFAULT_SEGMENT) -> MobiusTable:
     """Exact lambda on [1, n_max]: completely multiplicative, lambda(p) = -1.
     segment_size is rounded up to a multiple of 8."""
-    return _segmented_pack(n_max, segment_size, "lambda", squarefree=False)
+    return _segmented_pack(n_max, segment_size, "lambda")
 
 
 @dataclass
@@ -471,13 +444,14 @@ def sieve_phi(n_max: int, segment_size: int = _DEFAULT_SEGMENT) -> PhiTable:
     segment_size += segment_size % 2  # each segment starts at an odd n
     _check_budget("phi", 8 * (n_max + 1), n_max, segment_size)
     out = np.zeros(n_max + 1, dtype=np.int64)
-    for lo, vals, prod in _phi_segments(n_max, segment_size):
+    for lo, s, vals in _segments(n_max, segment_size, "phi"):
         for a in range(0, vals.size, _QUOTIENT_CHUNK):
             b = min(a + _QUOTIENT_CHUNK, vals.size)
-            # prod divides n, so the quotient is exact: 1, or the one prime
+            # |s| divides n, so the quotient is exact: 1, or the one prime
             # q of n above sqrt(n_max), where the factor is phi(q) = q - 1
             q = np.arange(lo + 2 * a, lo + 2 * b, 2, dtype=np.float64)
-            q /= prod[a:b]
+            q /= s[a:b]
+            np.abs(q, out=q)
             q -= q > 1
             q *= vals[a:b]
             out[lo + 2 * a : lo + 2 * b : 2] = q
@@ -501,7 +475,9 @@ def mertens(table: MobiusTable, n: int) -> int:
 def mertens_trace(table: MobiusTable, ns: Sequence[int]) -> list[tuple[int, int]]:
     """Cumulative M(n) sampled at the (sorted) checkpoints ns."""
     ns = sorted(set(int(n) for n in ns))
-    if not ns or ns[0] < 1 or ns[-1] > table.n_max:
+    if not ns:
+        raise ValueError("mertens_trace needs at least one checkpoint")
+    if ns[0] < 1 or ns[-1] > table.n_max:
         raise ValueError(f"checkpoints outside [1, {table.n_max}]")
     out = []
     total = 0

@@ -2,6 +2,7 @@
 
 import io
 import json
+import shlex
 import tempfile
 import time
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mulab.cli import main
+from mulab.cli import build_parser, main
 from mulab.sieves import sieve_phi
 
 
@@ -630,3 +631,16 @@ class TestLoaderFuzz:
         text = "".join(",".join(row) + "\n" for row in rows)
         code = run_in_tempdir({"a.csv": text}, ["pieces", "--arrangement", "{dir}/a.csv"])
         assert code in ALLOWED
+
+
+def test_readme_examples_parse():
+    # every labctl line of the README's CLI block parses with today's flags
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip()
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line) for line in lines if line]
+    assert len(commands) == 7 and all(argv[0] == "labctl" for argv in commands)
+    parser = build_parser()[0]
+    for argv in commands:
+        parser.parse_args(argv[1:])  # a usage error exits and fails the test

@@ -146,6 +146,15 @@ def test_a_decay_preset_below_n_100_exits_2_naming_the_key(capsys, name, n):
     run_preset(name, overrides={"n": 100})  # the smallest n it takes
 
 
+def test_pnt_trend_below_n_1000_exits_2_naming_the_key(capsys):
+    # its first Mertens decade is 1000
+    assert main(["experiment", "pnt-trend", "--n", "999"]) == 2
+    assert "preset 'pnt-trend': parameter 'n' must be at least 1000" in \
+        capsys.readouterr().err
+    res = run_preset("pnt-trend", overrides={"n": 1000})["results"]  # the smallest n
+    assert res["mertens"] == [[1000, 2]]
+
+
 def test_linear_drift_keeps_its_moduli_with_c_exact():
     # the moduli of the per-n table phase that rounded c to 2^-96
     res = run_preset("linear-drift", overrides={"n": 2000})["results"]

@@ -22,8 +22,7 @@ from mulab.errors import (
 from mulab.sieves import (
     MobiusTable,
     _codes,
-    _phi_segments,
-    _signed_segments,
+    _segments,
     euler_phi,
     load_cache,
     m_estimate,
@@ -133,6 +132,11 @@ class TestMertens:
         for n in (0, 101):
             with pytest.raises(ValueError):
                 mertens(table, n)
+
+    def test_an_empty_trace_asks_for_a_checkpoint(self):
+        # no checkpoint lies outside the table, so the message says what is missing
+        with pytest.raises(ValueError, match="^mertens_trace needs at least one checkpoint$"):
+            mertens_trace(sieve_mobius(10), [])
 
     def test_trace_matches_cumsum_oracle(self, mu_table):
         vals = mu_table.values(1, 5001).astype(np.int64)
@@ -417,16 +421,17 @@ class TestSegments:
         # is built, over its odd n, and it must hold the small odd n's values
         n_max = 2 ** 31 + 5
         odd = np.arange(1, 2000, 2)
+        lo, s, vals = next(_segments(n_max, 2000, name))
         if squarefree is None:
-            lo, vals, prod = next(_phi_segments(n_max, 2000))
+            prod = np.abs(s)
             assert lo == 1 and vals.dtype == prod.dtype == np.int64
             assert vals.size == prod.size == 1000
             q = odd // prod  # 1, or the one prime above sqrt(n_max)
             assert (q * prod == odd).all()
             got = vals * np.where(q > 1, q - 1, 1)
         else:
-            lo, s = next(_signed_segments(n_max, 2000, squarefree))
             assert lo == 1 and s.dtype == np.int64 and s.size == 1000
+            assert vals is None
             got = np.array([0, 1, -1])[_codes(s, lo)]
         assert got.tolist() == [oracle(n) for n in odd.tolist()]
         # the even n, from n / 2 by the 2-adic rule
@@ -654,24 +659,32 @@ class TestOddOnly:
 class TestSignedProduct:
     @pytest.mark.parametrize("name,squarefree,oracle", [
         ("mu", True, mu_oracle), ("lambda", False, lambda_oracle),
-    ], ids=["mu", "lambda"])
+        ("phi", False, phi_oracle),
+    ], ids=["mu", "lambda", "phi"])
     def test_the_product_is_the_sieved_part_of_n(self, name, squarefree, oracle):
         # over the odd n, |s| is n over its one prime above sqrt(n_max), if
-        # any; mu's s is 0 exactly on the non-squarefree n
+        # any; mu's s is 0 exactly on the non-squarefree n, and phi's vals
+        # is phi(|s|)
         n_max = 5000
-        (lo, s), = _signed_segments(n_max, 1 << 20, squarefree)
+        (lo, s, vals), = _segments(n_max, 1 << 20, name)
         assert lo == 1 and s.size == n_max // 2
-        for n, v in zip(range(lo, n_max + 1, 2), s.tolist()):
+        assert (vals is None) == (name != "phi")
+        for i, (n, v) in enumerate(zip(range(lo, n_max + 1, 2), s.tolist())):
             f = factorize(n)
             if squarefree and max(f.values(), default=1) > 1:
                 assert v == 0, n
                 continue
             big = [p for p in f if p * p > n_max]
             assert abs(v) == n // (big[0] if big else 1), n
-            assert (-1 if v < 0 else 1) * (-1) ** len(big) == oracle(n), n
+            sign = (-1 if v < 0 else 1) * (-1) ** len(big)
+            if name == "phi":  # phi's s is lambda's signed product
+                assert vals[i] == euler_phi(abs(v)) and sign == lambda_oracle(n), n
+            else:
+                assert sign == oracle(n), n
         # the even n: the table's values from n / 2 by the 2-adic rule
-        table = (sieve_mobius if squarefree else sieve_liouville)(n_max)
-        w = table.weight_array()
+        sieve = {"mu": sieve_mobius, "lambda": sieve_liouville, "phi": sieve_phi}[name]
+        table = sieve(n_max)
+        w = table.values if name == "phi" else table.weight_array()
         for n in range(2, n_max + 1, 2):
             assert w[n] == TWO_ADIC[name](int(w[n // 2]), n // 2) == oracle(n), n
 
