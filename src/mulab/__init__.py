@@ -58,6 +58,7 @@ from .phases import (
     GeometricSchedule,
     Phase,
     PolyPhase,
+    ScheduledLagrangeConcat,
     SumPhase,
     LogPowerSchedule,
     build_concatenation,

@@ -39,7 +39,6 @@ from .phase_sums import (
     weights_from_table,
 )
 from .sieves import (
-    _DEFAULT_SEGMENT,
     load_cache,
     mertens,
     save_cache,
@@ -156,6 +155,13 @@ def _resolve_weights(spec: str, needed: int):
     return w
 
 
+def _refuse_ignored(args: argparse.Namespace, flags: tuple[str, ...], why: str) -> None:
+    """Exit 2 naming the first of `flags` given on a run that ignores it."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise ParseError(f"--{flag} is ignored {why}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -163,16 +169,16 @@ def _resolve_weights(spec: str, needed: int):
 def _cmd_sieve(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ParseError("--n must be >= 1")
-    table = (sieve_liouville(args.n, segment_size=args.segment_size)
-             if args.fn == "lambda"
-             else sieve_mobius(args.n, segment_size=args.segment_size))
+    table = sieve_liouville(args.n) if args.fn == "lambda" else sieve_mobius(args.n)
     save_cache(table, args.out)
     size = Path(args.out).stat().st_size
+    # the summatory function: Mertens' M for mu, L for lambda
+    name = "L" if args.fn == "lambda" else "M"
     print(f"{args.fn} table on [1, {args.n}] -> {args.out}")
     print(f"  bytes={size} crc32={table.checksum:08x} "
-          f"M({args.n})={mertens(table, args.n)}")
+          f"{name}({args.n})={mertens(table, args.n)}")
     if args.phi_out:
-        phi = sieve_phi(args.n, segment_size=args.segment_size)
+        phi = sieve_phi(args.n)
         # np.save's bytes without its copy of the table: format 1.0 header, values
         header = io.BytesIO()
         npy_format.write_array_header_1_0(header, npy_format.header_data_from_array_1_0(phi.values))
@@ -201,6 +207,7 @@ def _cmd_sum(args: argparse.Namespace) -> int:
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
     if args.seq:
+        _refuse_ignored(args, ("p1", "p2", "length"), "with --seq")
         seq = load_symbols(args.seq)
         label = args.seq
     elif args.p1 and args.p2:
@@ -258,7 +265,7 @@ def _cmd_dirichlet(args: argparse.Namespace) -> int:
         parse_real_token(t, f" at position {i} of --theta")
         for i, t in enumerate(args.theta.split(","))
     ]
-    wit = dirichlet_approx(thetas, args.q, args.budget)
+    wit = dirichlet_approx(thetas, args.q)
     print(f"t={wit.t} nearest={wit.nearest} max_err={wit.max_err:.10f} "
           f"(< 1/{args.q})")
     return EXIT_OK
@@ -267,22 +274,27 @@ def _cmd_dirichlet(args: argparse.Namespace) -> int:
 def _cmd_correlate(args: argparse.Namespace) -> int:
     phase = parse_phase(args.phase)
     if args.mode == "ap":
+        _refuse_ignored(args, ("shift",), "with --mode ap")
         if args.weights is None:
             raise ParseError("--mode ap needs --weights")
-        weights = _resolve_weights(args.weights, args.n + args.h * args.s)
-        rep = ap_correlation(weights, phase, args.s, args.h, args.n)
-        print(f"progression correlation s={args.s} h={args.h} N={args.n}:")
+        s = 1 if args.s is None else args.s
+        h = 10 if args.h is None else args.h
+        weights = _resolve_weights(args.weights, args.n + h * s)
+        rep = ap_correlation(weights, phase, s, h, args.n)
+        print(f"progression correlation s={s} h={h} N={args.n}:")
         print(f"  value={rep.value:.6e} comparison={rep.comparison:.6e}")
         doc = {"mode": "ap", "phase": phase.describe(),
-               "weights": weights.label, "s": args.s, "h": args.h,
+               "weights": weights.label, "s": s, "h": h,
                "n": args.n, "value": rep.value,
                "comparison": rep.comparison}
     else:
-        v = phase_shift_correlation(phase, args.shift, args.n)
-        print(f"shift self-correlation shift={args.shift} N={args.n}: "
+        _refuse_ignored(args, ("weights", "s", "h"), "with --mode shift")
+        shift = 1 if args.shift is None else args.shift
+        v = phase_shift_correlation(phase, shift, args.n)
+        print(f"shift self-correlation shift={shift} N={args.n}: "
               f"{v:.6e}")
         doc = {"mode": "shift", "phase": phase.describe(),
-               "shift": args.shift, "n": args.n, "value": v}
+               "shift": shift, "n": args.n, "value": v}
     if args.out_json:
         write_json(Path(args.out_json), {"schema_version": 1, **doc})
         print(f"  metadata -> {args.out_json}")
@@ -329,7 +341,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--fn", choices=("mu", "lambda"), default="mu")
-    p.add_argument("--segment-size", type=int, default=_DEFAULT_SEGMENT)
     p.add_argument("--phi-out", default=None)
     p.set_defaults(run=_cmd_sieve)
 
@@ -364,16 +375,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("dirichlet", help="simultaneous approximation witness")
     p.add_argument("--theta", required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10 ** 7)
     p.set_defaults(run=_cmd_dirichlet)
 
     p = sub.add_parser("correlate", help="correlation functionals")
     p.add_argument("--mode", choices=("ap", "shift"), required=True)
     p.add_argument("--phase", required=True)
     p.add_argument("--weights", default=None)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--h", type=int, default=10)
-    p.add_argument("--shift", type=int, default=1)
+    p.add_argument("--s", type=int, default=None, help="ap only (default 1)")
+    p.add_argument("--h", type=int, default=None, help="ap only (default 10)")
+    p.add_argument("--shift", type=int, default=None, help="shift only (default 1)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out-json", default=None)
     p.set_defaults(run=_cmd_correlate)

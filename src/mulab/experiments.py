@@ -33,6 +33,7 @@ from .phases import (
     ConcatPhase,
     GeometricSchedule,
     PolyPhase,
+    ScheduledLagrangeConcat,
     SumPhase,
     build_concatenation,
     concat_residual,
@@ -444,9 +445,8 @@ def run_round_trips(params: dict, out_dir: Path | None = None) -> dict:
 
     k = 3
     poly = PolyPhase([Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11)])
-    concat = build_concatenation(poly, k, m_target=10,
-                                 schedule=GeometricSchedule(8))
-    res = concat_residual(poly, concat, range(0, 4000, 7))
+    concat = ScheduledLagrangeConcat(GeometricSchedule(8), poly, k)
+    res = concat_residual(concat, range(0, 4000, 7))
     poly_ok = res.max_dist == 0.0
 
     sigma_ok = True
@@ -478,7 +478,7 @@ def run_concat_approx(params: dict, out_dir: Path | None = None) -> dict:
         if lo is None:
             break
         samples.extend(range(lo, lo + params["span"]))
-    rep = concat_residual(src, concat, samples)
+    rep = concat_residual(concat, samples)
     passed = rep.max_dist <= 1.0 / m_target
     return {
         "schedule": sched.describe(),

@@ -46,6 +46,8 @@ from .sieves import MobiusTable, euler_phi
 
 #: documented accumulation tolerance for |average| identities
 SUM_TOLERANCE = 1e-12
+#: the most t that `dirichlet_approx` scans: q^L above it is refused
+SCAN_BUDGET = 10 ** 7
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +192,8 @@ def checkpoint_grid(n_max: int, count: int) -> list[int]:
     if count < 1:
         raise ValueError("need at least one checkpoint")
     count = min(count, n_max)
-    steps = max(count - 1, 1)
-    pts = {min(max(int(round(n_max ** (i / steps))), 1), n_max)
-           for i in range(count)}
+    pts = {min(max(int(round(n_max ** (i / (count - 1)))), 1), n_max)
+           for i in range(count - 1)}
     pts.add(n_max)
     n = 1
     while len(pts) < count and n <= n_max:  # pad after rounding collisions
@@ -378,9 +379,7 @@ class DirichletWitness:
     max_err: float
 
 
-def dirichlet_approx(
-    thetas: Sequence, q: int, budget: int = 10 ** 7
-) -> DirichletWitness:
+def dirichlet_approx(thetas: Sequence, q: int) -> DirichletWitness:
     """Smallest t in [1, q^L] with max_j ||t theta_j|| < 1/q (strict), by
     brute-force scan.
 
@@ -395,9 +394,9 @@ def dirichlet_approx(
         raise ValueError("need at least one theta")
     L = len(thetas)
     limit = q ** L
-    if limit > budget:
+    if limit > SCAN_BUDGET:
         raise ResourceBudgetError(
-            f"q^L = {limit} exceeds the scan budget {budget}; "
+            f"q^L = {limit} exceeds the scan budget {SCAN_BUDGET}; "
             f"reduce q or the number of thetas"
         )
     reps: list[tuple[int, int]] = []  # (numerator, unit): theta ~= num/unit

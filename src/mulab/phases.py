@@ -45,10 +45,9 @@ its own is the power: a screen in double-double (one Newton step from a
 float64 seed, with a certified bound) decides the float of most n without a
 root, and only the n it cannot decide take the kernel's exact root, so that
 it stays byte-identical to the derived one.  The concatenations and the sum
-need Python ints, and build them from their parts' words.  Two shapes keep
-a `frac` of their own: the bracket product, whose certified bound reads the
-rounding of its per-n product (`value`), and the concatenation, which
-returns its piece's.  Consumers walk n in batches of `CHUNK`.
+need Python ints, and build them from their parts' words.  One shape keeps
+a `frac` of its own: the concatenation, which returns its piece's.
+Consumers walk n in batches of `CHUNK`.
 
 Periods.  `Phase.period` is a q with {f(n + q)} = {f(n)} on the
 representation, or None.  A rational polynomial's period is its unit: its
@@ -289,9 +288,6 @@ class BracketPhase(Phase):
     def value(self, n: int) -> FixedReal:
         inner = FixedReal((self.alpha.mantissa * n) % SCALE, self.alpha.err_ulp * n)
         return self.beta.mul_int(n) * inner
-
-    def frac(self, n: int) -> FixedReal:
-        return self.value(n).frac()
 
     def err_ulp_at(self, n: int) -> int:
         return self.value(n).err_ulp
@@ -772,14 +768,20 @@ class ScheduledLagrangeConcat(Phase):
         return out
 
     def _numerators(self, start: int, count: int) -> np.ndarray:
-        """The Newton form of every piece at once, in Python ints.  The node
+        return self._newton(start, count)[0]
+
+    def _newton(self, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """(the Newton form of every piece at once, the source's numerators)
+        for n = start .. start+count-1, both in Python ints.  The node
         numerators come from one source window over [start, end + k - 1),
-        plus the first piece's own k nodes when it starts before `start`."""
+        which holds the source's own at every n, plus the first piece's own
+        k nodes when it starts before `start`."""
         k, end, src = self.k, start + count, self.source
         anchors = self._anchors(start, end)
         first = int(anchors[0]) if count else start
         head = _ints(src._numerators(first, k)) if first < start else np.zeros(0, np.int64)
         ys = np.concatenate([head, _ints(src._numerators(start, count + k - 1))]).astype(object)
+        own = ys[head.size : head.size + count]
         pos = (anchors - (start - head.size)).astype(np.intp)
         pos[anchors < start] = 0
         js = np.arange(start, end, dtype=anchors.dtype) - anchors
@@ -790,26 +792,23 @@ class ScheduledLagrangeConcat(Phase):
             binom = binom * (js - (i - 1)) // i  # C(j, i)
             acc += ys[pos] * binom
         acc %= self.unit
-        return acc
+        return acc, own
 
 
 def build_concatenation(
     source: Phase,
     k: int,
     m_target: int,
-    schedule: StageSchedule | None = None,
     tau: float = 0.7,
     c_const: float = 1.0,
 ) -> ScheduledLagrangeConcat:
-    """Concatenation of interpolating polynomial phases approximating `source`.
-
-    With the default schedule the residual ||source(n) - g(n)|| is at most
+    """Concatenation of interpolating polynomial phases approximating `source`
+    on a `LogPowerSchedule`: the residual ||source(n) - g(n)|| is at most
     1/m_target from stage 1 on, provided ||D^k source(n)|| <= c_const /
-    exp(log^tau n) holds from there.
+    exp(log^tau n) holds from there.  Another schedule is
+    `ScheduledLagrangeConcat(schedule, source, k)`.
     """
-    if schedule is None:
-        schedule = LogPowerSchedule(tau, c_const, m_target, k)
-    return ScheduledLagrangeConcat(schedule, source, k)
+    return ScheduledLagrangeConcat(LogPowerSchedule(tau, c_const, m_target, k), source, k)
 
 
 @dataclass
@@ -819,23 +818,22 @@ class ResidualReport:
     samples: int
 
 
-def concat_residual(source: Phase, concat: Phase, ns: Sequence[int]) -> ResidualReport:
-    """max over sampled n of ||source(n) - concat(n)||, exact on representations.
+def concat_residual(concat: ScheduledLagrangeConcat, ns: Sequence[int]) -> ResidualReport:
+    """max over sampled n of ||source(n) - concat(n)|| for the concatenation's
+    source, exact on representations.
 
-    Both sides come from their batch kernels, one call each per run of
-    samples that lie close together, and are compared over the lcm of the
-    two units.  No samples is a ValueError: a maximum over nothing would
-    read as a pass."""
-    unit = math.lcm(source.unit, concat.unit)
-    ay, ag = unit // source.unit, unit // concat.unit
+    Both sides come from one pass of the concatenation's kernel per run of
+    samples that lie close together: its source window holds the source's
+    numerators, over the same unit.  No samples is a ValueError: a maximum
+    over nothing would read as a pass."""
+    unit = concat.unit
     worst, arg = -1.0, -1
     count = 0
     for run in _runs(ns):
         lo, size = run[0], run[-1] + 1 - run[0]
-        ys = _ints(source._numerators(lo, size)).tolist()
-        gs = list(concat.frac_units(lo, size)[1])
+        gs, ys = (a.tolist() for a in concat._newton(lo, size))
         for n in run:
-            num = (ys[n - lo] * ay - gs[n - lo] * ag) % unit
+            num = (ys[n - lo] - gs[n - lo]) % unit
             d = min(num, unit - num) / unit
             count += 1
             if d > worst:
@@ -845,7 +843,7 @@ def concat_residual(source: Phase, concat: Phase, ns: Sequence[int]) -> Residual
     return ResidualReport(worst, arg, count)
 
 
-#: samples fewer than this many n apart share one call of each kernel in
+#: samples fewer than this many n apart share one call of the kernel in
 #: concat_residual: a call costs about as much as a few dozen terms
 _RUN_GAP = 32
 

@@ -9,7 +9,7 @@ Reads decode whole bytes through one 256 x 4 table of signed values (and
 Mertens sums whole bytes through the 256 sums of its rows), a chunk of
 bytes at a time, and refuse a chunk holding a code 11.
 
-All three sieves sieve the odd n only.  A segment of segment_size n holds
+All three sieves sieve the odd n only.  A segment of _SEGMENT n holds
 its odd n = 2t + 1 at index t - t0, and the multiples of an odd prime power
 p^e fall every p^e-th index from ((p^e - 1)/2 - t0) mod p^e on.  The odd
 prime powers 3^2, 5^2, 7^2 and their divisors are pre-sieved once, over the
@@ -42,17 +42,14 @@ the segment:
   k = 4c + 1..4c + 4) to the codes of their n = 2k, which are OR-ed into
   bytes 2c and 2c + 1.  Byte 0 reads itself (lambda(4) = -lambda(2), and
   lambda(8) = -lambda(4) in byte 1), so bytes 0 and 1 take that step three
-  times.  Each segment starts at an even byte, so segment_size is rounded
-  up to a multiple of 8.
+  times.  Each segment starts at an even byte, so _SEGMENT is a multiple
+  of 8.
 * phi: the leftover factor is phi(q) = q - 1 for the quotient q = n / |s|,
   1 or a prime: one float64 pass takes |n / s|, then q - [q > 1], times
   phi of |s|, into the table's odd entries.  It is exact because |s|
   divides n and phi(n) <= n < 2^53; all three sieves refuse n_max >= 2^53
   up front.  The even entries are then copied from n / 2 and doubled where
-  n / 2 is even.  Each segment starts at an odd n, so segment_size is
-  rounded up to an even number.
-
-Every sieve refuses segment_size < 1.
+  n / 2 is even.  Each segment starts at an odd n.
 
 Tables are immutable after construction and safe to share across
 concurrent readers; construction itself is single-writer, segment by
@@ -87,9 +84,10 @@ from .errors import (
 MAGIC = b"MUSV"
 VERSION = 2
 
-_DEFAULT_SEGMENT = 1 << 20
-#: payload bytes per step of a scan for code 11: _DEFAULT_SEGMENT entries
-_SCAN_BYTES = _DEFAULT_SEGMENT // 4
+#: n per segment of a sieve, a multiple of 8: the tables do not depend on it
+_SEGMENT = 1 << 20
+#: payload bytes per step of a scan for code 11: _SEGMENT entries
+_SCAN_BYTES = _SEGMENT // 4
 #: the odd primes pre-sieved from one tile, with their top exponents
 _TILED = ((3, 2), (5, 2), (7, 2))
 #: the tile's length: t mod _PERIOD for the odd n = 2t + 1
@@ -162,8 +160,8 @@ def _reserved(packed: np.ndarray) -> np.ndarray:
 class MobiusTable:
     """Packed table of a {-1,0,+1}-valued function on [1, n_max].
 
-    Built for mu; the same container also carries lambda (the file format
-    does not record which, the caller's filename/label does).
+    Built for mu; the same container also carries lambda.  The file format
+    does not record which: `load_cache` labels a table by its file's name.
     """
 
     n_max: int
@@ -185,8 +183,8 @@ class MobiusTable:
         return zlib.crc32(self.packed) & 0xFFFFFFFF
 
     def _bytes(self, b0: int, b1: int):
-        """(first byte, payload bytes) over bytes [b0, b1), one
-        _DEFAULT_SEGMENT entries at a time, each checked for code 11."""
+        """(first byte, payload bytes) over bytes [b0, b1), _SCAN_BYTES
+        at a time, each checked for code 11."""
         for a in range(b0, b1, _SCAN_BYTES):
             block = self.packed[a : min(a + _SCAN_BYTES, b1)]
             if _reserved(block).any():
@@ -236,10 +234,10 @@ class MobiusTable:
         return total
 
 
-def _segment_bytes(n_max: int, segment_size: int) -> int:
+def _segment_bytes(n_max: int) -> int:
     """Working bytes of a sieve beside its table: one segment, one quotient
     pass, the tile and the base primes."""
-    odd = (min(segment_size, n_max) + 1) // 2  # the odd n of one segment
+    odd = (min(_SEGMENT, n_max) + 1) // 2  # the odd n of one segment
     wide = 1 if n_max < 1 << 31 else 2  # int64 segments from 2^31 on
     return (wide * _SEGMENT_BYTES_PER_N * odd
             + _QUOTIENT_BYTES_PER_N * min(_QUOTIENT_CHUNK, odd)
@@ -247,7 +245,7 @@ def _segment_bytes(n_max: int, segment_size: int) -> int:
             + _ROOT_BYTES_PER_N * math.isqrt(n_max) + _FIXED_BYTES)
 
 
-def _check_budget(label, table_bytes, n_max, segment_size) -> None:
+def _check_budget(label, table_bytes, n_max) -> None:
     """Refuse a sieve past phi's exact float quotient, the one range limit of
     all three sieves, or one whose table plus working bytes exceed the
     budget."""
@@ -255,7 +253,7 @@ def _check_budget(label, table_bytes, n_max, segment_size) -> None:
         raise ValueError(
             f"{label} sieve for n_max={n_max}: n_max must be below 2^53, where "
             f"phi's leftover prime is an exact float64 quotient")
-    segment_bytes = _segment_bytes(n_max, segment_size)
+    segment_bytes = _segment_bytes(n_max)
     need = table_bytes + segment_bytes
     if need > DEFAULT_BUDGET_BYTES:
         raise ResourceBudgetError(
@@ -363,15 +361,14 @@ def _or_evens(out: np.ndarray, b0: int, b1: int, evens: np.ndarray) -> None:
         out[b1 - 1] |= looked[-1] & 0xFF
 
 
-def _segmented_pack(n_max, segment_size, label) -> MobiusTable:
+def _segmented_pack(n_max, label) -> MobiusTable:
     """Packed table of mu or lambda, by label."""
-    if n_max < 1 or segment_size < 1:
-        raise ValueError("n_max and segment_size must be >= 1")
-    segment_size = -(-segment_size // 8) * 8  # each segment starts at an even byte
-    _check_budget(label, (n_max + 3) // 4, n_max, segment_size)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    _check_budget(label, (n_max + 3) // 4, n_max)
     out = np.empty((n_max + 3) // 4, dtype=np.uint8)
     evens = _EVEN_CODES[label]
-    for lo, s, _ in _segments(n_max, segment_size, label):
+    for lo, s, _ in _segments(n_max, _SEGMENT, label):
         b0 = (lo - 1) // 4
         # _QUOTIENT_CHUNK is even: each chunk fills whole bytes
         for a in range(0, s.size, _QUOTIENT_CHUNK):
@@ -394,16 +391,14 @@ def _segmented_pack(n_max, segment_size, label) -> MobiusTable:
     return MobiusTable(n_max, out, label)
 
 
-def sieve_mobius(n_max: int, segment_size: int = _DEFAULT_SEGMENT) -> MobiusTable:
-    """Exact mu on [1, n_max]: 0 on non-squarefree n, else (-1)^(#prime factors).
-    segment_size is rounded up to a multiple of 8."""
-    return _segmented_pack(n_max, segment_size, "mu")
+def sieve_mobius(n_max: int) -> MobiusTable:
+    """Exact mu on [1, n_max]: 0 on non-squarefree n, else (-1)^(#prime factors)."""
+    return _segmented_pack(n_max, "mu")
 
 
-def sieve_liouville(n_max: int, segment_size: int = _DEFAULT_SEGMENT) -> MobiusTable:
-    """Exact lambda on [1, n_max]: completely multiplicative, lambda(p) = -1.
-    segment_size is rounded up to a multiple of 8."""
-    return _segmented_pack(n_max, segment_size, "lambda")
+def sieve_liouville(n_max: int) -> MobiusTable:
+    """Exact lambda on [1, n_max]: completely multiplicative, lambda(p) = -1."""
+    return _segmented_pack(n_max, "lambda")
 
 
 @dataclass
@@ -436,15 +431,13 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def sieve_phi(n_max: int, segment_size: int = _DEFAULT_SEGMENT) -> PhiTable:
-    """Euler phi on [1, n_max]: multiplicative, phi(p^e) = p^(e-1) (p - 1).
-    segment_size is rounded up to an even number."""
-    if n_max < 1 or segment_size < 1:
-        raise ValueError("n_max and segment_size must be >= 1")
-    segment_size += segment_size % 2  # each segment starts at an odd n
-    _check_budget("phi", 8 * (n_max + 1), n_max, segment_size)
+def sieve_phi(n_max: int) -> PhiTable:
+    """Euler phi on [1, n_max]: multiplicative, phi(p^e) = p^(e-1) (p - 1)."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    _check_budget("phi", 8 * (n_max + 1), n_max)
     out = np.zeros(n_max + 1, dtype=np.int64)
-    for lo, s, vals in _segments(n_max, segment_size, "phi"):
+    for lo, s, vals in _segments(n_max, _SEGMENT, "phi"):
         for a in range(0, vals.size, _QUOTIENT_CHUNK):
             b = min(a + _QUOTIENT_CHUNK, vals.size)
             # |s| divides n, so the quotient is exact: 1, or the one prime
@@ -458,7 +451,7 @@ def sieve_phi(n_max: int, segment_size: int = _DEFAULT_SEGMENT) -> PhiTable:
         # phi(2k) = phi(k), doubled for even k, for the segment's even n; in
         # blocks of n in [2k, 4k), whose k in [k, 2k) are final by then, of
         # at most _QUOTIENT_CHUNK k each, one shifted copy per block
-        k, k1 = (lo + 1) // 2, (min(lo + segment_size, n_max + 1) + 1) // 2
+        k, k1 = (lo + 1) // 2, (min(lo + 2 * s.size, n_max + 1) + 1) // 2
         while k < k1:
             e = min(2 * k, k + _QUOTIENT_CHUNK, k1)
             np.left_shift(out[k:e], (np.arange(k, e, dtype=np.int64) & 1) ^ 1,
@@ -539,7 +532,9 @@ def save_cache(table: MobiusTable, path: str | Path) -> None:
 
 
 def load_cache(path: str | Path) -> MobiusTable:
-    """Read a packed table, verifying magic, version, n_max and CRC."""
+    """Read a packed table, verifying magic, version, n_max and CRC.  The
+    table's label is the file's name without its suffix (`lambda.bin`
+    holds "lambda")."""
     blob = Path(path).read_bytes()
     if blob[:4] != MAGIC:
         raise CacheMagicError(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
@@ -577,4 +572,4 @@ def load_cache(path: str | Path) -> MobiusTable:
             low = int(reserved[b]) & -int(reserved[b])  # low bit of the first bad pair
             raise CacheFormatError(
                 f"{path}: reserved code 11 at n={4 * (a + b) + low.bit_length() // 2 + 1}")
-    return MobiusTable(int(n_max), packed)
+    return MobiusTable(int(n_max), packed, Path(path).stem)

@@ -51,34 +51,21 @@ class TestSieveCommand:
         assert (tmp_path / "phi.npy").read_bytes() == buf.getvalue()
         assert np.load(tmp_path / "phi.npy").dtype == np.int64
 
-    @pytest.mark.parametrize("size", ["-3", "0"])
-    def test_segment_size_below_one_exits_2(self, tmp_path, capsys, size):
-        out = tmp_path / "mu.bin"
-        assert run(["sieve", "--n", "100", "--out", str(out),
-                    "--segment-size", size]) == 2
-        assert "segment_size must be >= 1" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_phi_out_takes_the_segment_size(self, tmp_path, monkeypatch):
-        import mulab.cli
-
-        sizes = []
-
-        def recording(n_max, segment_size):
-            sizes.append(segment_size)
-            return sieve_phi(n_max, segment_size)
-
-        monkeypatch.setattr(mulab.cli, "sieve_phi", recording)
-        assert run(["sieve", "--n", "500", "--out", str(tmp_path / "mu.bin"),
-                    "--segment-size", "64", "--phi-out", str(tmp_path / "phi")]) == 0
-        assert sizes == [64]
-        assert np.array_equal(np.load(tmp_path / "phi.npy"), sieve_phi(500).values)
-
     def test_lambda_table(self, tmp_path):
         out = tmp_path / "lam.bin"
         assert run(["sieve", "--n", "1000", "--fn", "lambda",
                     "--out", str(out)]) == 0
         assert out.exists()
+
+    def test_lambda_table_prints_the_summatory_liouville_function(self, tmp_path, capsys):
+        # L(1000) = sum of lambda(n) for n <= 1000; M(1000) = 2 is mu's
+        assert run(["sieve", "--n", "1000", "--fn", "lambda",
+                    "--out", str(tmp_path / "lambda.bin")]) == 0
+        out = capsys.readouterr().out
+        assert "L(1000)=-14" in out and "M(" not in out
+        assert run(["sum", "--weights", str(tmp_path / "lambda.bin"), "--phase", "poly:0",
+                    "--n", "1000"]) == 0
+        assert "of lambda * e(poly:0)" in capsys.readouterr().out
 
 
 class TestSumCommand:
@@ -169,6 +156,15 @@ class TestEntropyCommand:
     def test_missing_inputs_usage(self):
         assert run(["entropy", "--jmax", "4"]) == 2
 
+    @pytest.mark.parametrize("flag", [["--p1", "poly:0,sqrt2"], ["--p2", "poly:0,sqrt3"],
+                                      ["--length", "50"]])
+    def test_a_phase_flag_beside_seq_exits_2(self, tmp_path, capsys, flag):
+        from mulab.symbolic_blocks import SymbolSeq, save_symbols
+
+        hdr = save_symbols(SymbolSeq(np.tile([0, 1], 100), 2), tmp_path / "seq.bin")
+        assert run(["entropy", "--seq", str(hdr), "--jmax", "4", *flag]) == 2
+        assert f"{flag[0]} is ignored with --seq" in capsys.readouterr().err
+
     def test_over_budget_exits_4(self, tmp_path, capsys):
         import numpy as np
 
@@ -252,9 +248,11 @@ class TestDirichletCommand:
         assert run(["dirichlet", "--theta", "1/3", "--q", "3"]) == 0
         assert "t=3" in capsys.readouterr().out
 
-    def test_budget_exit_code(self):
+    def test_budget_exit_code(self, capsys):
+        # q^L = 300^3 = 2.7e7 is over the 1e7 scan budget
         assert run(["dirichlet", "--theta", "sqrt2,sqrt3,sqrt5",
-                    "--q", "8", "--budget", "10"]) == 4
+                    "--q", "300"]) == 4
+        assert "q^L = 27000000 exceeds the scan budget 10000000" in capsys.readouterr().err
 
 
 class TestCorrelateCommand:
@@ -274,6 +272,16 @@ class TestCorrelateCommand:
                     "--shift", "1", "--n", "64"]) == 0
         out = capsys.readouterr().out
         assert "4.0" in out
+
+    @pytest.mark.parametrize("mode, flag", [
+        ("shift", ["--weights", "mu:10"]), ("shift", ["--s", "2"]),
+        ("shift", ["--h", "3"]), ("ap", ["--shift", "2"]),
+    ])
+    def test_a_flag_the_mode_ignores_exits_2(self, capsys, mode, flag):
+        weights = ["--weights", "mu:100"] if mode == "ap" else []
+        assert run(["correlate", "--mode", mode, "--phase", "poly:0", "--n", "10",
+                    *weights, *flag]) == 2
+        assert f"{flag[0]} is ignored with --mode {mode}" in capsys.readouterr().err
 
 
 class TestExperimentCommand:

@@ -471,8 +471,8 @@ class TestScheduleEdges:
 class TestBuildConcatenation:
     def test_reproduces_polynomial_exactly(self):
         poly = PolyPhase([F(1, 3), F(-2, 7), F(5, 11)])
-        concat = build_concatenation(poly, 3, 10, schedule=GeometricSchedule(8))
-        rep = concat_residual(poly, concat, range(0, 2500, 3))
+        concat = ScheduledLagrangeConcat(GeometricSchedule(8), poly, 3)
+        rep = concat_residual(concat, range(0, 2500, 3))
         assert rep.max_dist == 0.0
 
     def test_piecewise_affine_source(self):
@@ -483,9 +483,9 @@ class TestBuildConcatenation:
             PolyPhase([F(1, 2), F(1, 9)]),
             PolyPhase([F(1, 7), F(2, 11)]),
         ])
-        concat = build_concatenation(src, 2, 10, schedule=GeometricSchedule(4))
+        concat = ScheduledLagrangeConcat(GeometricSchedule(4), src, 2)
         inner = [n for n in range(70, 120)]  # inside the second run
-        rep = concat_residual(src, concat, inner)
+        rep = concat_residual(concat, inner)
         assert rep.max_dist == 0.0
 
     def test_power_source_residual_below_target(self):
@@ -498,7 +498,7 @@ class TestBuildConcatenation:
             if lo is None:
                 break
             samples.extend(range(lo, lo + 600))
-        rep = concat_residual(src, concat, samples)
+        rep = concat_residual(concat, samples)
         assert rep.max_dist <= 0.1
 
 
@@ -616,7 +616,7 @@ def lagrange_windows(draw):
     m = draw(st.integers(1, 3))
     centre = sched.stage_start(m) + draw(st.integers(-9, 9)) * (1 << m)
     start = max(0, centre + draw(st.integers(-12, 12)))
-    return build_concatenation(source, k, 10, schedule=sched), start, draw(st.integers(1, 60))
+    return ScheduledLagrangeConcat(sched, source, k), start, draw(st.integers(1, 60))
 
 
 # one strategy per shape, for the parts of a sum
@@ -628,7 +628,7 @@ SUM_PARTS = {
     "concat": st.builds(lambda b, x, y: ConcatPhase([0, b], [x, y]),
                         st.integers(1, 60), sources, sources),
     "interpolating concat": st.builds(
-        lambda src, k: build_concatenation(src, k, 10, schedule=GeometricSchedule(4)),
+        lambda src, k: ScheduledLagrangeConcat(GeometricSchedule(4), src, k),
         sources, st.integers(1, 3)),
 }
 
@@ -713,8 +713,7 @@ class TestBatchKernels:
     def test_only_phase_defines_the_derived_methods(self):
         # but the power's frac_chunk, a screen in front of the kernel that
         # TestPowerScreen holds byte-identical to Phase.frac_chunk, and the
-        # frac of the bracket product, whose bound reads its per-n product,
-        # and of the concatenation, which returns its piece's
+        # frac of the concatenation, which returns its piece's
         shapes = [cls for _, cls in inspect.getmembers(phases, inspect.isclass)
                   if issubclass(cls, Phase) and cls is not Phase]
         assert set(shapes) == {PolyPhase, BracketPhase, PowerPhase, SumPhase, ConcatPhase,
@@ -722,7 +721,7 @@ class TestBatchKernels:
         for cls in shapes:
             assert cls.frac_units is Phase.frac_units
             assert (cls.frac_chunk is Phase.frac_chunk) == (cls is not PowerPhase)
-            assert ("frac" in vars(cls)) == (cls in (BracketPhase, ConcatPhase))
+            assert ("frac" in vars(cls)) == (cls is ConcatPhase)
 
     # n near 0, 2^32, 2^53 and 2^64, and below 0
     SCALAR_NS = (0, 1, 2, 3, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, 1 << 53, (1 << 53) + 1,
@@ -766,7 +765,7 @@ class TestBatchKernels:
         # the kernel rounds a rational oracle value to 2^-96, and the
         # concatenation's certified bound covers it
         src = TablePhase(lambda n: F(n * n, 3), label="n^2/3")
-        concat = build_concatenation(src, 2, 10, schedule=GeometricSchedule(4))
+        concat = ScheduledLagrangeConcat(GeometricSchedule(4), src, 2)
         worst = F(0)
         for n in range(300):
             anchor = concat.schedule.piece_start(n)
@@ -933,16 +932,16 @@ def test_concat_residual_matches_the_per_n_maximum(runs):
     # splits a kernel call, in any order and with repeats
     samples = [lo + i * step for lo, size, step in runs for i in range(size)]
     src = power_phase(3, 2)
-    concat = build_concatenation(src, 2, 10, schedule=GeometricSchedule(4))
+    concat = ScheduledLagrangeConcat(GeometricSchedule(4), src, 2)
     if not samples:
         with pytest.raises(ValueError, match="at least one sample"):
-            concat_residual(src, concat, samples)
+            concat_residual(concat, samples)
         return
     dists = [(abs(oracle.power_frac(src, n).frac_mantissa()
                   - concat.frac(n).frac_mantissa()), n) for n in samples]
     dists = [(min(d, SCALE - d) / SCALE, n) for d, n in dists]
     worst, arg = max(dists, key=lambda d: d[0])  # first on ties
-    assert concat_residual(src, concat, samples) == ResidualReport(worst, arg, len(samples))
+    assert concat_residual(concat, samples) == ResidualReport(worst, arg, len(samples))
 
 
 def test_residual_runs_stay_within_a_chunk():
@@ -954,10 +953,17 @@ def test_residual_runs_stay_within_a_chunk():
 
 def test_concat_residual_reports_the_first_maximum():
     poly = PolyPhase([F(1, 3), F(-2, 7)])
-    concat = build_concatenation(poly, 2, 10, schedule=GeometricSchedule(8))
-    assert concat_residual(poly, concat, [9, 5, 200, 2]) == ResidualReport(0.0, 9, 4)
+    concat = ScheduledLagrangeConcat(GeometricSchedule(8), poly, 2)
+    assert concat_residual(concat, [9, 5, 200, 2]) == ResidualReport(0.0, 9, 4)
     with pytest.raises(ValueError, match="at least one sample"):
-        concat_residual(poly, concat, [])  # a maximum over nothing is no pass
+        concat_residual(concat, [])  # a maximum over nothing is no pass
+
+
+def test_the_concatenation_calls_take_no_redundant_input():
+    # the residual reads the source from the concatenation; another schedule
+    # than the default is ScheduledLagrangeConcat's own argument
+    assert list(inspect.signature(concat_residual).parameters) == ["concat", "ns"]
+    assert "schedule" not in inspect.signature(build_concatenation).parameters
 
 
 def test_precision_budget_is_not_a_parameter():

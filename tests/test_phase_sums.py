@@ -4,6 +4,7 @@ approximation witness with an independently re-checked certificate."""
 
 import cmath
 import dataclasses
+import inspect
 import math
 import random
 import tracemalloc
@@ -72,7 +73,7 @@ class TestWeights:
 
 class TestCheckpointGrid:
     def test_exact_count_and_endpoint(self):
-        for n, c in ((10 ** 6, 20), (1000, 7), (50, 50), (5, 10)):
+        for n, c in ((10 ** 6, 20), (1000, 7), (50, 50), (5, 10), (1000, 1), (1, 1)):
             pts = checkpoint_grid(n, c)
             assert len(pts) == min(c, n)
             assert pts[-1] == n
@@ -270,9 +271,16 @@ class TestDirichlet:
                      else mpmath.mpf(th.numerator) / th.denominator)
                 assert abs(wit.t * x - a) <= mpmath.mpf(1) / q + mpmath.mpf(2) ** -80
 
-    def test_budget(self):
-        with pytest.raises(ResourceBudgetError):
-            dirichlet_approx([F(1, 3)] * 10, 8, budget=1000)
+    def test_budget(self, monkeypatch):
+        with pytest.raises(ResourceBudgetError,
+                           match=r"q\^L = 1073741824 exceeds the scan budget 10000000"):
+            dirichlet_approx([F(1, 3)] * 10, 8)
+        # the budget is a module constant, not a parameter; tests patch it
+        assert list(inspect.signature(dirichlet_approx).parameters) == ["thetas", "q"]
+        monkeypatch.setattr(phase_sums, "SCAN_BUDGET", 1000)
+        assert dirichlet_approx([F(1, 3)] * 3, 8).t == 3  # 8^3 = 512
+        with pytest.raises(ResourceBudgetError, match=r"q\^L = 4096 exceeds the scan budget 1000;"):
+            dirichlet_approx([F(1, 3)] * 4, 8)
 
     def test_every_witness_is_strict(self):
         # no boundary fallback: the pigeonhole witness is always strict

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mulab.sieves
 from mulab.errors import (
     CacheChecksumError,
     CacheFormatError,
@@ -387,6 +388,18 @@ class TestPersistence:
         loaded = load_cache(path)
         assert np.array_equal(loaded.values(1, 5001), lam.values(1, 5001))
 
+    def test_a_loaded_table_is_labelled_by_its_file_name(self, tmp_path):
+        for table, name in ((sieve_liouville(100), "lambda"), (sieve_mobius(100), "mu")):
+            save_cache(table, tmp_path / f"{name}.bin")
+            assert load_cache(tmp_path / f"{name}.bin").label == name
+
+
+def sieved(sieve, n_max, size):
+    """sieve(n_max) with segments of `size` n, a multiple of 8."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mulab.sieves, "_SEGMENT", size)
+        return sieve(n_max)
+
 
 class TestSegments:
     # prime squares and cubes (4, 8, 9, 25, 27, 49, ...) straddle the edges
@@ -400,13 +413,17 @@ class TestSegments:
             return arr.tobytes()
 
         ref = raw(sieve(self.N))
-        for size in (4, 5, 7, 64):
-            assert raw(sieve(self.N, segment_size=size)) == ref
+        for size in (8, 16, 64):
+            assert raw(sieved(sieve, self.N, size)) == ref
+
+    def test_the_segment_is_a_multiple_of_8(self):
+        # mu's and lambda's segments start at an even byte, phi's at an odd n
+        assert mulab.sieves._SEGMENT > 0 and mulab.sieves._SEGMENT % 8 == 0
 
     def test_small_segments_match_the_oracles(self):
-        mu = sieve_mobius(self.N, segment_size=7)
-        lam = sieve_liouville(self.N, segment_size=7)
-        phi = sieve_phi(self.N, segment_size=7)
+        mu = sieved(sieve_mobius, self.N, 8)
+        lam = sieved(sieve_liouville, self.N, 8)
+        phi = sieved(sieve_phi, self.N, 8)
         for n in range(1, self.N + 1):
             assert mu.value(n) == mu_oracle(n)
             assert lam.value(n) == lambda_oracle(n)
@@ -441,26 +458,6 @@ class TestSegments:
             value[n] = rule(value[n // 2], n // 2)
             assert value[n] == oracle(n), n
 
-    @pytest.mark.parametrize("sieve", [sieve_mobius, sieve_liouville, sieve_phi])
-    @pytest.mark.parametrize("size", [0, -5])
-    def test_segment_size_below_one_is_refused(self, sieve, size):
-        with pytest.raises(ValueError, match="segment_size must be >= 1"):
-            sieve(100, size)
-
-    def test_segment_size_rounds_up_to_the_kernels_step(self, monkeypatch):
-        import mulab.sieves
-
-        # mu and lambda walk whole pairs of bytes (8 n), phi pairs of n
-        seen = []
-        real = mulab.sieves._check_budget
-        monkeypatch.setattr(mulab.sieves, "_check_budget",
-                            lambda *a: seen.append(a[3]) or real(*a))
-        for size in (1, 8, 9):
-            sieve_mobius(100, size)
-            sieve_liouville(100, size)
-            sieve_phi(100, size)
-        assert seen == [8, 8, 2, 8, 8, 8, 16, 16, 10]
-
 
 class TestWeights:
     def test_weights_share_the_table_array(self):
@@ -474,11 +471,10 @@ class TestWeights:
         assert table.value(1) == 1 and w.values[0] == 0
 
     def test_decoding_across_segments(self, monkeypatch):
-        import mulab.sieves
-
         table = sieve_mobius(1000)
         vals = table.values(1, 1001)
-        monkeypatch.setattr(mulab.sieves, "_DEFAULT_SEGMENT", 7)
+        # 2 bytes (8 entries) a chunk
+        monkeypatch.setattr(mulab.sieves, "_SCAN_BYTES", 2)
         w = table.weight_array()
         assert w[0] == 0 and np.array_equal(w[1:], vals)
         csum = np.cumsum(vals, dtype=np.int64)
@@ -492,8 +488,6 @@ class TestBudget:
             sieve_mobius(3 * 10 ** 9)
 
     def test_budget_counts_the_working_segment(self, monkeypatch):
-        import mulab.sieves
-
         # the 250-byte packed table fits in 1000 bytes, its segment does not
         monkeypatch.setattr(mulab.sieves, "DEFAULT_BUDGET_BYTES", 10 ** 5)
         sieve_mobius(1000)
@@ -533,10 +527,10 @@ def raw_table(table):
     return arr.tobytes()
 
 
-def assert_matches_oracles(n_max, ns, segment_size=1 << 20):
-    mu = sieve_mobius(n_max, segment_size)
-    lam = sieve_liouville(n_max, segment_size)
-    phi = sieve_phi(n_max, segment_size)
+def assert_matches_oracles(n_max, ns, size=1 << 20):
+    mu = sieved(sieve_mobius, n_max, size)
+    lam = sieved(sieve_liouville, n_max, size)
+    phi = sieved(sieve_phi, n_max, size)
     mu_w, lam_w = mu.weight_array(), lam.weight_array()
     for n in ns:
         assert mu_w[n] == mu_oracle(n), (n_max, n)
@@ -553,10 +547,10 @@ class TestTiledKernel:
         mu, lam, phi = assert_matches_oracles(n_max, range(1, n_max + 1))
         assert raw_table(mu) == raw_table(sieve_oracle.pack_mobius(n_max))
         assert raw_table(lam) == raw_table(sieve_oracle.pack_liouville(n_max))
-        for size in (1, 4, 5, 8, 16):
-            assert raw_table(sieve_mobius(n_max, size)) == raw_table(mu)
-            assert raw_table(sieve_liouville(n_max, size)) == raw_table(lam)
-            assert raw_table(sieve_phi(n_max, size)) == raw_table(phi)
+        for size in (8, 16, 24):
+            assert raw_table(sieved(sieve_mobius, n_max, size)) == raw_table(mu)
+            assert raw_table(sieved(sieve_liouville, n_max, size)) == raw_table(lam)
+            assert raw_table(sieved(sieve_phi, n_max, size)) == raw_table(phi)
 
     @pytest.mark.parametrize("n_max", [PERIOD - 1, PERIOD, PERIOD + 1])
     def test_around_one_period(self, n_max):
@@ -564,18 +558,19 @@ class TestTiledKernel:
         ns = (list(range(1, 400)) + list(range(PERIOD - 400, n_max + 1))
               + [rng.randrange(1, n_max + 1) for _ in range(2000)])
         mu, lam, phi = assert_matches_oracles(n_max, ns)
-        for size in (PERIOD // 4, 65_536, 100_000):
-            assert raw_table(sieve_mobius(n_max, size)) == raw_table(mu)
-            assert raw_table(sieve_liouville(n_max, size)) == raw_table(lam)
-            assert raw_table(sieve_phi(n_max, size)) == raw_table(phi)
+        for size in (PERIOD // 4 + 4, 65_536, 100_000):  # multiples of 8
+            assert raw_table(sieved(sieve_mobius, n_max, size)) == raw_table(mu)
+            assert raw_table(sieved(sieve_liouville, n_max, size)) == raw_table(lam)
+            assert raw_table(sieved(sieve_phi, n_max, size)) == raw_table(phi)
 
     @given(st.integers(1, 3 * PERIOD).flatmap(lambda n_max: st.tuples(
-        st.just(n_max), st.integers(max(4, n_max // 64), 2 * PERIOD))))
+        st.just(n_max),
+        st.integers(max(1, n_max // 512), PERIOD // 4).map(lambda k: 8 * k))))
     @settings(max_examples=25)
     @example((PERIOD + 1, PERIOD))
-    @example((2 * PERIOD + 5, PERIOD // 3 + 2))
+    @example((2 * PERIOD + 5, PERIOD // 3 + 8))
     @example((3 * PERIOD, 2 * PERIOD))
-    @example((3 * PERIOD - 1, 3 * PERIOD // 64))
+    @example((3 * PERIOD - 1, 3 * PERIOD // 64 + 4))
     def test_tables_do_not_depend_on_the_segment_size(self, case):
         n_max, size = case
         # n on both sides of the segment edges and of the period's multiples
@@ -592,10 +587,10 @@ class TestTiledKernel:
     def test_around_the_odd_tiles_period(self, n_max):
         ns = list(range(1, 200)) + list(range(TILE - 200, n_max + 1))
         mu, lam, phi = assert_matches_oracles(n_max, ns)
-        for size in (TILE // 4, TILE, TILE + 2, 4096):
-            assert raw_table(sieve_mobius(n_max, size)) == raw_table(mu)
-            assert raw_table(sieve_liouville(n_max, size)) == raw_table(lam)
-            assert raw_table(sieve_phi(n_max, size)) == raw_table(phi)
+        for size in (TILE // 4, TILE - 2, TILE + 6, 4096):  # multiples of 8
+            assert raw_table(sieved(sieve_mobius, n_max, size)) == raw_table(mu)
+            assert raw_table(sieved(sieve_liouville, n_max, size)) == raw_table(lam)
+            assert raw_table(sieved(sieve_phi, n_max, size)) == raw_table(phi)
 
     def test_phi_tile_holds_every_period_residue(self):
         # the multiples of the whole period: every tiled power divides them
@@ -621,7 +616,7 @@ class TestOddOnly:
         st.tuples(st.integers(1, 3 * PERIOD), st.just(1 << 20)),
         st.tuples(st.sampled_from(two_powers_and_neighbours(20)),
                   st.sampled_from([1 << 20, 1 << 12, 1 << 16])),
-        st.integers(1, 64).flatmap(lambda size: st.tuples(
+        st.integers(1, 8).map(lambda k: 8 * k).flatmap(lambda size: st.tuples(
             st.integers(1, 256 * size), st.just(size)))))
     @settings(max_examples=40, deadline=None)
     @example((PERIOD - 1, 1 << 20))
@@ -633,11 +628,11 @@ class TestOddOnly:
     @example((3 * PERIOD, 1 << 12))
     def test_tables_equal_the_every_n_kernels(self, case):
         n_max, size = case
-        assert raw_table(sieve_mobius(n_max, size)) == \
+        assert raw_table(sieved(sieve_mobius, n_max, size)) == \
             raw_table(sieve_oracle.pack_mobius(n_max))
-        assert raw_table(sieve_liouville(n_max, size)) == \
+        assert raw_table(sieved(sieve_liouville, n_max, size)) == \
             raw_table(sieve_oracle.pack_liouville(n_max))
-        assert raw_table(sieve_phi(n_max, size)) == \
+        assert raw_table(sieved(sieve_phi, n_max, size)) == \
             sieve_oracle.phi_values(n_max).tobytes()
 
     @pytest.mark.parametrize("r", range(8))
@@ -646,13 +641,13 @@ class TestOddOnly:
     def test_every_residue_mod_8_leaves_no_code_past_n_max(self, r, m, parts):
         # the even codes come a byte pair at a time: none may land past n_max
         n_max = max(1, 8 * m + r)
-        size = max(1, n_max // parts)  # at most 64 segments
+        size = 8 * max(1, n_max // (8 * parts))  # at most 128 segments
         for sieve, oracle in ((sieve_mobius, sieve_oracle.pack_mobius),
                               (sieve_liouville, sieve_oracle.pack_liouville)):
-            table = sieve(n_max, size)
+            table = sieved(sieve, n_max, size)
             assert raw_table(table) == raw_table(oracle(n_max))
             assert table.packed[-1] >> 2 * (n_max - 4 * (table.packed.size - 1)) == 0
-        assert raw_table(sieve_phi(n_max, size)) == \
+        assert raw_table(sieved(sieve_phi, n_max, size)) == \
             sieve_oracle.phi_values(n_max).tobytes()
 
 
@@ -692,13 +687,11 @@ class TestSignedProduct:
 class TestByteDecode:
     @pytest.mark.parametrize("n_max", [1000, 1001, 1002, 1003])
     def test_values_weights_and_sums_at_every_residue(self, monkeypatch, n_max):
-        import mulab.sieves
-
         table = sieve_liouville(n_max)
         oracle = [lambda_oracle(n) for n in range(1, n_max + 1)]
         csum = np.cumsum(oracle)
         # 12 entries a chunk: chunk edges every 3 bytes
-        monkeypatch.setattr(mulab.sieves, "_DEFAULT_SEGMENT", 12)
+        monkeypatch.setattr(mulab.sieves, "_SCAN_BYTES", 3)
         w = table.weight_array()
         assert w.size == n_max + 1 and w[0] == 0 and w.tolist()[1:] == oracle
         for lo in range(1, 14):
@@ -730,7 +723,7 @@ class TestSieveBudget:
     ], ids=["mu", "lambda", "phi"])
     def test_peak_within_the_budget_figure(self, sieve, table_bytes):
         import tracemalloc
-        from mulab.sieves import _DEFAULT_SEGMENT, _segment_bytes
+        from mulab.sieves import _segment_bytes
 
         n_max = 2 * 10 ** 6
         tracemalloc.start()
@@ -739,7 +732,7 @@ class TestSieveBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= table_bytes(n_max) + _segment_bytes(n_max, _DEFAULT_SEGMENT)
+        assert peak <= table_bytes(n_max) + _segment_bytes(n_max)
 
     @pytest.mark.parametrize("call", [sieve_mobius, sieve_liouville, sieve_phi],
                              ids=["mu", "lambda", "phi"])
@@ -754,6 +747,7 @@ class TestSieveBudget:
 
 
 def test_the_sieves_take_no_budget_parameter():
-    # the 512 MiB default is the only budget; tests patch the module constant
+    # the 512 MiB default is the only budget and _SEGMENT the only segment
+    # length; tests patch the module constants
     for sieve in (sieve_mobius, sieve_liouville, sieve_phi):
-        assert list(inspect.signature(sieve).parameters) == ["n_max", "segment_size"]
+        assert list(inspect.signature(sieve).parameters) == ["n_max"]
